@@ -3,36 +3,42 @@
 Subcommands: gen-num, gen-txt, ingest, derive-class, mix, lr-table,
 audit, score, pipeline. Every output embeds a metadata record (tool
 version, seed, config hash), all randomness flows from the --seed flag,
-files are written atomically (temp + rename), diagnostics go to stderr,
-and exit codes are 0 (ok), 1 (validation/config error), 2 (I/O error).
+outputs are streamed to a temp file that is renamed into place on success,
+diagnostics go to stderr, and exit codes are 0 (ok), 1 (validation/config
+error), 2 (I/O error).
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    IndexedExamples,
     LengthLimits,
     audit_truncation,
     count_tokens,
     ingest_drop,
     ingest_squad,
+    iter_examples,
+    iter_jsonl,
+    load_json,
     make_classification_example,
     make_drop_example,
     make_squad_example,
-    read_examples,
     write_examples,
 )
 from .decimals import parse_decimal
-from .errors import ConfigError, ParseError, ToolkitError, ValidationError
+from .errors import ConfigError, ToolkitError, ValidationError
 from .mixing import DatasetStat, compute_plan, sample_stream
 from .numgen import NumGenConfig, TemplateFamily, ValueRange, generate_num, num_to_example
 from .pipelines import builtin_pipelines, expand, load_pipeline_spec
@@ -40,27 +46,47 @@ from .schedule import LrConfig, LrSchedule, emit_table
 from .scoring import build_report
 from .txtgen import TxtGenConfig, Vocabulary, generate_txt, txt_to_example
 
-
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+#: Per command, the flags its effective config records, in --dump-config
+#: order. A --config file may set exactly these; other keys are ignored.
+_CONFIG_KEYS = {
+    "gen-num": ("count", "seed", "min_value", "max_value", "max_frac_digits", "families", "emit"),
+    "gen-txt": ("count", "seed", "min_events", "max_events", "max_quantity", "frac_digits", "emit"),
+    "lr-table": ("epochs", "batches_per_epoch", "warmup_start", "warmup_end", "decay_rate", "warmup_fraction"),
+}
 
 
 def _meta(config: dict, seed: int | None = None, **extra) -> dict:
     meta = {"tool": f"numtext {__version__}"}
     if seed is not None:
         meta["seed"] = seed
-    meta["config_sha256"] = _config_hash(config)
+    canonical = json.dumps(config, sort_keys=True, ensure_ascii=False)
+    meta["config_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     meta.update(extra)
     return meta
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+@contextmanager
+def atomic_output(path: str | None):
+    """Yield a binary stream for ``path``, or for stdout when it is absent or ``-``.
+
+    A file is streamed to a temp file beside the target, given mode
+    ``0o666 & ~umask`` and renamed over the target on success. On any
+    exception the temp file is removed, so the target is either complete
+    or as it was before.
+    """
+    if path is None or path == "-":
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield handle
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,59 +94,40 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        _atomic_write_bytes(out, text.encode("utf-8"))
+def _write_json(path: str | None, payload: dict) -> int:
+    with atomic_output(path) as sink:
+        sink.write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    return 0
 
 
-def _apply_config_file(args: argparse.Namespace, keys: list[str]) -> None:
-    """Fill unset flags from --config, then record the effective values."""
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
-        if not isinstance(file_values, dict):
-            raise ConfigError("--config file must hold a JSON object")
-    for key in keys:
-        if getattr(args, key, None) is None and key in file_values:
-            setattr(args, key, file_values[key])
+def _command_config(args: argparse.Namespace) -> dict:
+    """The command's effective config, also written to --dump-config if given."""
+    config = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
+    if args.dump_config:
+        _write_json(args.dump_config, config)
+    return config
 
 
-def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {key: getattr(args, key) for key in keys}
-
-
-def _maybe_dump_config(args: argparse.Namespace, config: dict) -> None:
-    if getattr(args, "dump_config", None):
-        _atomic_write_bytes(args.dump_config, (json.dumps(config, indent=2) + "\n").encode("utf-8"))
-
-
-def _default(args, key, value):
-    if getattr(args, key, None) is None:
-        setattr(args, key, value)
+def _write_generated(args: argparse.Namespace, config: dict, items, to_example) -> int:
+    """Stream generated items to --out as tagged examples or, with --emit raw, as their own rows."""
+    meta = _meta(config, seed=int(args.seed))
+    with atomic_output(args.out) as sink:
+        if args.emit == "raw":
+            rows = chain([{"meta": meta}], (item.to_json() for item in items))
+            sink.writelines(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n" for row in rows)
+        else:
+            write_examples(map(to_example, items), sink, meta=meta)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_GEN_NUM_KEYS = ["count", "seed", "min_value", "max_value", "max_frac_digits", "families", "emit"]
-
-
 def cmd_gen_num(args) -> int:
-    _apply_config_file(args, _GEN_NUM_KEYS)
-    _default(args, "seed", 0)
-    _default(args, "min_value", "0")
-    _default(args, "max_value", "20000")
-    _default(args, "max_frac_digits", 2)
-    _default(args, "emit", "examples")
     if args.count is None:
         raise ConfigError("--count is required")
-    config = _effective_config(args, _GEN_NUM_KEYS)
-    _maybe_dump_config(args, config)
-
+    config = _command_config(args)
     weights = {family: 1.0 for family in TemplateFamily}
     if args.families:
         weights = {}
@@ -136,34 +143,13 @@ def cmd_gen_num(args) -> int:
         family_weights=weights,
     )
     examples = generate_num(int(args.count), gen_config, int(args.seed))
-    meta = _meta(config, seed=int(args.seed))
-    buffer = io.BytesIO()
-    if args.emit == "raw":
-        buffer.write(json.dumps({"meta": meta}, ensure_ascii=False).encode("utf-8") + b"\n")
-        for example in examples:
-            buffer.write(json.dumps(example.to_json(), ensure_ascii=False).encode("utf-8") + b"\n")
-    else:
-        write_examples((num_to_example(e) for e in examples), buffer, meta=meta)
-    _atomic_write_bytes(args.out, buffer.getvalue())
-    return 0
-
-
-_GEN_TXT_KEYS = ["count", "seed", "min_events", "max_events", "max_quantity", "frac_digits", "emit"]
+    return _write_generated(args, config, examples, num_to_example)
 
 
 def cmd_gen_txt(args) -> int:
-    _apply_config_file(args, _GEN_TXT_KEYS)
-    _default(args, "seed", 0)
-    _default(args, "min_events", 2)
-    _default(args, "max_events", 6)
-    _default(args, "max_quantity", 20)
-    _default(args, "frac_digits", 0)
-    _default(args, "emit", "examples")
     if args.count is None:
         raise ConfigError("--count is required")
-    config = _effective_config(args, _GEN_TXT_KEYS)
-    _maybe_dump_config(args, config)
-
+    config = _command_config(args)
     vocab = Vocabulary.from_file(args.vocab) if args.vocab else TxtGenConfig().vocab
     gen_config = TxtGenConfig(
         vocab=vocab,
@@ -173,29 +159,16 @@ def cmd_gen_txt(args) -> int:
         frac_digits=int(args.frac_digits),
     )
     examples = generate_txt(int(args.count), gen_config, int(args.seed))
-    meta = _meta(config, seed=int(args.seed))
-    buffer = io.BytesIO()
-    if args.emit == "raw":
-        buffer.write(json.dumps({"meta": meta}, ensure_ascii=False).encode("utf-8") + b"\n")
-        for example in examples:
-            buffer.write(json.dumps(example.to_json(), ensure_ascii=False).encode("utf-8") + b"\n")
-    else:
-        write_examples((txt_to_example(e) for e in examples), buffer, meta=meta)
-    _atomic_write_bytes(args.out, buffer.getvalue())
-    return 0
+    return _write_generated(args, config, examples, txt_to_example)
 
 
 def cmd_ingest(args) -> int:
-    ingest = ingest_drop if args.format == "drop" else ingest_squad
+    drop = args.format == "drop"
+    ingest, to_example = (ingest_drop, make_drop_example) if drop else (ingest_squad, make_squad_example)
     result = ingest(args.input)
-    if args.format == "drop":
-        examples = [make_drop_example(record) for record in result.records]
-    else:
-        examples = [make_squad_example(record) for record in result.records]
-    config = {"format": args.format, "input": str(args.input)}
-    buffer = io.BytesIO()
-    written = write_examples(examples, buffer, meta=_meta(config, records=len(examples)))
-    _atomic_write_bytes(args.out, buffer.getvalue())
+    meta = _meta({"format": args.format, "input": str(args.input)}, records=len(result.records))
+    with atomic_output(args.out) as sink:
+        written = write_examples(map(to_example, result.records), sink, meta=meta)
     for issue in result.errors:
         print(f"skipped {issue.question_id}: {issue.message}", file=sys.stderr)
     print(f"wrote {written} examples ({len(result.errors)} skipped)", file=sys.stderr)
@@ -204,18 +177,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_derive_class(args) -> int:
     result = ingest_drop(args.input)
-    examples = [make_classification_example(record) for record in result.records]
-    config = {"input": str(args.input)}
-    buffer = io.BytesIO()
-    written = write_examples(examples, buffer, meta=_meta(config, records=len(examples)))
-    _atomic_write_bytes(args.out, buffer.getvalue())
+    meta = _meta({"input": str(args.input)}, records=len(result.records))
+    with atomic_output(args.out) as sink:
+        written = write_examples(map(make_classification_example, result.records), sink, meta=meta)
     print(f"wrote {written} classification examples", file=sys.stderr)
     return 0
 
 
 def _load_stats(path: str) -> list[DatasetStat]:
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = json.load(handle)
+    rows = load_json(path)
     if not isinstance(rows, list):
         raise ConfigError("stats file must hold a JSON list")
     return [
@@ -235,41 +205,28 @@ def cmd_mix(args) -> int:
     config = {"stats": str(args.stats), "temperature": float(args.temperature)}
 
     if args.sample is None:
-        payload = {"meta": _meta(config), **plan.to_json()}
-        _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return _write_json(args.out, {"meta": _meta(config), **plan.to_json()})
 
     if not args.sources or args.out is None:
         raise ConfigError("--sample needs --sources and --out")
-    sources = {}
-    for part in args.sources.split(","):
-        name, _, path = part.partition("=")
-        if not path:
-            raise ConfigError(f"bad --sources entry: {part!r}")
-        sources[name.strip()] = read_examples(path)
-    seed = int(args.seed or 0)
-    config.update({"sample": int(args.sample), "seed": seed})
-    stream = sample_stream(plan, sources, int(args.sample), seed, allow_repeats=not args.no_repeats)
-    buffer = io.BytesIO()
-    write_examples(stream, buffer, meta=_meta(config, seed=seed, plan=plan.to_json()))
-    _atomic_write_bytes(args.out, buffer.getvalue())
+    config.update({"sample": int(args.sample), "seed": args.seed})
+    with ExitStack() as stack:
+        sources = {}
+        for part in args.sources.split(","):
+            name, _, path = part.partition("=")
+            if not path:
+                raise ConfigError(f"bad --sources entry: {part!r}")
+            sources[name.strip()] = IndexedExamples(stack.enter_context(open(path, "rb")))
+        stream = sample_stream(plan, sources, int(args.sample), args.seed, allow_repeats=not args.no_repeats)
+        with atomic_output(args.out) as sink:
+            write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
     return 0
 
 
-_LR_KEYS = ["epochs", "batches_per_epoch", "warmup_start", "warmup_end", "decay_rate", "warmup_fraction"]
-
-
 def cmd_lr_table(args) -> int:
-    _apply_config_file(args, _LR_KEYS)
-    _default(args, "warmup_start", 1e-8)
-    _default(args, "warmup_end", 1e-4)
-    _default(args, "decay_rate", 1e-3)
-    _default(args, "warmup_fraction", 0.10)
     if args.epochs is None or args.batches_per_epoch is None:
         raise ConfigError("--epochs and --batches-per-epoch are required")
-    config = _effective_config(args, _LR_KEYS)
-    _maybe_dump_config(args, config)
-
+    config = _command_config(args)
     schedule = LrSchedule(
         LrConfig(
             total_epochs=int(args.epochs),
@@ -281,51 +238,38 @@ def cmd_lr_table(args) -> int:
         )
     )
     meta = _meta(config)
-    out = io.StringIO()
-    emit_table(schedule, out, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
-    _emit_text(out.getvalue(), args.out)
+    with atomic_output(args.out) as sink:
+        text = codecs.getwriter("utf-8")(sink)
+        emit_table(schedule, text, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
     return 0
 
 
 def cmd_audit(args) -> int:
-    examples = read_examples(args.input)
+    examples = (example for _, example in iter_examples(args.input))
     limits = LengthLimits(encoder_max=int(args.encoder_max), decoder_max=int(args.decoder_max))
     audit = audit_truncation(examples, limits, count_tokens)
     config = {"input": str(args.input), "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
-    payload = {"meta": _meta(config), **audit.to_json()}
-    _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
 
 
 def cmd_score(args) -> int:
     result = ingest_drop(args.gold)
     predictions = {}
-    with open(args.pred, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if (lineno == 1 and isinstance(row, dict) and set(row) == {"meta"}):
-                continue
+    with open(args.pred, "rb") as handle:
+        for _, lineno, row in iter_jsonl(handle):
             if "id" not in row or "prediction" not in row:
                 raise ValidationError(f"line {lineno}: prediction rows need 'id' and 'prediction'")
             predictions[str(row["id"])] = str(row["prediction"])
     report = build_report(result.records, predictions, span_delimiter=args.delimiter)
     config = {"gold": str(args.gold), "pred": str(args.pred), "delimiter": args.delimiter}
-    payload = {"meta": _meta(config), **report.to_json()}
-    _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _write_json(args.out, {"meta": _meta(config), **report.to_json()})
 
 
 def cmd_pipeline(args) -> int:
     pipelines = {spec.name: spec for spec in builtin_pipelines()}
     if args.list:
         payload = {"meta": _meta({}), "pipelines": [spec.to_json() for spec in pipelines.values()]}
-        _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return _write_json(args.out, payload)
     if bool(args.name) == bool(args.spec):
         raise ConfigError("pass exactly one of --name or --spec")
     if args.name and args.name not in pipelines:
@@ -334,17 +278,14 @@ def cmd_pipeline(args) -> int:
     if args.stats is None or args.batch_size is None:
         raise ConfigError("--stats and --batch-size are required")
     stats = _load_stats(args.stats)
-    seed = int(args.seed or 0)
-    plan = expand(spec, stats, int(args.batch_size), seed)
+    plan = expand(spec, stats, int(args.batch_size), args.seed)
     config = {
         "pipeline": spec.name,
         "stats": str(args.stats),
         "batch_size": int(args.batch_size),
-        "seed": seed,
+        "seed": args.seed,
     }
-    payload = {"meta": _meta(config, seed=seed), **plan.to_json()}
-    _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -361,36 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="numtext", description=__doc__)
     parser.add_argument("--version", action="version", version=f"numtext {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = commands.choices  # name -> subparser, for --config defaults
 
     def add(name, func, help_text):
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(func=func)
         return sub
 
+    def add_config_flags(sub):
+        sub.add_argument("--config", help="JSON object of flag values; flags given on the command line win")
+        sub.add_argument("--dump-config", dest="dump_config")
+
     sub = add("gen-num", cmd_gen_num, "generate synthetic arithmetic expressions")
     sub.add_argument("--count", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-value", dest="min_value")
-    sub.add_argument("--max-value", dest="max_value")
-    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int)
+    sub.add_argument("--min-value", dest="min_value", default="0")
+    sub.add_argument("--max-value", dest="max_value", default="20000")
+    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int, default=2)
     sub.add_argument("--families", help="comma list of family[=weight]")
-    sub.add_argument("--emit", choices=["examples", "raw"])
-    sub.add_argument("--config")
-    sub.add_argument("--dump-config", dest="dump_config")
+    sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
+    add_config_flags(sub)
 
     sub = add("gen-txt", cmd_gen_txt, "generate synthetic word problems")
     sub.add_argument("--count", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-events", dest="min_events", type=int)
-    sub.add_argument("--max-events", dest="max_events", type=int)
-    sub.add_argument("--max-quantity", dest="max_quantity", type=int)
-    sub.add_argument("--frac-digits", dest="frac_digits", type=int)
+    sub.add_argument("--min-events", dest="min_events", type=int, default=2)
+    sub.add_argument("--max-events", dest="max_events", type=int, default=6)
+    sub.add_argument("--max-quantity", dest="max_quantity", type=int, default=20)
+    sub.add_argument("--frac-digits", dest="frac_digits", type=int, default=0)
     sub.add_argument("--vocab", help="JSON vocabulary file")
-    sub.add_argument("--emit", choices=["examples", "raw"])
-    sub.add_argument("--config")
-    sub.add_argument("--dump-config", dest="dump_config")
+    sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
+    add_config_flags(sub)
 
     sub = add("ingest", cmd_ingest, "convert a DROP/SQuAD JSON file to tagged examples")
     sub.add_argument("--format", choices=["drop", "squad"], required=True)
@@ -406,20 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--temperature", "-T", default=1.0, type=float)
     sub.add_argument("--sample", type=int, help="draw this many examples")
     sub.add_argument("--sources", help="comma list of name=examples.jsonl")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--no-repeats", dest="no_repeats", action="store_true")
     sub.add_argument("--out")
 
     sub = add("lr-table", cmd_lr_table, "emit the learning-rate schedule as CSV")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    sub.add_argument("--warmup-start", dest="warmup_start", type=float)
-    sub.add_argument("--warmup-end", dest="warmup_end", type=float)
-    sub.add_argument("--decay-rate", dest="decay_rate", type=float)
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
+    sub.add_argument("--warmup-start", dest="warmup_start", type=float, default=1e-8)
+    sub.add_argument("--warmup-end", dest="warmup_end", type=float, default=1e-4)
+    sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=1e-3)
+    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float, default=0.10)
     sub.add_argument("--out")
-    sub.add_argument("--config")
-    sub.add_argument("--dump-config", dest="dump_config")
+    add_config_flags(sub)
 
     sub = add("audit", cmd_audit, "report encoder/decoder truncation fractions")
     sub.add_argument("--in", dest="input", required=True)
@@ -439,21 +382,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spec", help="JSON pipeline spec file")
     sub.add_argument("--stats")
     sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out")
 
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; with --config, parse again after the file's non-null values
+    for the command's _CONFIG_KEYS become its defaults (flag > file > default)."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        values = load_json(args.config)
+        if not isinstance(values, dict):
+            raise ConfigError("--config file must hold a JSON object")
+        keys = _CONFIG_KEYS[args.command]
+        parser.commands[args.command].set_defaults(
+            **{key: values[key] for key in keys if values.get(key) is not None}
+        )
+        args = parser.parse_args(argv)
+    return args
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
-    except (ConfigError, ValidationError, ParseError, ToolkitError) as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -42,6 +43,7 @@ CONTEXT_MARKER = " context: "
 
 #: JSONL field order; fixed so golden files are bit-exact.
 EXAMPLE_FIELDS = ("input", "target", "task", "answer_type", "source_id")
+_FIELD_SET = frozenset(EXAMPLE_FIELDS)
 
 
 def format_input(task: TaskTag | str, question: str, context: str = "") -> str:
@@ -91,14 +93,13 @@ class Example:
     source_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "task", TaskTag(self.task))
+        task = TaskTag(self.task)
+        object.__setattr__(self, "task", task)
         object.__setattr__(self, "answer_type", AnswerType(self.answer_type))
-        if not self.input.startswith(f"{self.task.value}: "):
-            raise ValidationError(
-                f"input must start with {self.task.value!r} prefix: {self.input[:40]!r}"
-            )
-        body = self.input[len(self.task.value) + 2 :]
-        question = body.split(CONTEXT_MARKER, 1)[0]
+        prefix = f"{task.value}: "
+        if not self.input.startswith(prefix):
+            raise ValidationError(f"input must start with {task.value!r} prefix: {self.input[:40]!r}")
+        question = self.input[len(prefix) :].split(CONTEXT_MARKER, 1)[0]
         if not question.strip():
             raise ValidationError("input question is empty")
         if not self.target:
@@ -260,17 +261,17 @@ def make_squad_example(record: SquadRecord) -> Example:
 # Source-file ingestion
 # ---------------------------------------------------------------------------
 
-def _load_json(source) -> dict:
+def load_json(source):
+    """Parse one JSON document from a path or a stream; malformed input raises ParseError."""
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     else:
         data = source.read()
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", offset=exc.start) from None
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
@@ -299,7 +300,7 @@ def ingest_drop(source) -> IngestResult:
     empty ones dropped. A qa pair whose every answer is empty is skipped
     and tallied in ``errors`` rather than aborting the whole file.
     """
-    data = _load_json(source)
+    data = load_json(source)
     if not isinstance(data, dict):
         raise ParseError("DROP file must be a JSON object keyed by passage id")
     records: list[DropRecord] = []
@@ -329,7 +330,7 @@ def ingest_drop(source) -> IngestResult:
 
 def ingest_squad(source) -> IngestResult:
     """Parse a SQuAD v1.1 JSON file into records, one per qa pair."""
-    data = _load_json(source)
+    data = load_json(source)
     if not isinstance(data, dict) or not isinstance(data.get("data", None), list):
         raise ParseError("SQuAD file must be a JSON object with a 'data' list")
     records: list[SquadRecord] = []
@@ -464,68 +465,101 @@ def example_to_json(example: Example) -> dict:
 
 
 def example_from_json(obj: dict) -> Example:
-    if not isinstance(obj, dict) or set(obj) != set(EXAMPLE_FIELDS):
+    if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
         raise ValidationError(f"expected exactly the fields {EXAMPLE_FIELDS}")
-    if not all(isinstance(obj[k], str) for k in EXAMPLE_FIELDS):
+    if not all(isinstance(value, str) for value in obj.values()):
         raise ValidationError("all example fields must be strings")
     try:
-        return Example(
-            input=obj["input"],
-            target=obj["target"],
-            task=TaskTag(obj["task"]),
-            answer_type=AnswerType(obj["answer_type"]),
-            source_id=obj["source_id"],
-        )
+        return Example(obj["input"], obj["target"], obj["task"], obj["answer_type"], obj["source_id"])
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
+
+
+#: Encodes one record line; the same bytes as ``json.dumps(obj, ensure_ascii=False)``
+#: without building a new encoder for every record.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_examples(examples: Iterable[Example], sink, meta: dict | None = None) -> int:
     """Write examples as UTF-8 JSONL (fixed key order, \\n-terminated).
 
-    ``sink`` is a binary stream or a path. When ``meta`` is given it is
-    written first as a ``{"meta": ...}`` record; readers skip it.
-    Returns the number of example records written.
+    ``sink`` is a binary stream. When ``meta`` is given it is written
+    first as a ``{"meta": ...}`` record; readers skip it. Returns the
+    number of example records written.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as handle:
-            return write_examples(examples, handle, meta)
     count = 0
     if meta is not None:
-        sink.write(json.dumps({"meta": meta}, ensure_ascii=False).encode("utf-8") + b"\n")
+        sink.write(_encode_line({"meta": meta}).encode("utf-8") + b"\n")
     for example in examples:
-        line = json.dumps(example_to_json(example), ensure_ascii=False)
+        line = _encode_line(example_to_json(example))
         sink.write(line.encode("utf-8") + b"\n")
         count += 1
     return count
 
 
-def read_examples(source) -> list[Example]:
-    """Read a JSONL record stream written by :func:`write_examples`.
+def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
+    """Yield ``(byte offset, line number, value)`` for each non-blank line
+    of a binary JSONL stream, skipping a leading ``{"meta": ...}`` record.
 
-    A line that is not valid JSON or fails the record schema raises
-    :class:`ParseError` / :class:`ValidationError` naming the line number.
+    A line that is not valid JSON raises :class:`ParseError` naming it.
+    """
+    offset = 0
+    for lineno, raw in enumerate(source, start=1):
+        start = offset
+        offset += len(raw)
+        text = raw.decode("utf-8")
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        if not (lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}):
+            yield start, lineno, obj
+
+
+def iter_examples(source) -> Iterator[tuple[int, Example]]:
+    """Yield ``(byte offset, example)`` for each record of a JSONL stream
+    written by :func:`write_examples`, validating as it goes.
+
+    ``source`` is a path or a binary stream. Besides the errors of
+    :func:`iter_jsonl`, a record that fails the schema raises
+    :class:`ValidationError` naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            return read_examples(handle)
-    examples: list[Example] = []
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        if not raw.strip():
-            continue
+            yield from iter_examples(handle)
+        return
+    for offset, lineno, obj in iter_jsonl(source):
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}:
-            continue
-        try:
-            examples.append(example_from_json(obj))
+            yield offset, example_from_json(obj)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-    return examples
+
+
+def read_examples(source) -> list[Example]:
+    """Read every record of a JSONL stream; see :func:`iter_examples`."""
+    return [example for _, example in iter_examples(source)]
+
+
+class IndexedExamples(Sequence):
+    """The records of an open binary JSONL file, re-read on each access.
+
+    Building it validates every line once, as :func:`read_examples` does,
+    but keeps only an 8-byte line offset per record, so memory does not
+    grow with the records' text. The caller owns and closes ``handle``.
+    """
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._offsets = array("q", (offset for offset, _ in iter_examples(handle)))
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index: int) -> Example:
+        self._handle.seek(self._offsets[index])
+        return example_from_json(json.loads(self._handle.readline().decode("utf-8")))
 
 
 def read_meta(source) -> dict | None:
@@ -536,8 +570,6 @@ def read_meta(source) -> dict | None:
     first = source.readline()
     if isinstance(first, bytes):
         first = first.decode("utf-8")
-    if not first.strip():
-        return None
     try:
         obj = json.loads(first)
     except json.JSONDecodeError:

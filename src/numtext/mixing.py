@@ -11,6 +11,7 @@ keeps tiny temperatures finite and makes common scale factors cancel.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -101,14 +102,15 @@ def compute_plan(stats: Sequence[DatasetStat], temperature: float) -> MixturePla
 
 class _EpochCursor:
     """Walks one dataset in epoch-shuffled order: a full random permutation
-    is consumed before any item repeats."""
+    is consumed before any item repeats. The permutation is an 8-byte-per-item
+    array, so a cursor over offset-indexed records stays small."""
 
     def __init__(self, items: Sequence, rng: random.Random, name: str, allow_repeats: bool):
         self.items = items
         self.rng = rng
         self.name = name
         self.allow_repeats = allow_repeats
-        self.order: list[int] = []
+        self.order = array("q")
         self.exhausted_once = False
 
     def next(self):
@@ -117,7 +119,7 @@ class _EpochCursor:
                 raise StreamError(f"dataset {self.name!r} is empty")
             if self.exhausted_once and not self.allow_repeats:
                 raise StreamError(f"dataset {self.name!r} exhausted with repeats disabled")
-            self.order = list(range(len(self.items)))
+            self.order = array("q", range(len(self.items)))
             self.rng.shuffle(self.order)
         index = self.order.pop()
         if not self.order:

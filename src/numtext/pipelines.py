@@ -186,6 +186,8 @@ class StagePlan:
 
 @dataclass(frozen=True)
 class PipelinePlan:
+    """Per-stage plans of one pipeline. ``seed`` is only recorded: expansion draws nothing."""
+
     name: str
     seed: int
     batch_size: int
@@ -208,7 +210,8 @@ def expand(
 ) -> PipelinePlan:
     """Expand a pipeline into per-stage mixture plans, steps, and shard names.
 
-    Pure: identical (spec, stats, batch_size, seed) give identical plans.
+    Pure and random-free: ``seed`` is only copied into the plan, for the
+    sampling run that uses it, so it changes no stage, step or shard.
     """
     if not isinstance(stats, Mapping):
         stats = {stat.name: stat for stat in stats}

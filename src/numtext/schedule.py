@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import ConfigError, ValidationError
 
@@ -70,14 +69,11 @@ class LrSchedule:
 
 
 def emit_table(schedule: LrSchedule, sink, meta: str | None = None) -> int:
-    """Write the schedule as CSV: every warmup batch, then each epoch start.
+    """Write the schedule as CSV to a text stream: every warmup batch, then each epoch start.
 
     Rates are printed with 17 significant digits so the file is bit-stable.
     Returns the number of data rows written.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as handle:
-            return emit_table(schedule, handle, meta)
     cfg = schedule.config
     if meta is not None:
         sink.write(f"# {meta}\n")

@@ -1,5 +1,6 @@
 import json
-
+import os
+import stat
 
 from numtext.cli import run
 from numtext.corpus import TaskTag, read_examples, read_meta
@@ -268,3 +269,90 @@ def test_pipeline_expand_deterministic(tmp_path):
 def test_pipeline_requires_name_xor_spec(capsys):
     assert run(["pipeline"]) == 1
     assert run(["pipeline", "--name", "multitask", "--spec", "x.json"]) == 1
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "n.jsonl"
+    previous = os.umask(0o022)
+    try:
+        assert run(["gen-num", "--count", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text("{bad", encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert run(["gen-num", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_config_file_applies_only_the_commands_keys(tmp_path):
+    config = tmp_path / "cfg.json"
+    elsewhere = tmp_path / "elsewhere.jsonl"
+    config.write_text(
+        json.dumps({"count": 4, "seed": 2, "func": "nope", "out": str(elsewhere), "vocab": "x", "bogus": 1}),
+        encoding="utf-8",
+    )
+    via_config, direct = tmp_path / "via.jsonl", tmp_path / "direct.jsonl"
+    assert run(["gen-num", "--config", str(config), "--out", str(via_config)]) == 0
+    assert run(["gen-num", "--count", "4", "--seed", "2", "--out", str(direct)]) == 0
+    assert via_config.read_bytes() == direct.read_bytes()
+    assert not elsewhere.exists()
+
+
+def test_config_file_null_means_the_default(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"count": 4, "seed": None, "max_frac_digits": None}), encoding="utf-8")
+    via_config, direct = tmp_path / "via.jsonl", tmp_path / "direct.jsonl"
+    assert run(["gen-num", "--config", str(config), "--out", str(via_config)]) == 0
+    assert run(["gen-num", "--count", "4", "--out", str(direct)]) == 0
+    assert via_config.read_bytes() == direct.read_bytes()
+
+
+def _assert_failed_cleanly(directory, target, before):
+    assert sorted(p.name for p in directory.iterdir()) == before
+    assert not [p for p in directory.iterdir() if p.name.startswith(f".{target.name}.")]
+
+
+def test_mix_no_repeats_failing_mid_stream_leaves_no_output(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps([{"name": "num", "length": 5}, {"name": "txt", "length": 5}]), encoding="utf-8")
+    num, txt = tmp_path / "num.jsonl", tmp_path / "txt.jsonl"
+    assert run(["gen-num", "--count", "5", "--seed", "1", "--out", str(num)]) == 0
+    assert run(["gen-txt", "--count", "5", "--seed", "2", "--out", str(txt)]) == 0
+    argv = ["mix", "--stats", str(stats), "--sample", "40", "--sources", f"num={num},txt={txt}", "--no-repeats"]
+    out = tmp_path / "mix.jsonl"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "exhausted" in capsys.readouterr().err
+    _assert_failed_cleanly(tmp_path, out, before)
+
+    out.write_bytes(b"previous contents\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv + ["--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous contents\n"
+    _assert_failed_cleanly(tmp_path, out, before)
+
+
+def test_ingest_failing_on_a_late_record_leaves_no_output(tmp_path, capsys):
+    qas = [drop_qa(f"How many in lot {i}?", f"q{i}", drop_answer(number=str(i))) for i in range(30)]
+    qas.append(drop_qa("   ", "q-empty", drop_answer(number="1")))
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps(build_drop_file({"p": ("Lots were counted.", qas)})), encoding="utf-8")
+    out = tmp_path / "drop.jsonl"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["ingest", "--format", "drop", "--in", str(gold), "--out", str(out)]) == 1
+    assert "question must be non-empty" in capsys.readouterr().err
+    _assert_failed_cleanly(tmp_path, out, before)
+
+    out.write_bytes(b"previous contents\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["ingest", "--format", "drop", "--in", str(gold), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous contents\n"
+    _assert_failed_cleanly(tmp_path, out, before)

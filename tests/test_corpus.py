@@ -9,6 +9,7 @@ from numtext.corpus import (
     DateParts,
     Example,
     GoldAnswer,
+    IndexedExamples,
     LengthLimits,
     TaskTag,
     audit_truncation,
@@ -20,6 +21,7 @@ from numtext.corpus import (
     format_input,
     ingest_drop,
     ingest_squad,
+    iter_examples,
     make_classification_example,
     make_drop_example,
     make_squad_example,
@@ -174,6 +176,12 @@ def test_ingest_drop_malformed_json_reports_byte_offset():
     with pytest.raises(ParseError) as info:
         ingest_drop(io.BytesIO(b'{"p": {"passage": "x", '))
     assert info.value.offset is not None
+
+
+def test_ingest_drop_non_utf8_reports_byte_offset():
+    with pytest.raises(ParseError) as info:
+        ingest_drop(io.BytesIO(b'{"p": {"passage": "caf\xe9"}}'))
+    assert info.value.offset == 22  # the \xe9 byte
 
 
 def test_ingest_drop_tallies_empty_answers():
@@ -362,3 +370,34 @@ def test_read_skips_meta_line_and_read_meta_returns_it():
 def test_example_json_fields_are_strings():
     row = example_to_json(_some_examples(1)[0])
     assert all(isinstance(v, str) for v in row.values())
+
+
+def test_iter_examples_yields_line_byte_offsets():
+    sink = io.BytesIO()
+    write_examples(_some_examples(4), sink, meta={"seed": 1})
+    data = sink.getvalue().replace(b"answer 2", "ånswer 2".encode("utf-8")) + b"\n"
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
+    pairs = list(iter_examples(io.BytesIO(data)))
+    assert [offset for offset, _ in pairs] == starts[1:5]
+    assert [example for _, example in pairs] == read_examples(io.BytesIO(data))
+
+
+def test_indexed_examples_match_read_examples(tmp_path):
+    path = tmp_path / "ex.jsonl"
+    sink = io.BytesIO()
+    write_examples(_some_examples(25), sink, meta={"seed": 2})
+    path.write_bytes(sink.getvalue())
+    with open(path, "rb") as handle:
+        indexed = IndexedExamples(handle)
+        assert len(indexed) == 25
+        assert [indexed[i] for i in (24, 0, 7, 7)] == [_some_examples(25)[i] for i in (24, 0, 7, 7)]
+        assert list(indexed) == read_examples(path)
+
+
+def test_indexed_examples_validate_every_line_up_front():
+    sink = io.BytesIO()
+    write_examples(_some_examples(10), sink)
+    lines = sink.getvalue().splitlines()
+    lines[8] = b'{"input": "answer_me: ", "target": "x", "task": "answer_me", "answer_type": "none", "source_id": ""}'
+    with pytest.raises(ValidationError, match="line 9"):
+        IndexedExamples(io.BytesIO(b"\n".join(lines) + b"\n"))

@@ -2,6 +2,8 @@ import json
 import os
 import stat
 
+import pytest
+
 from numtext.cli import run
 from numtext.corpus import TaskTag, read_examples, read_meta
 
@@ -281,6 +283,14 @@ def test_output_file_mode_follows_umask(tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
+def test_out_dash_streams_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-num", "--count", "3", "--seed", "1", "--out", "n.jsonl"]) == 0
+    assert run(["gen-num", "--count", "3", "--seed", "1", "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (tmp_path / "n.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.jsonl"]
+
+
 def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text("{bad", encoding="utf-8")
@@ -292,27 +302,22 @@ def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
-def test_config_file_applies_only_the_commands_keys(tmp_path):
+@pytest.mark.parametrize(
+    "file_values, flags",
+    [
+        ({"count": 4, "seed": 2, "func": "nope", "vocab": "x", "bogus": 1}, ["--count", "4", "--seed", "2"]),
+        ({"count": 4, "seed": None, "max_frac_digits": None}, ["--count", "4"]),  # null means the default
+    ],
+)
+def test_config_file_sets_only_the_commands_keys(tmp_path, file_values, flags):
     config = tmp_path / "cfg.json"
     elsewhere = tmp_path / "elsewhere.jsonl"
-    config.write_text(
-        json.dumps({"count": 4, "seed": 2, "func": "nope", "out": str(elsewhere), "vocab": "x", "bogus": 1}),
-        encoding="utf-8",
-    )
+    config.write_text(json.dumps({**file_values, "out": str(elsewhere)}), encoding="utf-8")
     via_config, direct = tmp_path / "via.jsonl", tmp_path / "direct.jsonl"
     assert run(["gen-num", "--config", str(config), "--out", str(via_config)]) == 0
-    assert run(["gen-num", "--count", "4", "--seed", "2", "--out", str(direct)]) == 0
+    assert run(["gen-num", *flags, "--out", str(direct)]) == 0
     assert via_config.read_bytes() == direct.read_bytes()
     assert not elsewhere.exists()
-
-
-def test_config_file_null_means_the_default(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"count": 4, "seed": None, "max_frac_digits": None}), encoding="utf-8")
-    via_config, direct = tmp_path / "via.jsonl", tmp_path / "direct.jsonl"
-    assert run(["gen-num", "--config", str(config), "--out", str(via_config)]) == 0
-    assert run(["gen-num", "--count", "4", "--out", str(direct)]) == 0
-    assert via_config.read_bytes() == direct.read_bytes()
 
 
 def _assert_failed_cleanly(directory, target, before):

@@ -80,6 +80,7 @@ CASES = [
     ("spans-numbers-swapped", "14; 12", [spans("12", "14")]),
     ("spans-number-wrong", "12; 15", [spans("12", "14")]),
     ("spans-alignment", "Kasay field; Denver lead", [spans("Denver lead early", "Kasay field goal")]),
+    ("spans-duplicate", "a x; a x; b y", [spans("a x", "b y", "b y")]),
     # --- multiple gold answers: max over all -----------------------------------
     ("multi-gold-second", "4300000", [spans("12 million"), number("4300000")]),
     ("multi-gold-first", "12 million", [spans("12 million"), number("4300000")]),

@@ -96,7 +96,7 @@ def atomic_output(path: str | None):
 
 def _write_json(path: str | None, payload: dict) -> int:
     with atomic_output(path) as sink:
-        sink.write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        sink.write((json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8"))
     return 0
 
 
@@ -133,7 +133,11 @@ def cmd_gen_num(args) -> int:
         weights = {}
         for part in str(args.families).split(","):
             name, _, weight = part.partition("=")
-            weights[TemplateFamily(name.strip())] = float(weight) if weight else 1.0
+            try:
+                weights[TemplateFamily(name.strip())] = float(weight) if weight else 1.0
+            except ValueError:
+                known = ", ".join(family.value for family in TemplateFamily)
+                raise ConfigError(f"bad --families entry {part!r}; families are {known}") from None
     gen_config = NumGenConfig(
         ranges=ValueRange(
             min_value=parse_decimal(str(args.min_value)),
@@ -188,15 +192,18 @@ def _load_stats(path: str) -> list[DatasetStat]:
     rows = load_json(path)
     if not isinstance(rows, list):
         raise ConfigError("stats file must hold a JSON list")
-    return [
-        DatasetStat(
-            name=row["name"],
-            length=int(row["length"]),
-            scale=float(row.get("scale", 1.0)),
-            cap=float(row["cap"]) if row.get("cap") is not None else None,
-        )
-        for row in rows
-    ]
+    stats = []
+    for index, row in enumerate(rows):
+        try:
+            name, length = row["name"], int(row["length"])
+            scale = float(row.get("scale", 1.0))
+            cap = float(row["cap"]) if row.get("cap") is not None else None
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"stats row {index} needs a 'name', an integer 'length' and numeric 'scale' and 'cap'"
+            ) from None
+        stats.append(DatasetStat(name=name, length=length, scale=scale, cap=cap))
+    return stats
 
 
 def cmd_mix(args) -> int:
@@ -226,17 +233,16 @@ def cmd_mix(args) -> int:
 def cmd_lr_table(args) -> int:
     if args.epochs is None or args.batches_per_epoch is None:
         raise ConfigError("--epochs and --batches-per-epoch are required")
-    config = _command_config(args)
-    schedule = LrSchedule(
-        LrConfig(
-            total_epochs=int(args.epochs),
-            batches_per_epoch=int(args.batches_per_epoch),
-            warmup_start=float(args.warmup_start),
-            warmup_end=float(args.warmup_end),
-            decay_rate=float(args.decay_rate),
-            warmup_fraction=float(args.warmup_fraction),
-        )
+    lr_config = LrConfig(
+        total_epochs=int(args.epochs),
+        batches_per_epoch=int(args.batches_per_epoch),
+        warmup_start=float(args.warmup_start),
+        warmup_end=float(args.warmup_end),
+        decay_rate=float(args.decay_rate),
+        warmup_fraction=float(args.warmup_fraction),
     )
+    config = _command_config(args)
+    schedule = LrSchedule(lr_config)
     meta = _meta(config)
     with atomic_output(args.out) as sink:
         text = codecs.getwriter("utf-8")(sink)
@@ -246,7 +252,7 @@ def cmd_lr_table(args) -> int:
 
 def cmd_audit(args) -> int:
     examples = (example for _, example in iter_examples(args.input))
-    limits = LengthLimits(encoder_max=int(args.encoder_max), decoder_max=int(args.decoder_max))
+    limits = LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
     audit = audit_truncation(examples, limits, count_tokens)
     config = {"input": str(args.input), "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
@@ -366,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("audit", cmd_audit, "report encoder/decoder truncation fractions")
     sub.add_argument("--in", dest="input", required=True)
-    sub.add_argument("--encoder-max", dest="encoder_max", default=512)
-    sub.add_argument("--decoder-max", dest="decoder_max", default=54)
+    sub.add_argument("--encoder-max", dest="encoder_max", type=int, default=512)
+    sub.add_argument("--decoder-max", dest="decoder_max", type=int, default=54)
     sub.add_argument("--out")
 
     sub = add("score", cmd_score, "score predictions against DROP gold answers")

@@ -310,6 +310,8 @@ def ingest_drop(source) -> IngestResult:
             raise ParseError(f"passage block {passage_id!r} missing 'passage'")
         passage = str(block["passage"])
         for index, qa in enumerate(block.get("qa_pairs", [])):
+            if not isinstance(qa, dict):
+                raise ParseError(f"passage {passage_id!r}: qa_pairs[{index}] is not an object")
             query_id = str(qa.get("query_id") or f"{passage_id}.{index}")
             golds = [_gold_from_json(qa.get("answer", {}) or {})]
             golds.extend(_gold_from_json(v) for v in qa.get("validated_answers", []) or [])

@@ -1,7 +1,7 @@
 """Temperature-scaled mixture planning and deterministic multitask sampling.
 
 A dataset's unnormalized rate is ``min(length * scale, cap) ** (1/T)``
-(cap defaults to +inf, so the uncapped case is the plain power law);
+(no cap means +inf, so the uncapped case is the plain power law);
 normalizing the rates gives the sampling ratios. T=1 reproduces
 examples-proportional mixing and large T approaches uniform. Rates are
 computed relative to the largest capped size before exponentiation, which
@@ -10,6 +10,7 @@ keeps tiny temperatures finite and makes common scale factors cancel.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from bisect import bisect_right
@@ -33,10 +34,10 @@ class DatasetStat:
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError(f"dataset {self.name!r}: length must be >= 1")
-        if self.scale <= 0:
-            raise ConfigError(f"dataset {self.name!r}: scale must be > 0")
-        if self.cap is not None and self.cap <= 0:
-            raise ConfigError(f"dataset {self.name!r}: cap must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(f"dataset {self.name!r}: scale must be a finite number > 0")
+        if self.cap is not None and not 0 < self.cap < math.inf:
+            raise ConfigError(f"dataset {self.name!r}: cap must be a finite number > 0")
 
     @property
     def capped_size(self) -> float:
@@ -81,8 +82,8 @@ def compute_plan(stats: Sequence[DatasetStat], temperature: float) -> MixturePla
     """Compute normalized sampling ratios for the given temperature."""
     if not stats:
         raise ConfigError("need at least one dataset")
-    if temperature <= 0:
-        raise ConfigError("temperature must be > 0")
+    if not 0 < temperature < math.inf:
+        raise ConfigError("temperature must be a finite number > 0")
     names = [stat.name for stat in stats]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate dataset names: {names}")

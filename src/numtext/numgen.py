@@ -13,6 +13,7 @@ and the rounded value is the stored gold answer.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -92,6 +93,12 @@ class ValueRange:
         if self.max_frac_digits < 0:
             raise ConfigError("max_frac_digits must be >= 0")
 
+    def grid(self, frac_digits: int) -> tuple[int, int]:
+        """Lowest and highest integer n with n * 10**-frac_digits inside the range."""
+        low = int(self.min_value.scaleb(frac_digits).to_integral_value(rounding=ROUND_CEILING))
+        high = int(self.max_value.scaleb(frac_digits).to_integral_value(rounding=ROUND_FLOOR))
+        return low, high
+
 
 @dataclass(frozen=True)
 class NumGenConfig:
@@ -107,13 +114,22 @@ class NumGenConfig:
         weights = {TemplateFamily(k): float(v) for k, v in self.family_weights.items()}
         if not weights or all(w <= 0 for w in weights.values()):
             raise ConfigError("at least one template family must have positive weight")
-        if any(w < 0 for w in weights.values()):
-            raise ConfigError("family weights must be >= 0")
+        if not all(0 <= w < math.inf for w in weights.values()):
+            raise ConfigError("family weights must be finite and >= 0")
         object.__setattr__(self, "family_weights", weights)
         for name in ("combination_terms", "list_terms", "percent_range"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < (2 if name != "percent_range" else 1):
                 raise ConfigError(f"bad {name}: {(lo, hi)}")
+        if weights.get(TemplateFamily.ARGMAX_LIKE, 0.0) > 0:
+            # argmax_like redraws until its values are distinct; the finest
+            # grid holds every value any coarser one can draw.
+            low, high = self.ranges.grid(self.ranges.max_frac_digits)
+            if high - low + 1 < self.list_terms[1]:
+                raise ConfigError(
+                    f"argmax_like needs {self.list_terms[1]} distinct values, "
+                    f"but the value range holds only {max(high - low + 1, 0)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -278,8 +294,7 @@ def _draw_decimal(rng: random.Random, ranges: ValueRange) -> Decimal:
     # Draw the number of fractional digits first, then uniformly on that grid,
     # so integers and short decimals stay common at any max_frac_digits.
     scale = rng.randint(0, ranges.max_frac_digits)
-    low = int(ranges.min_value.scaleb(scale).to_integral_value(rounding=ROUND_CEILING))
-    high = int(ranges.max_value.scaleb(scale).to_integral_value(rounding=ROUND_FLOOR))
+    low, high = ranges.grid(scale)
     return canonical(Decimal(rng.randint(low, high)).scaleb(-scale))
 
 

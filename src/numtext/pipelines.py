@@ -8,11 +8,12 @@ names — launching a trainer on those files is the user's job.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import load_json
 from .errors import ConfigError, ValidationError
 from .mixing import DatasetStat, EpochMode, MixturePlan, compute_plan, steps_per_epoch
 
@@ -42,8 +43,8 @@ class StageSpec:
         stray = set(self.validation) - set(self.datasets)
         if stray:
             raise ConfigError(f"stage {self.name!r} validates on unknown datasets: {sorted(stray)}")
-        if self.temperature <= 0:
-            raise ConfigError(f"stage {self.name!r}: temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"stage {self.name!r}: temperature must be a finite number > 0")
 
     def to_json(self) -> dict:
         return {
@@ -150,12 +151,13 @@ def load_pipeline_spec(source) -> PipelineSpec:
     are optional.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            source = json.load(handle)
-    if not isinstance(source, dict) or "name" not in source or "stages" not in source:
-        raise ConfigError("pipeline spec needs 'name' and 'stages'")
+        source = load_json(source)
+    if not isinstance(source, dict) or "name" not in source or not isinstance(source.get("stages"), list):
+        raise ConfigError("pipeline spec needs 'name' and a 'stages' list")
     stages = []
-    for raw in source["stages"]:
+    for index, raw in enumerate(source["stages"]):
+        if not isinstance(raw, dict) or "name" not in raw or "datasets" not in raw:
+            raise ConfigError(f"pipeline stage {index} needs 'name' and 'datasets'")
         stages.append(
             _stage(
                 raw["name"],

@@ -27,10 +27,10 @@ class LrConfig:
     def __post_init__(self):
         if self.total_epochs < 1 or self.batches_per_epoch < 1:
             raise ConfigError("epoch and batch counts must be >= 1")
-        if not 0 < self.warmup_start <= self.warmup_end:
-            raise ConfigError("need 0 < warmup_start <= warmup_end")
-        if self.decay_rate < 0:
-            raise ConfigError("decay_rate must be >= 0")
+        if not 0 < self.warmup_start <= self.warmup_end < math.inf:
+            raise ConfigError("need 0 < warmup_start <= warmup_end < inf")
+        if not 0 <= self.decay_rate < math.inf:
+            raise ConfigError("decay_rate must be a finite number >= 0")
         if not 0 < self.warmup_fraction < 1:
             raise ConfigError("warmup_fraction must be in (0, 1)")
 

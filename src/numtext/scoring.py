@@ -3,16 +3,17 @@
 Semantics track the public DROP evaluator so scores line up with the
 leaderboard: answers are lowercased, de-articled, and de-punctuated
 per whitespace token (punctuation survives inside tokens that parse as
-numbers); number tokens are canonicalized by value; per-span token bags
-are aligned one-to-one by maximum total F1; a span pair scores 0 when the
+numbers); number tokens are canonicalized by value; EM needs the same set
+of normalized spans and the same span count; per-span token bags are
+aligned one-to-one by maximum total F1; a span pair scores 0 when the
 gold span contains numbers and none of them matches the prediction's; and
 with several gold answers EM and F1 each take the best over all of them.
-F1 is macro-averaged over questions without any final rounding.
+F1 is macro-averaged over questions. Unlike the public evaluator, tokens
+are not split at hyphens and per-question F1 is not rounded to 2 decimals.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -23,9 +24,6 @@ from .errors import ValidationError
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b", re.UNICODE)
 _PUNCTUATION = set(string.punctuation)
-
-#: Above this many spans on either side, alignment falls back to greedy.
-EXACT_ALIGNMENT_LIMIT = 8
 
 
 def _is_number(token: str) -> bool:
@@ -100,6 +98,52 @@ def _bag_f1(predicted: frozenset[str], gold: frozenset[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _max_weight_assignment(scores: list[list[float]]) -> list[int]:
+    """Column of each row in a maximum-total-weight assignment of a square matrix.
+
+    Kuhn-Munkres (Hungarian) method with row and column potentials,
+    O(n^3): row ``r`` is added by a shortest augmenting path over the
+    reduced costs ``-scores[r][c] - u[r] - v[c]``. Index 0 of ``u``,
+    ``v``, ``owner`` and ``via`` is a virtual column that starts each path.
+    """
+    n = len(scores)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[c]: 1-based row holding column c, 0 if free
+    via = [0] * (n + 1)  # previous column on the augmenting path
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = [float("inf")] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[col]:
+            used[col] = True
+            r = owner[col]
+            weights = scores[r - 1]
+            delta, nxt = float("inf"), 0
+            for c in range(1, n + 1):
+                if not used[c]:
+                    reduced = -weights[c - 1] - u[r] - v[c]
+                    if reduced < slack[c]:
+                        slack[c], via[c] = reduced, col
+                    if slack[c] < delta:
+                        delta, nxt = slack[c], c
+            for c in range(n + 1):
+                if used[c]:
+                    u[owner[c]] += delta
+                    v[c] -= delta
+                else:
+                    slack[c] -= delta
+            col = nxt
+        while col:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    columns = [0] * n
+    for c in range(1, n + 1):
+        columns[owner[c] - 1] = c - 1
+    return columns
+
+
 def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> float:
     """Mean of the best one-to-one span assignment over max(#pred, #gold)."""
     size = max(len(predicted), len(gold))
@@ -109,25 +153,8 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
     for g, gold_bag in enumerate(gold):
         for p, pred_bag in enumerate(predicted):
             scores[g][p] = _bag_f1(pred_bag, gold_bag)
-    if size <= EXACT_ALIGNMENT_LIMIT:
-        best = max(
-            sum(scores[row][col] for row, col in enumerate(perm))
-            for perm in itertools.permutations(range(size))
-        )
-    else:
-        # Greedy fallback for unusually many spans; ties pick the lowest
-        # (row, col) so the result stays deterministic.
-        best = 0.0
-        rows, cols = list(range(size)), list(range(size))
-        while rows:
-            top = max(
-                ((scores[g][p], -g, -p) for g in rows for p in cols),
-            )
-            score, g, p = top[0], -top[1], -top[2]
-            best += score
-            rows.remove(g)
-            cols.remove(p)
-    return best / size
+    columns = _max_weight_assignment(scores)
+    return sum(scores[row][col] for row, col in enumerate(columns)) / size
 
 
 @dataclass(frozen=True)
@@ -146,7 +173,8 @@ def score_pair(
     pred_spans = split_prediction(predicted, span_delimiter)
     pred_strings, pred_bags = answer_bags(pred_spans)
     gold_strings, gold_bags = answer_bags(gold_spans)
-    em = 1.0 if sorted(pred_strings) == sorted(gold_strings) else 0.0
+    same = len(pred_strings) == len(gold_strings) and set(pred_strings) == set(gold_strings)
+    em = 1.0 if same else 0.0
     return PairScore(em=em, f1=_align_bags(pred_bags, gold_bags))
 
 

@@ -320,6 +320,58 @@ def test_config_file_sets_only_the_commands_keys(tmp_path, file_values, flags):
     assert not elsewhere.exists()
 
 
+_BAD_INPUT_FILES = {
+    "stats.json": '[{"name": "a", "length": 5}]',
+    "stats-no-name.json": '[{"length": 5}]',
+    "stats-nan-scale.json": '[{"name": "a", "length": 5, "scale": NaN}]',
+    "drop-bad-qa.json": '{"p": {"passage": "x", "qa_pairs": [3]}}',
+    "spec-no-datasets.json": '{"name": "x", "stages": [{"name": "s"}]}',
+    "spec-nan-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": NaN}]}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["gen-num", "--count", "3", "--families", "nosuch", "--out", "o.jsonl"], id="unknown-family"),
+        pytest.param(["gen-num", "--count", "3", "--families", "combination=nan", "--out", "o.jsonl"], id="nan-weight"),
+        pytest.param(
+            ["gen-num", "--count", "3", "--families", "argmax_like", "--min-value", "0", "--max-value", "1",
+             "--max-frac-digits", "0", "--out", "o.jsonl"],
+            id="argmax-grid-too-small",
+        ),
+        pytest.param(["mix", "--stats", "stats-no-name.json"], id="stats-row-without-name"),
+        pytest.param(["mix", "--stats", "stats-nan-scale.json"], id="stats-nan-scale"),
+        pytest.param(["mix", "--stats", "stats.json", "-T", "nan"], id="mix-T-nan"),
+        pytest.param(["mix", "--stats", "stats.json", "-T", "inf"], id="mix-T-inf"),
+        pytest.param(["audit", "--in", "o.jsonl", "--encoder-max", "abc"], id="audit-encoder-max-abc"),
+        pytest.param(["ingest", "--format", "drop", "--in", "drop-bad-qa.json", "--out", "o.jsonl"], id="drop-qa-not-object"),
+        pytest.param(
+            ["pipeline", "--spec", "spec-no-datasets.json", "--stats", "stats.json", "--batch-size", "2"],
+            id="stage-without-datasets",
+        ),
+        pytest.param(
+            ["pipeline", "--spec", "spec-nan-temperature.json", "--stats", "stats.json", "--batch-size", "2"],
+            id="stage-nan-temperature",
+        ),
+        pytest.param(
+            ["lr-table", "--epochs", "1", "--batches-per-epoch", "1", "--decay-rate", "nan", "--dump-config", "-"],
+            id="lr-decay-nan-dump-config",
+        ),
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert len([line for line in captured.err.splitlines() if line.startswith("error: ")]) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no plan or config, NaN-bearing or not, reached stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_BAD_INPUT_FILES)
+
+
 def _assert_failed_cleanly(directory, target, before):
     assert sorted(p.name for p in directory.iterdir()) == before
     assert not [p for p in directory.iterdir() if p.name.startswith(f".{target.name}.")]

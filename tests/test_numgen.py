@@ -116,6 +116,18 @@ def test_negative_magnitude_rejected():
         ValueRange(min_value=Decimal(-1), max_value=Decimal(10))
 
 
+def test_argmax_like_needs_enough_distinct_values_on_the_grid():
+    # argmax_like redraws until its up to list_terms[1] values are distinct:
+    # a grid of 2 values must be refused before anything is drawn.
+    argmax_only = {TemplateFamily.ARGMAX_LIKE: 1.0}
+    with pytest.raises(ConfigError, match="distinct values"):
+        NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=argmax_only)
+    NumGenConfig(ranges=ValueRange(0, 3, max_frac_digits=0), family_weights=argmax_only)
+    NumGenConfig(ranges=ValueRange(0, Decimal("0.3"), max_frac_digits=1), family_weights=argmax_only)
+    small_but_unused = {TemplateFamily.ARGMAX_LIKE: 0.0, TemplateFamily.DIFFERENCE: 1.0}
+    NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=small_but_unused)
+
+
 # ---------------------------------------------------------------------------
 # generate_num
 # ---------------------------------------------------------------------------

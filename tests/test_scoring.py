@@ -2,7 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from numtext.corpus import DateParts, DropRecord, GoldAnswer
 from numtext.errors import ValidationError
@@ -16,7 +17,7 @@ from numtext.scoring import (
     split_prediction,
 )
 
-from oracles import bf_score
+from oracles import _bf_pair_f1, bf_normalize, bf_score
 
 FIXTURE = Path(__file__).parent / "fixtures" / "scorer_cases.json"
 
@@ -153,6 +154,53 @@ def test_gate_dominates_any_overlap(x, y, shared):
     pred = f"{x} " + " ".join(t for t in shared if not t[0].isdigit())
     gold = f"{y} " + " ".join(t for t in shared if not t[0].isdigit())
     assert score_pair(pred, [gold]).f1 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Span alignment
+# ---------------------------------------------------------------------------
+
+def test_alignment_beats_the_greedy_trap():
+    # Greedy takes the perfect "red blue" pair first and leaves "red" vs
+    # "blue" (0); crossing the pairs scores 2/3 + 2/3 instead.
+    cities = ["oslo", "rome", "kyiv", "lima", "doha", "baku", "riga"]
+    pair = score_pair("; ".join(["red blue", "blue", *cities]), ["red blue", "red", *cities])
+    assert abs(pair.f1 - 25 / 27) < 1e-12
+
+
+# Few distinct tokens, so spans repeat, overlap partly and tie often.
+_span = st.lists(st.sampled_from(["red", "blue", "oslo", "12", "7.5", "the"]), min_size=1, max_size=3).map(" ".join)
+
+# Tolerance, not ==: where several assignments tie for the optimum, each
+# sums its cells in its own row order, so the floats may differ in the
+# last bit (about 1e-16) while the assignment is still optimal.
+_TIE_ROUNDING = 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_span, min_size=1, max_size=30), st.lists(_span, min_size=1, max_size=30))
+def test_alignment_matches_scipy_assignment(pred_spans, gold_spans):
+    pred_bags = [frozenset(bf_normalize(span).split()) for span in pred_spans]
+    gold_bags = [frozenset(bf_normalize(span).split()) for span in gold_spans]
+    size = max(len(pred_bags), len(gold_bags))
+    matrix = [[0.0] * size for _ in range(size)]
+    for g, gold_bag in enumerate(gold_bags):
+        for p, pred_bag in enumerate(pred_bags):
+            matrix[g][p] = _bf_pair_f1(pred_bag, gold_bag)
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    expected = sum(matrix[row][col] for row, col in zip(rows, cols)) / size
+    got = score_pair("; ".join(pred_spans), gold_spans).f1
+    assert abs(got - expected) < _TIE_ROUNDING
+
+
+@settings(deadline=None)
+@given(st.lists(_span, min_size=1, max_size=7), st.lists(_span, min_size=1, max_size=7))
+def test_alignment_and_em_match_brute_force(pred_spans, gold_spans):
+    prediction = "; ".join(pred_spans)
+    got = score_pair(prediction, GoldAnswer(spans=tuple(gold_spans)))
+    em, f1 = bf_score(prediction, [{"number": "", "spans": gold_spans, "date": {}}])
+    assert got.em == em
+    assert abs(got.f1 - f1) < _TIE_ROUNDING
 
 
 # ---------------------------------------------------------------------------

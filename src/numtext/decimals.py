@@ -1,14 +1,57 @@
 """Exact decimal helpers shared by the generators.
 
 All gold answers are plain decimal strings computed without binary
-floating point: addition/subtraction/multiplication use ``decimal.Decimal``
-(exact for finite operands), and the one potentially non-terminating
-operation (averaging) is rounded half-even with integer arithmetic.
+floating point. This module owns the one rule that keeps them exact: every
+function that computes a gold value runs under :func:`exact`, in the
+:data:`EXACT` context. Its precision and exponent range are the largest
+the ``decimal`` module allows, and it traps ``Inexact`` and ``Rounded``,
+so a result that would round is an error, never a silently wrong answer.
+Addition, subtraction and multiplication of finite decimals are exact
+there; the package never divides a Decimal. The one potentially
+non-terminating operation (averaging) is rounded half-even with integer
+arithmetic. Values are never normalized: they compare by value, and
+:func:`render` alone decides their text.
 """
 
-from decimal import Decimal, InvalidOperation, localcontext
+import functools
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 
 from .errors import ParseError
+
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+#: Most fractional digits a generated number may carry. Under EXACT a
+#: finer grid is not wrong, only as wide as asked for, so this bound keeps
+#: a mistyped setting from building a value of millions of digits.
+MAX_FRAC_DIGITS = 1000
+
+
+def exact(function):
+    """Run ``function``'s Decimal arithmetic in EXACT."""
+
+    @functools.wraps(function)
+    def in_exact_context(*args, **kwargs):
+        with localcontext(EXACT):
+            return function(*args, **kwargs)
+
+    return in_exact_context
 
 
 def parse_decimal(text: str) -> Decimal:
@@ -23,24 +66,12 @@ def parse_decimal(text: str) -> Decimal:
     return value
 
 
-def canonical(value: Decimal) -> Decimal:
-    """Drop trailing fractional zeros and normalize -0 to 0.
-
-    quantize/normalize are precision-limited, so size the context to the
-    operand; canonicalization must never round.
-    """
-    if value == 0:
-        return Decimal(0)
-    with localcontext() as context:
-        context.prec = len(value.as_tuple().digits) + abs(value.as_tuple().exponent) + 2
-        if value == value.to_integral_value():
-            return value.quantize(Decimal(1))
-        return value.normalize()
-
-
 def render(value: Decimal) -> str:
-    """Render without exponent notation; canonical scale, leading '-' if negative."""
-    return format(canonical(value), "f")
+    """Render without exponent notation or trailing fractional zeros; -0 renders as 0."""
+    text = format(value, "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def scaled_integer_ratio(value: Decimal) -> tuple[int, int]:
@@ -64,6 +95,4 @@ def round_ratio_half_even(numerator: int, denominator: int, places: int) -> Deci
     double = 2 * remainder
     if double > denominator or (double == denominator and quotient % 2 == 1):
         quotient += 1
-    with localcontext() as context:
-        context.prec = len(str(abs(quotient))) + places + 2  # scaleb must not round
-        return canonical(Decimal(quotient).scaleb(-places))
+    return Decimal(f"{quotient}e-{places}")

@@ -17,17 +17,12 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from enum import Enum
 from typing import Iterator, Mapping
 
-#: Working precision for expression arithmetic. Add/sub/mul of decimals is
-#: exact as long as the result fits the context, so this just has to dwarf
-#: any plausible operand width.
-_PRECISION = 200
-
 from .corpus import AnswerType, Example, TaskTag, format_input
-from .decimals import canonical, parse_decimal, render, round_ratio_half_even, scaled_integer_ratio
+from .decimals import MAX_FRAC_DIGITS, exact, parse_decimal, render, round_ratio_half_even, scaled_integer_ratio
 from .errors import ConfigError, ParseError
 from .seeding import derive_seed
 
@@ -39,40 +34,6 @@ class TemplateFamily(str, Enum):
     ARGMAX_LIKE = "argmax_like"
     PERCENT = "percent"
     DIFFERENCE = "difference"
-
-
-#: Families whose surface form is a reconstruction, not a documented shape.
-RECONSTRUCTED_FAMILIES = frozenset(
-    {
-        TemplateFamily.ADDITION_SUB,
-        TemplateFamily.ARGMAX_LIKE,
-        TemplateFamily.PERCENT,
-        TemplateFamily.DIFFERENCE,
-    }
-)
-
-_SIGN_SLOT = re.compile(r"s\d+$")
-_NUMBER_SLOT = re.compile(r"f\d+$")
-
-
-@dataclass(frozen=True)
-class ExprTemplate:
-    """A symbolic recipe: ordered sign (s1..), number (f1..), and op (o) slots."""
-
-    family: TemplateFamily
-    slots: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.slots)) != len(self.slots):
-            raise ConfigError(f"duplicate slots in template: {self.slots}")
-        if self.family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
-            for i, slot in enumerate(self.slots):
-                expected = _SIGN_SLOT if i % 2 == 0 else _NUMBER_SLOT
-                if not expected.match(slot):
-                    raise ConfigError(f"combination template must alternate s/f slots: {self.slots}")
-        if self.family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
-            if sum(1 for s in self.slots if s == "o") != 1:
-                raise ConfigError(f"{self.family.value} template needs exactly one 'o' slot")
 
 
 @dataclass(frozen=True)
@@ -90,9 +51,13 @@ class ValueRange:
             raise ConfigError("min_value is a magnitude and must be >= 0")
         if self.max_value <= self.min_value:
             raise ConfigError("empty value range")
-        if self.max_frac_digits < 0:
-            raise ConfigError("max_frac_digits must be >= 0")
+        if not 0 <= self.max_frac_digits <= MAX_FRAC_DIGITS:
+            raise ConfigError(f"max_frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
+        low, high = self.grid(self.max_frac_digits)
+        if low > high:
+            raise ConfigError(f"no number with at most {self.max_frac_digits} fractional digits is in the value range")
 
+    @exact
     def grid(self, frac_digits: int) -> tuple[int, int]:
         """Lowest and highest integer n with n * 10**-frac_digits inside the range."""
         low = int(self.min_value.scaleb(frac_digits).to_integral_value(rounding=ROUND_CEILING))
@@ -128,7 +93,7 @@ class NumGenConfig:
             if high - low + 1 < self.list_terms[1]:
                 raise ConfigError(
                     f"argmax_like needs {self.list_terms[1]} distinct values, "
-                    f"but the value range holds only {max(high - low + 1, 0)}"
+                    f"but the value range holds only {high - low + 1}"
                 )
 
 
@@ -225,6 +190,7 @@ def _eval_list_op(name: str, values: list[Decimal], column: int, frac_digits: in
     raise ParseError(f"unsupported operator {name!r}", column=column)
 
 
+@exact
 def eval_expr(expression: str, frac_digits: int = 2) -> Decimal:
     """Evaluate an expression exactly; ``frac_digits`` bounds avg rounding.
 
@@ -232,12 +198,6 @@ def eval_expr(expression: str, frac_digits: int = 2) -> Decimal:
     literals (optionally signed first term), ``op(v1, v2, ...)`` for op in
     min/max/avg/argmax/argmin/diff, and ``P% of X``.
     """
-    with localcontext() as context:
-        context.prec = _PRECISION
-        return _eval_expr(expression, frac_digits)
-
-
-def _eval_expr(expression: str, frac_digits: int) -> Decimal:
     parser = _Parser(expression)
     first = parser.peek()
     if first is None:
@@ -256,7 +216,7 @@ def _eval_expr(expression: str, frac_digits: int) -> Decimal:
         parser.expect(")")
         if parser.peek() is not None:
             raise ParseError("trailing input after expression", column=parser.peek()[2])
-        return canonical(_eval_list_op(name, values, column, frac_digits))
+        return _eval_list_op(name, values, column, frac_digits)
 
     # Leading sign, then either a percent form or a +/- chain.
     sign = Decimal(1)
@@ -274,7 +234,7 @@ def _eval_expr(expression: str, frac_digits: int) -> Decimal:
         base = parser.number()
         if parser.peek() is not None:
             raise ParseError("trailing input after expression", column=parser.peek()[2])
-        return canonical((value * base).scaleb(-2))
+        return (value * base).scaleb(-2)
 
     while (token := parser.peek()) is not None:
         kind, text, column = token
@@ -283,7 +243,7 @@ def _eval_expr(expression: str, frac_digits: int) -> Decimal:
         parser.next()
         operand = parser.number()
         value = value + operand if text == "+" else value - operand
-    return canonical(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -292,78 +252,65 @@ def _eval_expr(expression: str, frac_digits: int) -> Decimal:
 
 def _draw_decimal(rng: random.Random, ranges: ValueRange) -> Decimal:
     # Draw the number of fractional digits first, then uniformly on that grid,
-    # so integers and short decimals stay common at any max_frac_digits.
-    scale = rng.randint(0, ranges.max_frac_digits)
-    low, high = ranges.grid(scale)
-    return canonical(Decimal(rng.randint(low, high)).scaleb(-scale))
+    # so integers and short decimals stay common at any max_frac_digits. A
+    # coarse grid may hold no value of the range; the finest one always does.
+    while True:
+        scale = rng.randint(0, ranges.max_frac_digits)
+        low, high = ranges.grid(scale)
+        if low <= high:
+            return Decimal(rng.randint(low, high)).scaleb(-scale)
 
 
-def make_template(family: TemplateFamily, terms: int) -> ExprTemplate:
-    """Build the slot list for a family with the given number of values."""
-    if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
-        slots = []
-        for i in range(1, terms + 1):
-            slots += [f"s{i}", f"f{i}"]
-        return ExprTemplate(family, tuple(slots))
-    if family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
-        return ExprTemplate(family, ("o",) + tuple(f"f{i}" for i in range(1, terms + 1)))
-    return ExprTemplate(family, ("f1", "f2"))
-
-
+@exact
 def instantiate(
-    template: ExprTemplate,
+    family: TemplateFamily,
+    terms: int,
     rng: random.Random,
     ranges: ValueRange = ValueRange(),
     percent_range: tuple[int, int] = (1, 100),
     rng_seed: int = 0,
 ) -> NumExample:
-    """Fill a template's slots from the rng and compute the exact answer."""
-    with localcontext() as context:
-        context.prec = _PRECISION
-        return _instantiate(template, rng, ranges, percent_range, rng_seed)
+    """Draw an expression of ``family`` over ``terms`` values and compute its exact answer.
 
-
-def _instantiate(template, rng, ranges, percent_range, rng_seed) -> NumExample:
-    family = template.family
+    ``terms`` counts the signed terms of an addition chain or the values of
+    a list operator; percent and difference always take two values.
+    """
     if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
         signs = []
         numbers = []
-        for slot in template.slots:
-            if _SIGN_SLOT.match(slot):
-                signs.append(rng.choice("+-"))
-            else:
-                numbers.append(_draw_decimal(rng, ranges))
+        for _ in range(terms):
+            signs.append(rng.choice("+-"))
+            numbers.append(_draw_decimal(rng, ranges))
         parts = [f"-{render(numbers[0])}" if signs[0] == "-" else render(numbers[0])]
         answer = -numbers[0] if signs[0] == "-" else numbers[0]
         for sign, number in zip(signs[1:], numbers[1:]):
             parts.append(f" {sign} {render(number)}")
             answer = answer + number if sign == "+" else answer - number
-        return NumExample("".join(parts), canonical(answer), family, rng_seed)
+        return NumExample("".join(parts), answer, family, rng_seed)
 
     if family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
         ops = ("min", "max", "avg") if family is TemplateFamily.MIN_MAX_AVG else ("argmax", "argmin")
         op = rng.choice(ops)
-        count = sum(1 for slot in template.slots if slot != "o")
-        numbers = [_draw_decimal(rng, ranges) for _ in range(count)]
+        numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
         if family is TemplateFamily.ARGMAX_LIKE:
             # Redraw until values are distinct so the position is unambiguous.
             while len(set(numbers)) != len(numbers):
-                numbers = [_draw_decimal(rng, ranges) for _ in range(count)]
+                numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
         expression = f"{op}({', '.join(render(n) for n in numbers)})"
         answer = _eval_list_op(op, numbers, 0, ranges.max_frac_digits)
-        return NumExample(expression, canonical(answer), family, rng_seed)
+        return NumExample(expression, answer, family, rng_seed)
 
     if family is TemplateFamily.PERCENT:
         percent = Decimal(rng.randint(*percent_range))
         base = _draw_decimal(rng, ranges)
         expression = f"{render(percent)}% of {render(base)}"
-        return NumExample(expression, canonical((percent * base).scaleb(-2)), family, rng_seed)
+        return NumExample(expression, (percent * base).scaleb(-2), family, rng_seed)
 
     if family is TemplateFamily.DIFFERENCE:
         a = _draw_decimal(rng, ranges)
         b = _draw_decimal(rng, ranges)
         expression = f"diff({render(a)}, {render(b)})"
-        return NumExample(expression, canonical(abs(a - b)), family, rng_seed)
+        return NumExample(expression, abs(a - b), family, rng_seed)
 
     raise ConfigError(f"unknown family: {family}")
 
@@ -392,8 +339,7 @@ def _generate_num(count, config, seed, families, weights) -> Iterator[NumExample
             terms = rng.randint(*config.list_terms)
         else:
             terms = 2
-        template = make_template(family, terms)
-        example = instantiate(template, rng, config.ranges, config.percent_range, rng_seed=child)
+        example = instantiate(family, terms, rng, config.ranges, config.percent_range, rng_seed=child)
         check = eval_expr(example.expression, config.ranges.max_frac_digits)
         if check != example.answer:
             raise AssertionError(

@@ -154,20 +154,28 @@ def load_pipeline_spec(source) -> PipelineSpec:
         source = load_json(source)
     if not isinstance(source, dict) or "name" not in source or not isinstance(source.get("stages"), list):
         raise ConfigError("pipeline spec needs 'name' and a 'stages' list")
-    stages = []
-    for index, raw in enumerate(source["stages"]):
-        if not isinstance(raw, dict) or "name" not in raw or "datasets" not in raw:
-            raise ConfigError(f"pipeline stage {index} needs 'name' and 'datasets'")
-        stages.append(
-            _stage(
-                raw["name"],
-                tuple(raw["datasets"]),
-                tuple(raw["validation"]) if "validation" in raw else None,
-                float(raw.get("temperature", 1.0)),
-                EpochMode(raw.get("mode", EpochMode.COVER_ALL.value)),
-            )
-        )
-    return PipelineSpec(source["name"], tuple(stages))
+    return PipelineSpec(source["name"], tuple(_stage_from_json(i, raw) for i, raw in enumerate(source["stages"])))
+
+
+def _stage_from_json(index: int, raw) -> StageSpec:
+    if not isinstance(raw, dict) or "name" not in raw or "datasets" not in raw:
+        raise ConfigError(f"pipeline stage {index} needs 'name' and 'datasets'")
+    if not isinstance(raw["name"], str):
+        raise ConfigError(f"pipeline stage {index}: 'name' must be a string")
+    for key in ("datasets", "validation"):
+        names = raw.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"pipeline stage {index}: {key!r} must be a list of dataset names")
+    try:
+        temperature = float(raw.get("temperature", 1.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"pipeline stage {index}: 'temperature' must be a number") from None
+    try:
+        mode = EpochMode(raw.get("mode", EpochMode.COVER_ALL.value))
+    except ValueError:
+        known = ", ".join(mode.value for mode in EpochMode)
+        raise ConfigError(f"pipeline stage {index}: unknown 'mode' {raw['mode']!r}; modes are {known}") from None
+    return _stage(raw["name"], raw["datasets"], raw.get("validation"), temperature, mode)
 
 
 @dataclass(frozen=True)

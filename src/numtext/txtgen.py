@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 from .corpus import AnswerType, Example, TaskTag, format_input
-from .decimals import canonical, parse_decimal, render
+from .decimals import MAX_FRAC_DIGITS, exact, parse_decimal, render
 from .errors import ConfigError, SimulationError, ValidationError
 from .seeding import derive_seed
 
@@ -87,6 +87,7 @@ class WorldState:
     def count(self, container: str, entity: str) -> Decimal:
         return self.containers.get(container, {}).get(entity, Decimal(0))
 
+    @exact
     def total(self, entity: str) -> Decimal:
         value = Decimal(0)
         for held in self.containers.values():
@@ -100,6 +101,7 @@ class WorldState:
         self.containers.setdefault(container, {})[entity] = value
 
 
+@exact
 def apply_event(state: WorldState, event: Event) -> WorldState:
     """Return the world state after one event; the input state is untouched."""
     out = state.copy()
@@ -158,6 +160,7 @@ class QuestionSpec:
         )
 
 
+@exact
 def answer_question(state: WorldState, question: QuestionSpec) -> str:
     """Answer a question from the final state, rendered as decimal text."""
     if question.kind is QuestionKind.HOW_MANY:
@@ -306,17 +309,18 @@ class TxtGenConfig:
             raise ConfigError("need 2 <= min_events <= max_events")
         if self.max_quantity < 1:
             raise ConfigError("max_quantity must be >= 1")
-        if self.frac_digits < 0:
-            raise ConfigError("frac_digits must be >= 0")
+        if not 0 <= self.frac_digits <= MAX_FRAC_DIGITS:
+            raise ConfigError(f"frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
 
 
+@exact
 def _draw_quantity(rng: random.Random, config: TxtGenConfig, upper: Decimal | None = None) -> Decimal:
     scale = config.frac_digits
     high = Decimal(config.max_quantity).scaleb(scale)
     if upper is not None:
         high = min(high, upper.scaleb(scale))
     low = min(Decimal(1), high)
-    return canonical(Decimal(rng.randint(int(low), int(high))).scaleb(-scale))
+    return Decimal(rng.randint(int(low), int(high))).scaleb(-scale)
 
 
 def generate_txt(count: int, config: TxtGenConfig = TxtGenConfig(), seed: int = 0) -> Iterator[TxtExample]:

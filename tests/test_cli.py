@@ -6,6 +6,7 @@ import pytest
 
 from numtext.cli import run
 from numtext.corpus import TaskTag, read_examples, read_meta
+from numtext.decimals import MAX_FRAC_DIGITS
 
 from conftest import build_drop_file, drop_answer, drop_qa
 
@@ -327,6 +328,11 @@ _BAD_INPUT_FILES = {
     "drop-bad-qa.json": '{"p": {"passage": "x", "qa_pairs": [3]}}',
     "spec-no-datasets.json": '{"name": "x", "stages": [{"name": "s"}]}',
     "spec-nan-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": NaN}]}',
+    "spec-text-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": "x"}]}',
+    "spec-unknown-mode.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "mode": "zzz"}]}',
+    "spec-number-datasets.json": '{"name": "x", "stages": [{"name": "s", "datasets": 5}]}',
+    "spec-number-validation.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "validation": 7}]}',
+    "spec-list-name.json": '{"name": "x", "stages": [{"name": ["x"], "datasets": ["a"]}]}',
 }
 
 
@@ -339,6 +345,19 @@ _BAD_INPUT_FILES = {
             ["gen-num", "--count", "3", "--families", "argmax_like", "--min-value", "0", "--max-value", "1",
              "--max-frac-digits", "0", "--out", "o.jsonl"],
             id="argmax-grid-too-small",
+        ),
+        pytest.param(
+            ["gen-num", "--count", "5", "--families", "difference", "--min-value", "0.1", "--max-value", "0.9",
+             "--max-frac-digits", "0", "--out", "o.jsonl"],
+            id="value-range-grid-empty",
+        ),
+        pytest.param(
+            ["gen-num", "--count", "3", "--max-frac-digits", str(MAX_FRAC_DIGITS + 1), "--out", "o.jsonl"],
+            id="gen-num-frac-digits-over-bound",
+        ),
+        pytest.param(
+            ["gen-txt", "--count", "3", "--frac-digits", str(MAX_FRAC_DIGITS + 1), "--out", "o.jsonl"],
+            id="gen-txt-frac-digits-over-bound",
         ),
         pytest.param(["mix", "--stats", "stats-no-name.json"], id="stats-row-without-name"),
         pytest.param(["mix", "--stats", "stats-nan-scale.json"], id="stats-nan-scale"),
@@ -353,6 +372,13 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["pipeline", "--spec", "spec-nan-temperature.json", "--stats", "stats.json", "--batch-size", "2"],
             id="stage-nan-temperature",
+        ),
+        *(
+            pytest.param(
+                ["pipeline", "--spec", f"spec-{case}.json", "--stats", "stats.json", "--batch-size", "2"],
+                id=f"stage-{case}",
+            )
+            for case in ("text-temperature", "unknown-mode", "number-datasets", "number-validation", "list-name")
         ),
         pytest.param(
             ["lr-table", "--epochs", "1", "--batches-per-epoch", "1", "--decay-rate", "nan", "--dump-config", "-"],

@@ -215,6 +215,14 @@ def test_fractional_quantities_opt_in():
     assert any("." in e.answer for e in examples)
 
 
+@pytest.mark.parametrize("frac_digits", [0, 3])
+def test_wide_quantities_agree_with_resimulation_oracle(frac_digits):
+    config = TxtGenConfig(max_quantity=10**40, frac_digits=frac_digits)
+    for example in generate_txt(300, config, seed=6):
+        events = [event.to_json() for event in example.events]
+        assert resimulate(events, example.question_spec.to_json()) == example.answer
+
+
 def test_txt_to_example_uses_answer_me_prefix():
     example = txt_to_example(next(iter(generate_txt(1, seed=2))))
     assert example.input.startswith("answer_me: How many")

@@ -362,27 +362,21 @@ def ingest_squad(source) -> IngestResult:
 # Digit tokenization and the truncation audit
 # ---------------------------------------------------------------------------
 
-_NUMBER_RUN = re.compile(r"\d+(?:\.\d+)*")
+# \s and \d match the same code points as str.split() and str.isdecimal().
+_TOKEN = re.compile(r"\d|[^\s\d]+")
 
 
 def digit_tokenize(text: str) -> list[str]:
     """Split text into tokens, exploding numbers digit-by-digit.
 
-    Whitespace separates tokens; non-numeric runs stay whole; each digit
-    and each decimal point inside a number becomes its own token
+    Whitespace separates tokens. Each token is a digit (``\\d``, Unicode
+    Nd, so ``"²"`` is not one), a point with a digit on each side, or a
+    maximal run of other non-space characters
     (e.g. ``"pay 51.4 now"`` -> ``["pay", "5", "1", ".", "4", "now"]``).
+    A point between two digits is such a run on its own, so one pattern
+    alternative covers both.
     """
-    tokens: list[str] = []
-    for word in text.split():
-        pos = 0
-        for match in _NUMBER_RUN.finditer(word):
-            if match.start() > pos:
-                tokens.append(word[pos : match.start()])
-            tokens.extend(match.group())
-            pos = match.end()
-        if pos < len(word):
-            tokens.append(word[pos:])
-    return tokens
+    return _TOKEN.findall(text)
 
 
 _NUMBER_PIECE = re.compile(r"\d|\.")  # same \d as the tokenizer (Nd only;

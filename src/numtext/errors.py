@@ -30,6 +30,10 @@ class ParseError(ToolkitError, ValueError):
         self.column = column
 
 
+class SelfCheckError(ToolkitError, AssertionError):
+    """A generated gold answer disagrees with its independent re-computation."""
+
+
 class SimulationError(ToolkitError, ValueError):
     """A world-state update is impossible (e.g. removing more than held)."""
 

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 from .corpus import AnswerType, Example, TaskTag, format_input
 from .decimals import MAX_FRAC_DIGITS, exact, parse_decimal, render, round_ratio_half_even, scaled_integer_ratio
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, SelfCheckError
 from .seeding import derive_seed
 
 
@@ -342,9 +342,7 @@ def _generate_num(count, config, seed, families, weights) -> Iterator[NumExample
         example = instantiate(family, terms, rng, config.ranges, config.percent_range, rng_seed=child)
         check = eval_expr(example.expression, config.ranges.max_frac_digits)
         if check != example.answer:
-            raise AssertionError(
-                f"self-check failed for {example.expression!r}: {check} != {example.answer}"
-            )
+            raise SelfCheckError(f"self-check failed for {example.expression!r}: {check} != {example.answer}")
         yield example
 
 

@@ -154,6 +154,8 @@ def load_pipeline_spec(source) -> PipelineSpec:
         source = load_json(source)
     if not isinstance(source, dict) or "name" not in source or not isinstance(source.get("stages"), list):
         raise ConfigError("pipeline spec needs 'name' and a 'stages' list")
+    if not isinstance(source["name"], str):
+        raise ConfigError("pipeline spec: 'name' must be a string")
     return PipelineSpec(source["name"], tuple(_stage_from_json(i, raw) for i, raw in enumerate(source["stages"])))
 
 

@@ -216,3 +216,35 @@ def bf_score(prediction: str, golds: list[dict], delimiter: str = "; ") -> tuple
     """Best em and best f1 over all gold answers, independently."""
     scores = [bf_score_one(prediction, gold, delimiter) for gold in golds]
     return max(s[0] for s in scores), max(s[1] for s in scores)
+
+
+# ---------------------------------------------------------------------------
+# Digit tokenizer oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Digit tokens by a character scan (the rule of bench/checks.token_counts).
+
+    Whitespace (``str.isspace``) separates words. Each decimal digit
+    (``str.isdecimal``: Unicode Nd, so ``"²"`` is not one) and each point
+    with a digit on both sides is a token of its own; each maximal run of
+    other non-space characters is one token.
+    """
+    tokens: list[str] = []
+    run = ""
+    for i, char in enumerate(text):
+        between_digits = (
+            char == "." and 0 < i < len(text) - 1 and text[i - 1].isdecimal() and text[i + 1].isdecimal()
+        )
+        if char.isspace() or char.isdecimal() or between_digits:
+            if run:
+                tokens.append(run)
+                run = ""
+            if not char.isspace():
+                tokens.append(char)
+        else:
+            run += char
+    if run:
+        tokens.append(run)
+    return tokens

@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from numtext import numgen
 from numtext.cli import run
 from numtext.corpus import TaskTag, read_examples, read_meta
 from numtext.decimals import MAX_FRAC_DIGITS
@@ -75,6 +76,23 @@ def test_gen_num_failure_leaves_no_partial_file(tmp_path):
     assert run(["gen-num", "--count", "0", "--out", str(out)]) == 1
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []  # no temp litter either
+
+
+def test_gen_num_self_check_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    real_eval, calls = numgen.eval_expr, []
+
+    def wrong_from_the_third_call(expression, frac_digits=2):
+        calls.append(expression)
+        return real_eval(expression, frac_digits) + (1 if len(calls) >= 3 else 0)
+
+    monkeypatch.setattr(numgen, "eval_expr", wrong_from_the_third_call)
+    out = tmp_path / "never.jsonl"
+    assert run(["gen-num", "--count", "5", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "self-check failed" in errors[0]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
 
 
 def test_gen_txt_round_trip_and_determinism(tmp_path):
@@ -333,6 +351,7 @@ _BAD_INPUT_FILES = {
     "spec-number-datasets.json": '{"name": "x", "stages": [{"name": "s", "datasets": 5}]}',
     "spec-number-validation.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "validation": 7}]}',
     "spec-list-name.json": '{"name": "x", "stages": [{"name": ["x"], "datasets": ["a"]}]}',
+    "spec-list-pipeline-name.json": '{"name": ["x"], "stages": [{"name": "s", "datasets": ["a"]}]}',
 }
 
 
@@ -379,6 +398,10 @@ _BAD_INPUT_FILES = {
                 id=f"stage-{case}",
             )
             for case in ("text-temperature", "unknown-mode", "number-datasets", "number-validation", "list-name")
+        ),
+        pytest.param(
+            ["pipeline", "--spec", "spec-list-pipeline-name.json", "--stats", "stats.json", "--batch-size", "2"],
+            id="spec-list-name",
         ),
         pytest.param(
             ["lr-table", "--epochs", "1", "--batches-per-epoch", "1", "--decay-rate", "nan", "--dump-config", "-"],

@@ -33,6 +33,7 @@ from numtext.corpus import (
 from numtext.errors import ParseError, ValidationError
 
 from conftest import MING_RUI_PASSAGE, MING_RUI_QUESTION, build_drop_file, drop_answer, drop_qa
+from oracles import oracle_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,21 @@ def test_digit_round_trip_on_canonical_text(pairs):
 def test_digit_tokenize_idempotent_on_any_text(text):
     tokens = digit_tokenize(text)
     assert digit_tokenize(digit_detokenize(tokens)) == tokens
+
+
+_TOKENIZER_PIECES = st.sampled_from(
+    [*"0123456789", ".", "1..2", "5.", ".5", "a.5"]
+    + ["\u0663", "\u00b2"]  # an Nd digit and a non-Nd one
+    + ["\x1c", "\x85", "\u3000", " ", "\n"]  # Unicode and ASCII whitespace
+    + ["a", "Z", "\u00e9"]
+)
+
+
+@given(st.one_of(st.lists(_TOKENIZER_PIECES, max_size=40).map("".join), st.text(st.characters(), max_size=60)))
+def test_digit_tokenize_matches_character_scan_oracle(text):
+    tokens = oracle_tokenize(text)
+    assert digit_tokenize(text) == tokens
+    assert count_tokens(text) == len(tokens)
 
 
 # ---------------------------------------------------------------------------

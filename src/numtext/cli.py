@@ -44,7 +44,7 @@ from .numgen import NumGenConfig, TemplateFamily, ValueRange, generate_num, num_
 from .pipelines import builtin_pipelines, expand, load_pipeline_spec
 from .schedule import LrConfig, LrSchedule, emit_table
 from .scoring import build_report
-from .txtgen import TxtGenConfig, Vocabulary, generate_txt, txt_to_example
+from .txtgen import DEFAULT_VOCAB, TxtGenConfig, Vocabulary, generate_txt, txt_to_example
 
 #: Per command, the flags its effective config records, in --dump-config
 #: order. A --config file may set exactly these; other keys are ignored.
@@ -100,9 +100,10 @@ def _write_json(path: str | None, payload: dict) -> int:
     return 0
 
 
-def _command_config(args: argparse.Namespace) -> dict:
-    """The command's effective config, also written to --dump-config if given."""
+def _command_config(args: argparse.Namespace, **extra) -> dict:
+    """The command's effective config plus ``extra``, also written to --dump-config if given."""
     config = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
+    config.update(extra)
     if args.dump_config:
         _write_json(args.dump_config, config)
     return config
@@ -153,8 +154,12 @@ def cmd_gen_num(args) -> int:
 def cmd_gen_txt(args) -> int:
     if args.count is None:
         raise ConfigError("--count is required")
-    config = _command_config(args)
-    vocab = Vocabulary.from_file(args.vocab) if args.vocab else TxtGenConfig().vocab
+    vocab, extra = DEFAULT_VOCAB, {}
+    if args.vocab:
+        # The vocabulary's content, not its path, goes into the config hash.
+        vocab = Vocabulary.from_file(args.vocab)
+        extra["vocab_sha256"] = hashlib.sha256(Path(args.vocab).read_bytes()).hexdigest()
+    config = _command_config(args, **extra)
     gen_config = TxtGenConfig(
         vocab=vocab,
         min_events=int(args.min_events),
@@ -263,8 +268,8 @@ def cmd_score(args) -> int:
     predictions = {}
     with open(args.pred, "rb") as handle:
         for _, lineno, row in iter_jsonl(handle):
-            if "id" not in row or "prediction" not in row:
-                raise ValidationError(f"line {lineno}: prediction rows need 'id' and 'prediction'")
+            if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
+                raise ValidationError(f"line {lineno}: prediction rows are objects with 'id' and 'prediction'")
             predictions[str(row["id"])] = str(row["prediction"])
     report = build_report(result.records, predictions, span_delimiter=args.delimiter)
     config = {"gold": str(args.gold), "pred": str(args.pred), "delimiter": args.delimiter}

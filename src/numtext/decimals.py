@@ -11,6 +11,12 @@ there; the package never divides a Decimal. The one potentially
 non-terminating operation (averaging) is rounded half-even with integer
 arithmetic. Values are never normalized: they compare by value, and
 :func:`render` alone decides their text.
+
+The generators enter EXACT once per example: each example is built inside
+one ``localcontext(EXACT)``, where :func:`exact` finds the context already
+exact and calls its function directly. A generator runs in its caller's
+context, so it yields each example only after leaving that block and never
+holds EXACT across a ``yield``.
 """
 
 import functools
@@ -25,6 +31,7 @@ from decimal import (
     InvalidOperation,
     Overflow,
     Rounded,
+    getcontext,
     localcontext,
 )
 
@@ -43,11 +50,30 @@ EXACT = Context(
 MAX_FRAC_DIGITS = 1000
 
 
+def _is_exact(context: Context) -> bool:
+    """True when ``context`` has EXACT's precision, exponent limits and traps,
+    so that it computes exactly what EXACT computes or raises where EXACT would."""
+    traps = context.traps
+    return (
+        context.prec == MAX_PREC
+        and context.Emax == MAX_EMAX
+        and context.Emin == MIN_EMIN
+        and traps[Inexact]
+        and traps[Rounded]
+        and traps[InvalidOperation]
+        and traps[DivisionByZero]
+        and traps[Overflow]
+    )
+
+
 def exact(function):
-    """Run ``function``'s Decimal arithmetic in EXACT."""
+    """Run ``function``'s Decimal arithmetic in EXACT, entering it only when
+    the current context is not already exact."""
 
     @functools.wraps(function)
     def in_exact_context(*args, **kwargs):
+        if _is_exact(getcontext()):
+            return function(*args, **kwargs)
         with localcontext(EXACT):
             return function(*args, **kwargs)
 
@@ -72,17 +98,6 @@ def render(value: Decimal) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
-
-
-def scaled_integer_ratio(value: Decimal) -> tuple[int, int]:
-    """Return (numerator, denominator) of the exact rational value."""
-    sign, digits, exponent = value.as_tuple()
-    magnitude = int("".join(map(str, digits)) or "0")
-    if sign:
-        magnitude = -magnitude
-    if exponent >= 0:
-        return magnitude * 10**exponent, 1
-    return magnitude, 10**-exponent
 
 
 def round_ratio_half_even(numerator: int, denominator: int, places: int) -> Decimal:

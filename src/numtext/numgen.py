@@ -17,12 +17,12 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from decimal import Decimal, localcontext
 from enum import Enum
 from typing import Iterator, Mapping
 
 from .corpus import AnswerType, Example, TaskTag, format_input
-from .decimals import MAX_FRAC_DIGITS, exact, parse_decimal, render, round_ratio_half_even, scaled_integer_ratio
+from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render, round_ratio_half_even
 from .errors import ConfigError, ParseError, SelfCheckError
 from .seeding import derive_seed
 
@@ -38,11 +38,16 @@ class TemplateFamily(str, Enum):
 
 @dataclass(frozen=True)
 class ValueRange:
-    """Magnitude range and decimal grid for drawn numbers."""
+    """Magnitude range and decimal grid for drawn numbers.
+
+    ``grids[s]`` is the lowest and highest integer n with n * 10**-s
+    inside the range, for each scale s up to ``max_frac_digits``.
+    """
 
     min_value: Decimal = Decimal(0)
     max_value: Decimal = Decimal(20000)
     max_frac_digits: int = 2
+    grids: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "min_value", Decimal(self.min_value))
@@ -53,16 +58,17 @@ class ValueRange:
             raise ConfigError("empty value range")
         if not 0 <= self.max_frac_digits <= MAX_FRAC_DIGITS:
             raise ConfigError(f"max_frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
-        low, high = self.grid(self.max_frac_digits)
+        # Ceiling and floor of the exact rational bounds, in int arithmetic.
+        min_num, min_den = self.min_value.as_integer_ratio()
+        max_num, max_den = self.max_value.as_integer_ratio()
+        grids = tuple(
+            (-(-min_num * 10**scale // min_den), max_num * 10**scale // max_den)
+            for scale in range(self.max_frac_digits + 1)
+        )
+        object.__setattr__(self, "grids", grids)
+        low, high = grids[-1]
         if low > high:
             raise ConfigError(f"no number with at most {self.max_frac_digits} fractional digits is in the value range")
-
-    @exact
-    def grid(self, frac_digits: int) -> tuple[int, int]:
-        """Lowest and highest integer n with n * 10**-frac_digits inside the range."""
-        low = int(self.min_value.scaleb(frac_digits).to_integral_value(rounding=ROUND_CEILING))
-        high = int(self.max_value.scaleb(frac_digits).to_integral_value(rounding=ROUND_FLOOR))
-        return low, high
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class NumGenConfig:
         if weights.get(TemplateFamily.ARGMAX_LIKE, 0.0) > 0:
             # argmax_like redraws until its values are distinct; the finest
             # grid holds every value any coarser one can draw.
-            low, high = self.ranges.grid(self.ranges.max_frac_digits)
+            low, high = self.ranges.grids[-1]
             if high - low + 1 < self.list_terms[1]:
                 raise ConfigError(
                     f"argmax_like needs {self.list_terms[1]} distinct values, "
@@ -117,57 +123,47 @@ class NumExample:
 # Exact expression evaluation
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[a-z_]+)|(?P<punct>[()+,%-]))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[a-z_]+)|(?P<punct>[()+,%-])|(?P<bad>\S))"
+)
 
 _LIST_OPS = ("min", "max", "avg", "argmax", "argmin", "diff")
 
 
 def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of each token, then an ``end`` token at len(text)."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            column = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", column=column)
-        for kind in ("number", "name", "punct"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value, match.start(kind)))
-                break
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", column=match.start(kind))
+        tokens.append((kind, match[kind], match.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_expr(text)
-        self.index = 0
+def _number(token: tuple[str, str, int]) -> Decimal:
+    kind, text, column = token
+    if kind != "number":
+        _not_end(token)
+        raise ParseError(f"expected a number, found {text!r}", column=column)
+    return Decimal(text)  # the token is digits with an optional point: always a plain literal
 
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def next(self):
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of expression", column=len(self.text))
-        self.index += 1
-        return token
+def _expect(token: tuple[str, str, int], value: str) -> None:
+    _not_end(token)
+    if token[1] != value:
+        raise ParseError(f"expected {value!r}, found {token[1]!r}", column=token[2])
 
-    def expect(self, value: str):
-        kind, text, column = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text!r}", column=column)
 
-    def number(self) -> Decimal:
-        kind, text, column = self.next()
-        if kind != "number":
-            raise ParseError(f"expected a number, found {text!r}", column=column)
-        return parse_decimal(text)
+def _not_end(token: tuple[str, str, int]) -> None:
+    if token[0] == "end":
+        raise ParseError("unexpected end of expression", column=token[2])
+
+
+def _at_end(token: tuple[str, str, int]) -> None:
+    if token[0] != "end":
+        raise ParseError("trailing input after expression", column=token[2])
 
 
 def _eval_list_op(name: str, values: list[Decimal], column: int, frac_digits: int) -> Decimal:
@@ -177,7 +173,7 @@ def _eval_list_op(name: str, values: list[Decimal], column: int, frac_digits: in
         total = Decimal(0)
         for value in values:
             total += value
-        numerator, denominator = scaled_integer_ratio(total)
+        numerator, denominator = total.as_integer_ratio()
         return round_ratio_half_even(numerator, denominator * len(values), frac_digits)
     if name == "argmax":
         return Decimal(values.index(max(values)) + 1)
@@ -196,53 +192,52 @@ def eval_expr(expression: str, frac_digits: int = 2) -> Decimal:
 
     Supported forms: a flat left-associative +/- chain over decimal
     literals (optionally signed first term), ``op(v1, v2, ...)`` for op in
-    min/max/avg/argmax/argmin/diff, and ``P% of X``.
+    min/max/avg/argmax/argmin/diff, and ``P% of X``. The parser walks the
+    token list by index; the ``end`` token stops every loop.
     """
-    parser = _Parser(expression)
-    first = parser.peek()
-    if first is None:
+    tokens = _tokenize_expr(expression)
+    kind, text, column = tokens[0]
+    if kind == "end":
         raise ParseError("empty expression", column=0)
 
-    if first[0] == "name":
-        name, column = first[1], first[2]
-        parser.next()
-        if name not in _LIST_OPS:
-            raise ParseError(f"unsupported operator {name!r}", column=column)
-        parser.expect("(")
-        values = [parser.number()]
-        while parser.peek() and parser.peek()[1] == ",":
-            parser.next()
-            values.append(parser.number())
-        parser.expect(")")
-        if parser.peek() is not None:
-            raise ParseError("trailing input after expression", column=parser.peek()[2])
-        return _eval_list_op(name, values, column, frac_digits)
+    if kind == "name":
+        if text not in _LIST_OPS:
+            raise ParseError(f"unsupported operator {text!r}", column=column)
+        _expect(tokens[1], "(")
+        values = [_number(tokens[2])]
+        index = 3
+        while tokens[index][1] == ",":
+            values.append(_number(tokens[index + 1]))
+            index += 2
+        _expect(tokens[index], ")")
+        _at_end(tokens[index + 1])
+        return _eval_list_op(text, values, column, frac_digits)
 
     # Leading sign, then either a percent form or a +/- chain.
-    sign = Decimal(1)
-    if first[0] == "punct" and first[1] in "+-":
-        parser.next()
-        sign = Decimal(-1) if first[1] == "-" else Decimal(1)
-    value = parser.number() * sign
+    signed = kind == "punct" and text in "+-"
+    index = 1 if signed else 0
+    value = _number(tokens[index])
+    if signed and text == "-":
+        value = value.copy_negate()
 
-    token = parser.peek()
-    if token is not None and token[1] == "%":
-        parser.next()
-        kind, text, column = parser.next()
-        if (kind, text) != ("name", "of"):
-            raise ParseError(f"expected 'of' after '%', found {text!r}", column=column)
-        base = parser.number()
-        if parser.peek() is not None:
-            raise ParseError("trailing input after expression", column=parser.peek()[2])
+    index += 1
+    kind, text, column = tokens[index]
+    if text == "%":
+        of = tokens[index + 1]
+        _not_end(of)
+        if of[:2] != ("name", "of"):
+            raise ParseError(f"expected 'of' after '%', found {of[1]!r}", column=of[2])
+        base = _number(tokens[index + 2])
+        _at_end(tokens[index + 3])
         return (value * base).scaleb(-2)
 
-    while (token := parser.peek()) is not None:
-        kind, text, column = token
+    while kind != "end":
         if kind != "punct" or text not in "+-":
             raise ParseError(f"expected '+' or '-', found {text!r}", column=column)
-        parser.next()
-        operand = parser.number()
+        operand = _number(tokens[index + 1])
         value = value + operand if text == "+" else value - operand
+        index += 2
+        kind, text, column = tokens[index]
     return value
 
 
@@ -256,7 +251,7 @@ def _draw_decimal(rng: random.Random, ranges: ValueRange) -> Decimal:
     # coarse grid may hold no value of the range; the finest one always does.
     while True:
         scale = rng.randint(0, ranges.max_frac_digits)
-        low, high = ranges.grid(scale)
+        low, high = ranges.grids[scale]
         if low <= high:
             return Decimal(rng.randint(low, high)).scaleb(-scale)
 
@@ -330,19 +325,21 @@ def generate_num(count: int, config: NumGenConfig = NumGenConfig(), seed: int = 
 
 def _generate_num(count, config, seed, families, weights) -> Iterator[NumExample]:
     for index in range(count):
-        child = derive_seed(seed, "num", index)
-        rng = random.Random(child)
-        family = rng.choices(families, weights=weights, k=1)[0]
-        if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
-            terms = 2 if family is TemplateFamily.ADDITION_SUB else rng.randint(*config.combination_terms)
-        elif family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
-            terms = rng.randint(*config.list_terms)
-        else:
-            terms = 2
-        example = instantiate(family, terms, rng, config.ranges, config.percent_range, rng_seed=child)
-        check = eval_expr(example.expression, config.ranges.max_frac_digits)
-        if check != example.answer:
-            raise SelfCheckError(f"self-check failed for {example.expression!r}: {check} != {example.answer}")
+        # One exact context per example, left before the yield (see decimals).
+        with localcontext(EXACT):
+            child = derive_seed(seed, "num", index)
+            rng = random.Random(child)
+            family = rng.choices(families, weights=weights, k=1)[0]
+            if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
+                terms = 2 if family is TemplateFamily.ADDITION_SUB else rng.randint(*config.combination_terms)
+            elif family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
+                terms = rng.randint(*config.list_terms)
+            else:
+                terms = 2
+            example = instantiate(family, terms, rng, config.ranges, config.percent_range, rng_seed=child)
+            check = eval_expr(example.expression, config.ranges.max_frac_digits)
+            if check != example.answer:
+                raise SelfCheckError(f"self-check failed for {example.expression!r}: {check} != {example.answer}")
         yield example
 
 

@@ -9,15 +9,15 @@ are non-negative integers unless fractional digits are enabled.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Mapping
 
-from .corpus import AnswerType, Example, TaskTag, format_input
-from .decimals import MAX_FRAC_DIGITS, exact, parse_decimal, render
+from .corpus import AnswerType, Example, TaskTag, format_input, load_json
+from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render
 from .errors import ConfigError, SimulationError, ValidationError
 from .seeding import derive_seed
 
@@ -46,8 +46,10 @@ class Event:
     target: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "verb", VerbClass(self.verb))
-        object.__setattr__(self, "quantity", Decimal(self.quantity))
+        if type(self.verb) is not VerbClass:
+            object.__setattr__(self, "verb", VerbClass(self.verb))
+        if type(self.quantity) is not Decimal:
+            object.__setattr__(self, "quantity", Decimal(self.quantity))
         if self.quantity < 0:
             raise ValidationError("event quantity must be >= 0")
         if self.verb is VerbClass.TRANSFER:
@@ -66,16 +68,6 @@ class Event:
         if self.target is not None:
             row["target"] = self.target
         return row
-
-    @classmethod
-    def from_json(cls, row: dict) -> "Event":
-        return cls(
-            verb=VerbClass(row["verb"]),
-            container=row["container"],
-            entity=row["entity"],
-            quantity=parse_decimal(row["quantity"]),
-            target=row.get("target"),
-        )
 
 
 @dataclass
@@ -100,36 +92,31 @@ class WorldState:
     def _set(self, container: str, entity: str, value: Decimal) -> None:
         self.containers.setdefault(container, {})[entity] = value
 
-
-@exact
-def apply_event(state: WorldState, event: Event) -> WorldState:
-    """Return the world state after one event; the input state is untouched."""
-    out = state.copy()
-    held = out.count(event.container, event.entity)
-    if event.verb is VerbClass.OBSERVE:
-        out._set(event.container, event.entity, event.quantity)
-    elif event.verb is VerbClass.GAIN:
-        out._set(event.container, event.entity, held + event.quantity)
-    elif event.verb is VerbClass.LOSE:
-        if held < event.quantity:
-            raise SimulationError(
-                f"{event.container} holds {render(held)} {event.entity}, cannot lose {render(event.quantity)}"
-            )
-        out._set(event.container, event.entity, held - event.quantity)
-    else:  # transfer
-        if held < event.quantity:
-            raise SimulationError(
-                f"{event.container} holds {render(held)} {event.entity}, cannot transfer {render(event.quantity)}"
-            )
-        out._set(event.container, event.entity, held - event.quantity)
-        out._set(event.target, event.entity, out.count(event.target, event.entity) + event.quantity)
-    return out
+    @exact
+    def apply(self, event: Event) -> None:
+        """Change this state by one event. An event that takes more than its
+        container holds raises SimulationError and leaves the state as it was."""
+        held = self.count(event.container, event.entity)
+        if event.verb is VerbClass.OBSERVE:
+            self._set(event.container, event.entity, event.quantity)
+        elif event.verb is VerbClass.GAIN:
+            self._set(event.container, event.entity, held + event.quantity)
+        else:
+            if held < event.quantity:
+                action = "lose" if event.verb is VerbClass.LOSE else "transfer"
+                raise SimulationError(
+                    f"{event.container} holds {render(held)} {event.entity}, cannot {action} {render(event.quantity)}"
+                )
+            self._set(event.container, event.entity, held - event.quantity)
+            if event.verb is VerbClass.TRANSFER:
+                self._set(event.target, event.entity, self.count(event.target, event.entity) + event.quantity)
 
 
 def simulate(events, initial: WorldState | None = None) -> WorldState:
+    """The state after ``events``, applied to a copy of ``initial`` (or an empty state)."""
     state = initial.copy() if initial is not None else WorldState()
     for event in events:
-        state = apply_event(state, event)
+        state.apply(event)
     return state
 
 
@@ -149,15 +136,6 @@ class QuestionSpec:
         if self.other:
             row["other"] = self.other
         return row
-
-    @classmethod
-    def from_json(cls, row: dict) -> "QuestionSpec":
-        return cls(
-            kind=QuestionKind(row["kind"]),
-            entity=row["entity"],
-            container=row.get("container", ""),
-            other=row.get("other", ""),
-        )
 
 
 @exact
@@ -219,24 +197,50 @@ class Vocabulary:
         for kind in QuestionKind:
             if not self.question_templates.get(kind):
                 raise ConfigError(f"no question template for kind {kind.value!r}")
+        # Each template must format with exactly the text fields the generator passes.
+        for templates, fields in (
+            (self.sentence_templates, ("container", "qty", "entity", "target")),
+            (self.question_templates, ("entity", "container", "other")),
+        ):
+            for template in chain(*templates.values()):
+                try:
+                    template.format(**dict.fromkeys(fields, "x"))
+                except (LookupError, ValueError, AttributeError, TypeError):
+                    named = ", ".join("{" + name + "}" for name in fields)
+                    raise ConfigError(f"bad template {template!r}; its fields are {named}") from None
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Vocabulary":
+    def from_json(cls, obj) -> "Vocabulary":
+        """Build from a JSON object; a missing or ill-typed field is a ConfigError."""
+        if not isinstance(obj, dict):
+            raise ConfigError("vocabulary must be a JSON object")
         return cls(
-            containers=tuple(obj["containers"]),
-            entities=tuple(obj["entities"]),
-            sentence_templates={
-                VerbClass(k): tuple(v) for k, v in obj["sentence_templates"].items()
-            },
-            question_templates={
-                QuestionKind(k): tuple(v) for k, v in obj["question_templates"].items()
-            },
+            containers=_strings(obj.get("containers"), "containers"),
+            entities=_strings(obj.get("entities"), "entities"),
+            sentence_templates=_templates(obj, "sentence_templates", VerbClass),
+            question_templates=_templates(obj, "question_templates", QuestionKind),
         )
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        return cls.from_json(load_json(path))
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"vocabulary {name!r} must be a list of strings")
+    return tuple(value)
+
+
+def _templates(obj: dict, key: str, kinds: type[Enum]) -> dict:
+    table = obj.get(key)
+    if not isinstance(table, dict):
+        raise ConfigError(f"vocabulary {key!r} must be an object keyed by {', '.join(k.value for k in kinds)}")
+    known = {kind.value: kind for kind in kinds}
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise ConfigError(f"vocabulary {key!r} has unknown keys {unknown}")
+    return {known[name]: _strings(value, f"{key}.{name}") for name, value in table.items()}
 
 
 DEFAULT_VOCAB = Vocabulary(
@@ -316,11 +320,10 @@ class TxtGenConfig:
 @exact
 def _draw_quantity(rng: random.Random, config: TxtGenConfig, upper: Decimal | None = None) -> Decimal:
     scale = config.frac_digits
-    high = Decimal(config.max_quantity).scaleb(scale)
+    high = config.max_quantity * 10**scale
     if upper is not None:
-        high = min(high, upper.scaleb(scale))
-    low = min(Decimal(1), high)
-    return Decimal(rng.randint(int(low), int(high))).scaleb(-scale)
+        high = min(high, int(upper.scaleb(scale)))
+    return Decimal(rng.randint(min(1, high), high)).scaleb(-scale)
 
 
 def generate_txt(count: int, config: TxtGenConfig = TxtGenConfig(), seed: int = 0) -> Iterator[TxtExample]:
@@ -337,69 +340,74 @@ def generate_txt(count: int, config: TxtGenConfig = TxtGenConfig(), seed: int = 
 
 def _generate_txt(count, config, seed) -> Iterator[TxtExample]:
     vocab = config.vocab
+    kinds = list(QuestionKind)
+    unit = Decimal(f"1e-{config.frac_digits}")  # the smallest quantity a holder can lose
     for index in range(count):
-        child = derive_seed(seed, "txt", index)
-        rng = random.Random(child)
+        # One exact context per example, left before the yield (see decimals).
+        with localcontext(EXACT):
+            child = derive_seed(seed, "txt", index)
+            rng = random.Random(child)
 
-        entity = rng.choice(vocab.entities)
-        n_events = rng.randint(config.min_events, config.max_events)
-        n_containers = 3 if n_events >= 5 and len(vocab.containers) >= 3 and rng.random() < 0.5 else 2
-        cast = rng.sample(vocab.containers, n_containers)
+            entity = rng.choice(vocab.entities)
+            n_events = rng.randint(config.min_events, config.max_events)
+            n_containers = 3 if n_events >= 5 and len(vocab.containers) >= 3 and rng.random() < 0.5 else 2
+            cast = rng.sample(vocab.containers, n_containers)
 
-        state = WorldState()
-        events: list[Event] = []
-        for name in cast:
-            event = Event(VerbClass.OBSERVE, name, entity, _draw_quantity(rng, config))
-            state = apply_event(state, event)
-            events.append(event)
-        while len(events) < n_events:
-            actor = rng.choice(cast)
-            held = state.count(actor, entity)
-            choices = [VerbClass.GAIN]
-            if held >= Decimal(1).scaleb(-config.frac_digits):
-                choices += [VerbClass.LOSE, VerbClass.TRANSFER]
-            verb = rng.choice(choices)
-            if verb is VerbClass.GAIN:
-                event = Event(verb, actor, entity, _draw_quantity(rng, config))
-            elif verb is VerbClass.LOSE:
-                event = Event(verb, actor, entity, _draw_quantity(rng, config, upper=held))
+            state = WorldState()
+            events: list[Event] = []
+            for name in cast:
+                event = Event(VerbClass.OBSERVE, name, entity, _draw_quantity(rng, config))
+                state.apply(event)
+                events.append(event)
+            while len(events) < n_events:
+                actor = rng.choice(cast)
+                held = state.count(actor, entity)
+                choices = [VerbClass.GAIN]
+                if held >= unit:
+                    choices += [VerbClass.LOSE, VerbClass.TRANSFER]
+                verb = rng.choice(choices)
+                if verb is VerbClass.GAIN:
+                    event = Event(verb, actor, entity, _draw_quantity(rng, config))
+                elif verb is VerbClass.LOSE:
+                    event = Event(verb, actor, entity, _draw_quantity(rng, config, upper=held))
+                else:
+                    target = rng.choice([c for c in cast if c != actor])
+                    event = Event(verb, actor, entity, _draw_quantity(rng, config, upper=held), target=target)
+                state.apply(event)
+                events.append(event)
+
+            kind = rng.choice(kinds)
+            if kind is QuestionKind.HOW_MANY:
+                spec = QuestionSpec(kind, entity, container=rng.choice(cast))
+            elif kind is QuestionKind.HOW_MANY_MORE:
+                first, second = rng.sample(cast, 2)
+                if state.count(first, entity) < state.count(second, entity):
+                    first, second = second, first
+                spec = QuestionSpec(kind, entity, container=first, other=second)
             else:
-                target = rng.choice([c for c in cast if c != actor])
-                event = Event(verb, actor, entity, _draw_quantity(rng, config, upper=held), target=target)
-            state = apply_event(state, event)
-            events.append(event)
+                spec = QuestionSpec(kind, entity)
 
-        kind = rng.choice(list(QuestionKind))
-        if kind is QuestionKind.HOW_MANY:
-            spec = QuestionSpec(kind, entity, container=rng.choice(cast))
-        elif kind is QuestionKind.HOW_MANY_MORE:
-            first, second = rng.sample(cast, 2)
-            if state.count(first, entity) < state.count(second, entity):
-                first, second = second, first
-            spec = QuestionSpec(kind, entity, container=first, other=second)
-        else:
-            spec = QuestionSpec(kind, entity)
-
-        sentences = [
-            rng.choice(vocab.sentence_templates[event.verb]).format(
-                container=event.container,
-                qty=render(event.quantity),
-                entity=event.entity,
-                target=event.target or "",
+            sentences = [
+                rng.choice(vocab.sentence_templates[event.verb]).format(
+                    container=event.container,
+                    qty=render(event.quantity),
+                    entity=event.entity,
+                    target=event.target or "",
+                )
+                for event in events
+            ]
+            question = rng.choice(vocab.question_templates[kind]).format(
+                entity=spec.entity, container=spec.container, other=spec.other
             )
-            for event in events
-        ]
-        question = rng.choice(vocab.question_templates[kind]).format(
-            entity=spec.entity, container=spec.container, other=spec.other
-        )
-        yield TxtExample(
-            context=" ".join(sentences),
-            question=question,
-            answer=answer_question(state, spec),
-            events=tuple(events),
-            question_spec=spec,
-            rng_seed=child,
-        )
+            example = TxtExample(
+                context=" ".join(sentences),
+                question=question,
+                answer=answer_question(state, spec),
+                events=tuple(events),
+                question_spec=spec,
+                rng_seed=child,
+            )
+        yield example
 
 
 def txt_to_example(example: TxtExample) -> Example:

@@ -32,7 +32,7 @@ from numtext.numgen import NumGenConfig, eval_expr, generate_num
 from numtext.pipelines import builtin_pipelines, expand
 from numtext.schedule import LrConfig, LrSchedule
 from numtext.scoring import score_pair, score_record
-from numtext.txtgen import Event, VerbClass, WorldState, apply_event, generate_txt, simulate
+from numtext.txtgen import Event, VerbClass, WorldState, generate_txt, simulate
 
 from conftest import typed_drop_file
 from oracles import bf_score, oracle_eval, resimulate
@@ -133,7 +133,7 @@ def test_c4_txt_generator():
                 target = rng.choice([c for c in containers if c != source])
                 held = state.count(source, "e")
                 amount = Decimal(rng.randint(0, int(held)))
-                state = apply_event(state, Event(VerbClass.TRANSFER, source, "e", amount, target=target))
+                state.apply(Event(VerbClass.TRANSFER, source, "e", amount, target=target))
                 assert state.total("e") == expected_total
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -265,6 +266,51 @@ def test_score_unknown_id_exits_one(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_score_names_a_prediction_line_that_is_not_an_object(tmp_path, capsys):
+    gold = tmp_path / "gold.json"
+    gold.write_text(
+        json.dumps(build_drop_file({"p": ("x", [drop_qa("Q?", "q1", drop_answer(number="1"))])})),
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "q1", "prediction": "1"}) + "\n5\n", encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(preds)]) == 1
+    assert "error: line 2: prediction rows are objects" in capsys.readouterr().err
+
+
+def test_vocabulary_content_goes_into_the_config_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    vocab = {
+        "containers": ["Ann", "Bo"],
+        "entities": ["figs", "nuts"],
+        "sentence_templates": {
+            "observe": ["{container} had {qty} {entity}."],
+            "gain": ["{container} got {qty} {entity}."],
+            "lose": ["{container} lost {qty} {entity}."],
+            "transfer": ["{container} gave {qty} {entity} to {target}."],
+        },
+        "question_templates": {
+            "how_many": ["How many {entity} does {container} have?"],
+            "how_many_more": ["How many more {entity} does {container} have than {other}?"],
+            "total": ["How many {entity} in all?"],
+        },
+    }
+    (tmp_path / "v1.json").write_text(json.dumps(vocab), encoding="utf-8")
+    (tmp_path / "v2.json").write_text(json.dumps({**vocab, "entities": ["figs", "plums"]}), encoding="utf-8")
+    hashes = {}
+    for name in ("v1", "v2", None):
+        argv = ["gen-txt", "--count", "2", "--seed", "1", "--out", f"{name}.jsonl", "--dump-config", f"{name}.cfg"]
+        assert run(argv + (["--vocab", f"{name}.json"] if name else [])) == 0
+        hashes[name] = read_meta(tmp_path / f"{name}.jsonl")["config_sha256"]
+        dumped = _read_json_file(tmp_path / f"{name}.cfg")
+        if name:
+            digest = hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+            assert dumped["vocab_sha256"] == digest
+        else:
+            assert "vocab_sha256" not in dumped
+    assert len(set(hashes.values())) == 3
+
+
 def test_pipeline_list(capsys):
     assert run(["pipeline", "--list"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -352,6 +398,13 @@ _BAD_INPUT_FILES = {
     "spec-number-validation.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "validation": 7}]}',
     "spec-list-name.json": '{"name": "x", "stages": [{"name": ["x"], "datasets": ["a"]}]}',
     "spec-list-pipeline-name.json": '{"name": ["x"], "stages": [{"name": "s", "datasets": ["a"]}]}',
+    "vocab-no-containers.json": '{"entities": ["a", "b"]}',
+    "vocab-malformed.json": '{"containers": [',
+    "vocab-number-containers.json": '{"containers": 5, "entities": ["a", "b"]}',
+    "gold.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
+    "pred-number.jsonl": '5\n',
+    "pred-null.jsonl": 'null\n',
+    "pred-list.jsonl": '[1]\n',
 }
 
 
@@ -406,6 +459,14 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["lr-table", "--epochs", "1", "--batches-per-epoch", "1", "--decay-rate", "nan", "--dump-config", "-"],
             id="lr-decay-nan-dump-config",
+        ),
+        *(
+            pytest.param(["gen-txt", "--count", "3", "--vocab", f"vocab-{case}.json", "--out", "o.jsonl"], id=f"vocab-{case}")
+            for case in ("no-containers", "malformed", "number-containers")
+        ),
+        *(
+            pytest.param(["score", "--gold", "gold.json", "--pred", f"pred-{case}.jsonl"], id=f"pred-{case}")
+            for case in ("number", "null", "list")
         ),
     ],
 )

@@ -16,6 +16,8 @@ from numtext.cli import run
 from conftest import build_drop_file, drop_answer, drop_qa, typed_drop_file
 
 SEED = "301"
+#: 10^30, past the 28 digits of the default decimal context.
+WIDE = str(10**30)
 
 #: case -> (argv, output file or "-" for stdout, SHA-256 of that output)
 CASES = {
@@ -40,6 +42,11 @@ CASES = {
         "out",
         "2e9456d84462ffa2a8464445abd409447bfa024d701e51d8156e2d75278b0745",
     ),
+    "gen-num-wide": (
+        ["gen-num", "--count", "25", "--seed", SEED, "--max-frac-digits", "4", "--max-value", WIDE, "--out", "out"],
+        "out",
+        "ed1a6179f5be84ce0e66a5eca7d4819b7b16c9c796726acce7562af173fa7c0d",
+    ),
     "gen-txt-examples": (
         ["gen-txt", "--count", "25", "--seed", SEED, "--frac-digits", "1", "--out", "out"],
         "out",
@@ -59,6 +66,11 @@ CASES = {
         ["gen-txt", "--config", "gen-txt.cfg", "--out", "out"],
         "out",
         "e4f825b7c11c7c1cdd79a7ee7153c3d1ba064aae9b0085a31cb0fb6c6016e336",
+    ),
+    "gen-txt-wide": (
+        ["gen-txt", "--count", "25", "--seed", SEED, "--frac-digits", "2", "--max-quantity", WIDE, "--out", "out"],
+        "out",
+        "4b3cbe2e028d5096d190131b0eb780d1e53179cd03dc00817d971bb3a782f7d7",
     ),
     "ingest-drop": (
         ["ingest", "--format", "drop", "--in", "drop.json", "--out", "out"],

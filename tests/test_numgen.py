@@ -1,12 +1,12 @@
 import random
 import re
-from decimal import Decimal, getcontext
+from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from numtext.decimals import parse_decimal, render
+from numtext.decimals import EXACT, exact, parse_decimal, render
 from numtext.errors import ConfigError, ParseError
 from numtext.numgen import (
     NumGenConfig,
@@ -244,3 +244,46 @@ def test_num_to_example_uses_calculate_prefix():
     assert example.input.startswith("calculate: ")
     assert example.task.value == "calculate"
     assert example.target == render(eval_expr(example.input[len("calculate: "):]))
+
+
+# ---------------------------------------------------------------------------
+# The exact context: entered once per example, never held across a yield
+# ---------------------------------------------------------------------------
+
+def test_generate_num_leaves_the_callers_decimal_context_unchanged():
+    config = NumGenConfig(ranges=ValueRange(max_value=Decimal(10**40), max_frac_digits=4))
+    with localcontext(Context()):
+        examples = generate_num(5, config, seed=1)
+        next(examples)
+        context = getcontext()
+        assert context.prec == 28
+        assert not context.traps[Inexact] and not context.traps[Rounded]
+        assert Decimal(1) / 3 == Decimal("0.3333333333333333333333333333")
+        next(examples)
+        assert getcontext().prec == 28
+
+
+@exact
+def _round_to_tenths(text: str) -> Decimal:
+    return Decimal(text).quantize(Decimal("0.1"))
+
+
+@pytest.mark.parametrize(
+    "missing, text, signal",
+    [(Inexact, "1.25", Inexact), (Rounded, "1.20", Rounded)],
+    ids=["without-inexact-trap", "without-rounded-trap"],
+)
+def test_exact_enters_exact_when_a_trap_is_missing(missing, text, signal):
+    # The context is EXACT but for one trap, so exact must not take it for
+    # EXACT. "1.20" -> "1.2" rounds away a zero: Rounded without Inexact.
+    context = EXACT.copy()
+    context.traps[missing] = False
+    assert context.prec == MAX_PREC
+    with localcontext(context):
+        with pytest.raises(signal):
+            _round_to_tenths(text)
+
+
+def test_value_range_grids_hold_every_scale():
+    ranges = ValueRange(min_value=Decimal("0.15"), max_value=Decimal("2.5"), max_frac_digits=3)
+    assert ranges.grids == ((1, 2), (2, 25), (15, 250), (150, 2500))

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact, getcontext, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,6 @@ from numtext.txtgen import (
     Vocabulary,
     WorldState,
     answer_question,
-    apply_event,
     generate_txt,
     simulate,
     txt_to_example,
@@ -40,11 +39,12 @@ def transfer(container, target, entity, qty):
 
 
 # ---------------------------------------------------------------------------
-# apply_event / answer_question
+# WorldState.apply / simulate / answer_question
 # ---------------------------------------------------------------------------
 
 def test_observe_sets_state():
-    state = apply_event(WorldState(), observe("Mary", "apples", 5))
+    state = WorldState()
+    state.apply(observe("Mary", "apples", 5))
     assert state.count("Mary", "apples") == 5
 
 
@@ -65,15 +65,22 @@ def test_transfer_moves_and_conserves():
 def test_underflow_raises():
     state = simulate([observe("Mary", "apples", 1)])
     with pytest.raises(SimulationError):
-        apply_event(state, lose("Mary", "apples", 2))
+        state.apply(lose("Mary", "apples", 2))
     with pytest.raises(SimulationError):
-        apply_event(state, transfer("Mary", "John", "apples", 2))
+        state.apply(transfer("Mary", "John", "apples", 2))
+    with pytest.raises(SimulationError):
+        state.apply(lose("Nobody", "apples", 1))
+    with pytest.raises(SimulationError):
+        simulate([lose("Mary", "apples", 2)], state)
+    # A refused event changes nothing, not even which containers appeared.
+    assert state.containers == {"Mary": {"apples": Decimal(1)}}
 
 
-def test_apply_event_is_pure():
+def test_simulate_copies_its_input():
     state = simulate([observe("Mary", "apples", 5)])
-    apply_event(state, lose("Mary", "apples", 4))
-    assert state.count("Mary", "apples") == 5
+    after = simulate([lose("Mary", "apples", 4), gain("John", "apples", 2)], state)
+    assert state.containers == {"Mary": {"apples": Decimal(5)}}
+    assert after.containers == {"Mary": {"apples": Decimal(1)}, "John": {"apples": Decimal(2)}}
 
 
 def test_event_validation():
@@ -131,7 +138,7 @@ def test_transfer_only_histories_conserve_totals(moves):
         if source == target:
             continue
         amount = min(Decimal(amount), state.count(source, "e"))
-        state = apply_event(state, transfer(source, target, "e", amount))
+        state.apply(transfer(source, target, "e", amount))
         assert state.total("e") == total_before
         assert all(
             count >= 0 for held in state.containers.values() for count in held.values()
@@ -144,11 +151,11 @@ def test_gain_lose_changes_total_by_amounts(steps):
     expected = Decimal(1000)
     for is_gain, amount in steps:
         if is_gain:
-            state = apply_event(state, gain("A", "e", amount))
+            state.apply(gain("A", "e", amount))
             expected += amount
         else:
             amount = min(Decimal(amount), state.count("A", "e"))
-            state = apply_event(state, lose("A", "e", amount))
+            state.apply(lose("A", "e", amount))
             expected -= amount
         assert state.total("e") == expected
 
@@ -223,14 +230,45 @@ def test_wide_quantities_agree_with_resimulation_oracle(frac_digits):
         assert resimulate(events, example.question_spec.to_json()) == example.answer
 
 
+def test_generate_txt_leaves_the_callers_decimal_context_unchanged():
+    with localcontext(Context()):
+        examples = generate_txt(5, TxtGenConfig(max_quantity=10**40, frac_digits=2), seed=1)
+        next(examples)
+        context = getcontext()
+        assert context.prec == 28 and not context.traps[Inexact]
+        assert Decimal(1) / 3 == Decimal("0.3333333333333333333333333333")
+        next(examples)
+        assert getcontext().prec == 28
+
+
+def test_vocabulary_from_json_rejects_missing_and_ill_typed_fields():
+    good = {
+        "containers": ["A", "B"],
+        "entities": ["x", "y"],
+        "sentence_templates": {verb.value: list(DEFAULT_VOCAB.sentence_templates[verb]) for verb in VerbClass},
+        "question_templates": {kind.value: list(DEFAULT_VOCAB.question_templates[kind]) for kind in QuestionKind},
+    }
+    assert Vocabulary.from_json(good).containers == ("A", "B")
+    bad = [
+        [],
+        {key: value for key, value in good.items() if key != "containers"},
+        {**good, "entities": "xy"},
+        {**good, "containers": ["A", 5]},
+        {**good, "sentence_templates": ["x"]},
+        {**good, "sentence_templates": {**good["sentence_templates"], "juggle": ["{container}"]}},
+        {**good, "question_templates": {**good["question_templates"], "total": "How many?"}},
+        {**good, "question_templates": {**good["question_templates"], "total": ["How many {thing}?"]}},
+        {**good, "question_templates": {**good["question_templates"], "total": ["How many {entity?"]}},
+        {**good, "sentence_templates": {**good["sentence_templates"], "gain": ["{container} beat {other}."]}},
+    ]
+    for obj in bad:
+        with pytest.raises(ConfigError):
+            Vocabulary.from_json(obj)
+
+
 def test_txt_to_example_uses_answer_me_prefix():
     example = txt_to_example(next(iter(generate_txt(1, seed=2))))
     assert example.input.startswith("answer_me: How many")
     assert " context: " in example.input
     question_part = example.input.split(" context: ")[0]
     assert question_part.index("How many") < example.input.index(" context: ")
-
-
-def test_event_json_round_trip():
-    event = transfer("Mary", "John", "apples", 3)
-    assert Event.from_json(event.to_json()) == event

@@ -11,14 +11,12 @@ error), 2 (I/O error).
 from __future__ import annotations
 
 import argparse
-import codecs
 import hashlib
 import json
 import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -47,7 +45,8 @@ from .scoring import build_report
 from .txtgen import DEFAULT_VOCAB, TxtGenConfig, Vocabulary, generate_txt, txt_to_example
 
 #: Per command, the flags its effective config records, in --dump-config
-#: order. A --config file may set exactly these; other keys are ignored.
+#: order. A --config file may set exactly these; other keys are ignored,
+#: except a gen-txt file's ``vocab_sha256``, which --vocab must match.
 _CONFIG_KEYS = {
     "gen-num": ("count", "seed", "min_value", "max_value", "max_frac_digits", "families", "emit"),
     "gen-txt": ("count", "seed", "min_events", "max_events", "max_quantity", "frac_digits", "emit"),
@@ -111,13 +110,9 @@ def _command_config(args: argparse.Namespace, **extra) -> dict:
 
 def _write_generated(args: argparse.Namespace, config: dict, items, to_example) -> int:
     """Stream generated items to --out as tagged examples or, with --emit raw, as their own rows."""
-    meta = _meta(config, seed=int(args.seed))
+    records = items if args.emit == "raw" else map(to_example, items)
     with atomic_output(args.out) as sink:
-        if args.emit == "raw":
-            rows = chain([{"meta": meta}], (item.to_json() for item in items))
-            sink.writelines(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n" for row in rows)
-        else:
-            write_examples(map(to_example, items), sink, meta=meta)
+        write_examples(records, sink, meta=_meta(config, seed=int(args.seed)))
     return 0
 
 
@@ -159,6 +154,10 @@ def cmd_gen_txt(args) -> int:
         # The vocabulary's content, not its path, goes into the config hash.
         vocab = Vocabulary.from_file(args.vocab)
         extra["vocab_sha256"] = hashlib.sha256(Path(args.vocab).read_bytes()).hexdigest()
+    recorded = args.config_values.get("vocab_sha256")
+    if recorded is not None and recorded != extra.get("vocab_sha256"):
+        problem = "--vocab is not that vocabulary" if args.vocab else "give that vocabulary with --vocab"
+        raise ConfigError(f"--config records vocab_sha256 {str(recorded)[:16]}...; {problem}")
     config = _command_config(args, **extra)
     gen_config = TxtGenConfig(
         vocab=vocab,
@@ -203,9 +202,11 @@ def _load_stats(path: str) -> list[DatasetStat]:
             name, length = row["name"], int(row["length"])
             scale = float(row.get("scale", 1.0))
             cap = float(row["cap"]) if row.get("cap") is not None else None
+            if not isinstance(name, str):
+                raise TypeError
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError(
-                f"stats row {index} needs a 'name', an integer 'length' and numeric 'scale' and 'cap'"
+                f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
             ) from None
         stats.append(DatasetStat(name=name, length=length, scale=scale, cap=cap))
     return stats
@@ -250,8 +251,7 @@ def cmd_lr_table(args) -> int:
     schedule = LrSchedule(lr_config)
     meta = _meta(config)
     with atomic_output(args.out) as sink:
-        text = codecs.getwriter("utf-8")(sink)
-        emit_table(schedule, text, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
+        emit_table(schedule, sink, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
     return 0
 
 
@@ -401,17 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv; with --config, parse again after the file's non-null values
-    for the command's _CONFIG_KEYS become its defaults (flag > file > default)."""
+    for the command's _CONFIG_KEYS become its defaults (flag > file > default).
+    The values become text first, so argparse converts and checks them as it
+    does the flags. ``args.config_values`` holds the whole file (``{}``
+    without --config)."""
+    if any("\x00" in arg for arg in argv or ()):
+        raise ConfigError("an argument contains a NUL character")
     args = parser.parse_args(argv)
+    values = {}
     if getattr(args, "config", None):
         values = load_json(args.config)
         if not isinstance(values, dict):
             raise ConfigError("--config file must hold a JSON object")
         keys = _CONFIG_KEYS[args.command]
         parser.commands[args.command].set_defaults(
-            **{key: values[key] for key in keys if values.get(key) is not None}
+            **{key: str(values[key]) for key in keys if values.get(key) is not None}
         )
         args = parser.parse_args(argv)
+    args.config_values = values
     return args
 
 

@@ -3,8 +3,10 @@
 Reads the public DROP and SQuAD v1.1 JSON layouts, derives the
 question-type classification task, formats prefix-tagged text-to-text
 examples (question placed before context so truncation eats the passage
-tail, never the question), audits length cutoffs under a pluggable token
-counter, and round-trips the canonical JSONL record stream byte-stably.
+tail, never the question), maps a gold answer to its spans (the one rule
+for targets and scoring), audits length cutoffs under a pluggable token
+counter, and writes every JSONL record stream byte-stably through
+:func:`write_examples`.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ def format_input(task: TaskTag | str, question: str, context: str = "") -> str:
     return f"{tag.value}: {question}{CONTEXT_MARKER}{context}"
 
 
-def parse_input(text: str) -> tuple[TaskTag, str, str | None]:
-    """Inverse of :func:`format_input`: recover (task, question, context)."""
-    prefix, sep, body = text.partition(": ")
-    if not sep:
-        raise ValidationError(f"no task prefix in {text!r}")
-    try:
-        tag = TaskTag(prefix)
-    except ValueError:
-        raise ValidationError(f"unknown task prefix: {prefix!r}") from None
-    question, sep, context = body.partition(CONTEXT_MARKER)
-    if not question.strip():
-        raise ValidationError("empty question")
-    return tag, question, context if sep else None
-
-
 @dataclass(frozen=True)
 class Example:
     """One prefix-tagged input/target pair, the universal pipeline record."""
@@ -104,6 +91,15 @@ class Example:
             raise ValidationError("input question is empty")
         if not self.target:
             raise ValidationError("target must be non-empty")
+
+    def to_json(self) -> dict:
+        return {
+            "input": self.input,
+            "target": self.target,
+            "task": self.task.value,
+            "answer_type": self.answer_type.value,
+            "source_id": self.source_id,
+        }
 
 
 @dataclass(frozen=True)
@@ -212,14 +208,19 @@ def derive_answer_type(answer: GoldAnswer) -> AnswerType:
 SPAN_DELIMITER = "; "
 
 
-def gold_target(answer: GoldAnswer, span_delimiter: str = SPAN_DELIMITER) -> str:
-    """Serialize a gold answer to the single target string a model must emit."""
+def gold_answer_spans(answer: GoldAnswer) -> tuple[str, ...]:
+    """A gold answer as its stripped span strings (dates render as 'DD month YYYY')."""
     kind = derive_answer_type(answer)
     if kind is AnswerType.NUMBER:
-        return answer.number.strip()
+        return (answer.number.strip(),)
     if kind is AnswerType.DATE:
-        return answer.date.to_text()
-    return span_delimiter.join(s.strip() for s in answer.spans if s.strip())
+        return (answer.date.to_text(),)
+    return tuple(s.strip() for s in answer.spans if s.strip())
+
+
+def gold_target(answer: GoldAnswer, span_delimiter: str = SPAN_DELIMITER) -> str:
+    """Serialize a gold answer to the single target string a model must emit."""
+    return span_delimiter.join(gold_answer_spans(answer))
 
 
 def make_classification_example(record: DropRecord) -> Example:
@@ -277,14 +278,34 @@ def load_json(source):
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
 
 
-def _gold_from_json(raw: dict) -> GoldAnswer:
+def _objects(value, where: str) -> list:
+    """``value`` as a list of JSON objects (``null`` is an empty list); any
+    other shape raises ParseError naming ``where``."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ParseError(f"{where} is not a list")
+    for index, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ParseError(f"{where}[{index}] is not an object")
+    return value
+
+
+def _gold_from_json(raw, where: str) -> GoldAnswer:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} is not an object")
     number = raw.get("number", "")
     if number is None:
         number = ""
     date_raw = raw.get("date") or {}
+    spans = raw.get("spans", []) or []
+    if not isinstance(date_raw, dict):
+        raise ParseError(f"{where}: 'date' is not an object")
+    if not isinstance(spans, list):
+        raise ParseError(f"{where}: 'spans' is not a list")
     return GoldAnswer(
         number=str(number),
-        spans=tuple(str(s) for s in raw.get("spans", []) or []),
+        spans=tuple(str(s) for s in spans),
         date=DateParts(
             day=str(date_raw.get("day", "") or ""),
             month=str(date_raw.get("month", "") or ""),
@@ -298,7 +319,8 @@ def ingest_drop(source) -> IngestResult:
 
     All gold answers (primary plus validated) are retained in order,
     empty ones dropped. A qa pair whose every answer is empty is skipped
-    and tallied in ``errors`` rather than aborting the whole file.
+    and tallied in ``errors`` rather than aborting the whole file. A value
+    of the wrong JSON type raises ParseError naming its passage and index.
     """
     data = load_json(source)
     if not isinstance(data, dict):
@@ -309,12 +331,14 @@ def ingest_drop(source) -> IngestResult:
         if not isinstance(block, dict) or "passage" not in block:
             raise ParseError(f"passage block {passage_id!r} missing 'passage'")
         passage = str(block["passage"])
-        for index, qa in enumerate(block.get("qa_pairs", [])):
-            if not isinstance(qa, dict):
-                raise ParseError(f"passage {passage_id!r}: qa_pairs[{index}] is not an object")
+        where = f"passage {passage_id!r}: qa_pairs"
+        for index, qa in enumerate(_objects(block.get("qa_pairs"), where)):
             query_id = str(qa.get("query_id") or f"{passage_id}.{index}")
-            golds = [_gold_from_json(qa.get("answer", {}) or {})]
-            golds.extend(_gold_from_json(v) for v in qa.get("validated_answers", []) or [])
+            golds = [_gold_from_json(qa.get("answer", {}) or {}, f"{where}[{index}].answer")]
+            validated = _objects(qa.get("validated_answers"), f"{where}[{index}].validated_answers")
+            golds.extend(
+                _gold_from_json(v, f"{where}[{index}].validated_answers[{j}]") for j, v in enumerate(validated)
+            )
             golds = [g for g in golds if not g.is_empty()]
             if not golds:
                 errors.append(IngestIssue(query_id, "every gold answer is empty"))
@@ -331,18 +355,23 @@ def ingest_drop(source) -> IngestResult:
 
 
 def ingest_squad(source) -> IngestResult:
-    """Parse a SQuAD v1.1 JSON file into records, one per qa pair."""
+    """Parse a SQuAD v1.1 JSON file into records, one per qa pair.
+
+    A value of the wrong JSON type raises ParseError naming its indices.
+    """
     data = load_json(source)
     if not isinstance(data, dict) or not isinstance(data.get("data", None), list):
         raise ParseError("SQuAD file must be a JSON object with a 'data' list")
     records: list[SquadRecord] = []
     errors: list[IngestIssue] = []
-    for article in data["data"]:
-        for paragraph in article.get("paragraphs", []):
+    for a, article in enumerate(_objects(data["data"], "data")):
+        for p, paragraph in enumerate(_objects(article.get("paragraphs"), f"data[{a}].paragraphs")):
             context = str(paragraph.get("context", ""))
-            for qa in paragraph.get("qas", []):
+            where = f"data[{a}].paragraphs[{p}].qas"
+            for q, qa in enumerate(_objects(paragraph.get("qas"), where)):
                 qa_id = str(qa.get("id", ""))
-                texts = [str(a.get("text", "")) for a in qa.get("answers", []) or []]
+                answers = _objects(qa.get("answers"), f"{where}[{q}].answers")
+                texts = [str(answer.get("text", "")) for answer in answers]
                 texts = [t for t in texts if t.strip()]
                 if not texts:
                     errors.append(IngestIssue(qa_id, "every answer is empty"))
@@ -377,28 +406,6 @@ def digit_tokenize(text: str) -> list[str]:
     alternative covers both.
     """
     return _TOKEN.findall(text)
-
-
-_NUMBER_PIECE = re.compile(r"\d|\.")  # same \d as the tokenizer (Nd only;
-                                      # str.isdigit would also claim e.g. '²')
-
-
-def _is_number_piece(token: str) -> bool:
-    return len(token) == 1 and _NUMBER_PIECE.fullmatch(token) is not None
-
-
-def digit_detokenize(tokens: Sequence[str]) -> str:
-    """Rebuild text from digit tokens: single spaces between words, none
-    between the digit/point pieces of one number."""
-    out: list[str] = []
-    prev_numeric = False
-    for token in tokens:
-        numeric = _is_number_piece(token)
-        if out and not (numeric and prev_numeric):
-            out.append(" ")
-        out.append(token)
-        prev_numeric = numeric
-    return "".join(out)
 
 
 def count_tokens(text: str) -> int:
@@ -450,16 +457,6 @@ def audit_truncation(
 # JSONL record stream
 # ---------------------------------------------------------------------------
 
-def example_to_json(example: Example) -> dict:
-    return {
-        "input": example.input,
-        "target": example.target,
-        "task": example.task.value,
-        "answer_type": example.answer_type.value,
-        "source_id": example.source_id,
-    }
-
-
 def example_from_json(obj: dict) -> Example:
     if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
         raise ValidationError(f"expected exactly the fields {EXAMPLE_FIELDS}")
@@ -476,19 +473,19 @@ def example_from_json(obj: dict) -> Example:
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_examples(examples: Iterable[Example], sink, meta: dict | None = None) -> int:
-    """Write examples as UTF-8 JSONL (fixed key order, \\n-terminated).
+def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
+    """Write each record's ``to_json()`` as one UTF-8 JSONL line (\\n-terminated).
 
-    ``sink`` is a binary stream. When ``meta`` is given it is written
-    first as a ``{"meta": ...}`` record; readers skip it. Returns the
-    number of example records written.
+    Records are :class:`Example` objects (fixed key order) or a generator's
+    raw rows. ``sink`` is a binary stream. When ``meta`` is given it is
+    written first as a ``{"meta": ...}`` record; readers skip it. Returns
+    the number of records written, not counting the meta record.
     """
     count = 0
     if meta is not None:
         sink.write(_encode_line({"meta": meta}).encode("utf-8") + b"\n")
-    for example in examples:
-        line = _encode_line(example_to_json(example))
-        sink.write(line.encode("utf-8") + b"\n")
+    for record in records:
+        sink.write(_encode_line(record.to_json()).encode("utf-8") + b"\n")
         count += 1
     return count
 
@@ -497,13 +494,16 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
     """Yield ``(byte offset, line number, value)`` for each non-blank line
     of a binary JSONL stream, skipping a leading ``{"meta": ...}`` record.
 
-    A line that is not valid JSON raises :class:`ParseError` naming it.
+    A line that is not UTF-8 or not valid JSON raises :class:`ParseError` naming it.
     """
     offset = 0
     for lineno, raw in enumerate(source, start=1):
         start = offset
         offset += len(raw)
-        text = raw.decode("utf-8")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason}", offset=start + exc.start, line=lineno) from None
         if not text.strip():
             continue
         try:
@@ -533,15 +533,10 @@ def iter_examples(source) -> Iterator[tuple[int, Example]]:
             raise ValidationError(f"line {lineno}: {exc}") from None
 
 
-def read_examples(source) -> list[Example]:
-    """Read every record of a JSONL stream; see :func:`iter_examples`."""
-    return [example for _, example in iter_examples(source)]
-
-
 class IndexedExamples(Sequence):
     """The records of an open binary JSONL file, re-read on each access.
 
-    Building it validates every line once, as :func:`read_examples` does,
+    Building it validates every line once, as :func:`iter_examples` does,
     but keeps only an 8-byte line offset per record, so memory does not
     grow with the records' text. The caller owns and closes ``handle``.
     """
@@ -556,20 +551,3 @@ class IndexedExamples(Sequence):
     def __getitem__(self, index: int) -> Example:
         self._handle.seek(self._offsets[index])
         return example_from_json(json.loads(self._handle.readline().decode("utf-8")))
-
-
-def read_meta(source) -> dict | None:
-    """Return the leading ``{"meta": ...}`` record of a JSONL file, if any."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            return read_meta(handle)
-    first = source.readline()
-    if isinstance(first, bytes):
-        first = first.decode("utf-8")
-    try:
-        obj = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and set(obj) == {"meta"}:
-        return obj["meta"]
-    return None

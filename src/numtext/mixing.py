@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,10 +33,10 @@ class DatasetStat:
     cap: float | None = None
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError(f"dataset {self.name!r}: length must be >= 1")
         if not 0 < self.scale < math.inf:
             raise ConfigError(f"dataset {self.name!r}: scale must be a finite number > 0")
+        if not 1 <= self.length <= sys.float_info.max / self.scale:
+            raise ConfigError(f"dataset {self.name!r}: length must be >= 1 and length * scale finite")
         if self.cap is not None and not 0 < self.cap < math.inf:
             raise ConfigError(f"dataset {self.name!r}: cap must be a finite number > 0")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import load_json
@@ -23,20 +22,21 @@ NUM = "NUM"
 TXT = "TXT"
 SQUAD = "SQuAD"
 
-KNOWN_DATASETS = (DROP, DROP_CLASS, NUM, TXT, SQUAD)
-
 
 @dataclass(frozen=True)
 class StageSpec:
+    """One stage; ``validation`` defaults (``None``) to the stage's datasets."""
+
     name: str
     datasets: tuple[str, ...]
-    validation: tuple[str, ...]
+    validation: tuple[str, ...] | None = None
     temperature: float = 1.0
     mode: EpochMode = EpochMode.COVER_ALL
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "validation", tuple(self.validation))
+        validation = self.datasets if self.validation is None else self.validation
+        object.__setattr__(self, "validation", tuple(validation))
         object.__setattr__(self, "mode", EpochMode(self.mode))
         if not self.datasets:
             raise ConfigError(f"stage {self.name!r} has no datasets")
@@ -73,16 +73,6 @@ class PipelineSpec:
         return {"name": self.name, "stages": [stage.to_json() for stage in self.stages]}
 
 
-def _stage(name, datasets, validation=None, temperature=1.0, mode=EpochMode.COVER_ALL):
-    return StageSpec(
-        name=name,
-        datasets=tuple(datasets),
-        validation=tuple(validation if validation is not None else datasets),
-        temperature=temperature,
-        mode=mode,
-    )
-
-
 def builtin_pipelines() -> tuple[PipelineSpec, ...]:
     """The five built-in experiment pipelines.
 
@@ -96,62 +86,61 @@ def builtin_pipelines() -> tuple[PipelineSpec, ...]:
     validation_1 = PipelineSpec(
         "validation-1",
         (
-            _stage("pretrain-num", (DROP, NUM), (DROP,)),
-            _stage("pretrain-txt", (DROP, TXT), (DROP,)),
-            _stage("finetune-class", (DROP, DROP_CLASS)),
-            _stage("finetune-drop", (DROP,)),
+            StageSpec("pretrain-num", (DROP, NUM), (DROP,)),
+            StageSpec("pretrain-txt", (DROP, TXT), (DROP,)),
+            StageSpec("finetune-class", (DROP, DROP_CLASS)),
+            StageSpec("finetune-drop", (DROP,)),
         ),
     )
     validation_2 = PipelineSpec(
         "validation-2",
         (
-            _stage("pretrain-num", (DROP, NUM), (NUM,)),
-            _stage("pretrain-txt", (DROP, TXT), (TXT,)),
-            _stage("finetune-class", (DROP, DROP_CLASS)),
-            _stage("finetune-drop", (DROP,)),
+            StageSpec("pretrain-num", (DROP, NUM), (NUM,)),
+            StageSpec("pretrain-txt", (DROP, TXT), (TXT,)),
+            StageSpec("finetune-class", (DROP, DROP_CLASS)),
+            StageSpec("finetune-drop", (DROP,)),
         ),
     )
     rc_1 = PipelineSpec(
         "rc-1",
         (
-            _stage("pretrain-squad", (DROP, SQUAD)),
-            _stage("finetune-class", (DROP, DROP_CLASS)),
-            _stage("finetune-drop", (DROP,)),
+            StageSpec("pretrain-squad", (DROP, SQUAD)),
+            StageSpec("finetune-class", (DROP, DROP_CLASS)),
+            StageSpec("finetune-drop", (DROP,)),
         ),
     )
     rc_2 = PipelineSpec(
         "rc-2",
         (
-            _stage("finetune-squad-class", (DROP, DROP_CLASS, SQUAD)),
-            _stage("finetune-drop", (DROP,)),
+            StageSpec("finetune-squad-class", (DROP, DROP_CLASS, SQUAD)),
+            StageSpec("finetune-drop", (DROP,)),
         ),
     )
     multitask = PipelineSpec(
         "multitask",
         (
-            _stage(
+            StageSpec(
                 "pretrain-all",
                 (DROP, TXT, NUM, SQUAD),
                 (DROP,),
                 temperature=10.0,
                 mode=EpochMode.DROP_EXCEPTION,
             ),
-            _stage("finetune-class", (DROP, DROP_CLASS)),
-            _stage("finetune-drop", (DROP,)),
+            StageSpec("finetune-class", (DROP, DROP_CLASS)),
+            StageSpec("finetune-drop", (DROP,)),
         ),
     )
     return (validation_1, validation_2, rc_1, rc_2, multitask)
 
 
-def load_pipeline_spec(source) -> PipelineSpec:
-    """Load a pipeline spec from a JSON file/dict mirroring PipelineSpec.
+def load_pipeline_spec(path) -> PipelineSpec:
+    """Load a pipeline spec from a JSON file mirroring PipelineSpec.
 
     Stage fields ``validation`` (default: the stage's datasets),
     ``temperature`` (default 1.0) and ``mode`` (default cover_all_epoch)
     are optional.
     """
-    if isinstance(source, (str, Path)):
-        source = load_json(source)
+    source = load_json(path)
     if not isinstance(source, dict) or "name" not in source or not isinstance(source.get("stages"), list):
         raise ConfigError("pipeline spec needs 'name' and a 'stages' list")
     if not isinstance(source["name"], str):
@@ -177,7 +166,7 @@ def _stage_from_json(index: int, raw) -> StageSpec:
     except ValueError:
         known = ", ".join(mode.value for mode in EpochMode)
         raise ConfigError(f"pipeline stage {index}: unknown 'mode' {raw['mode']!r}; modes are {known}") from None
-    return _stage(raw["name"], raw["datasets"], raw.get("validation"), temperature, mode)
+    return StageSpec(raw["name"], raw["datasets"], raw.get("validation"), temperature, mode)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ within an epoch and continuous at the seam.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
 
@@ -33,13 +33,6 @@ class LrConfig:
             raise ConfigError("decay_rate must be a finite number >= 0")
         if not 0 < self.warmup_fraction < 1:
             raise ConfigError("warmup_fraction must be in (0, 1)")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LrConfig":
-        return cls(**obj)
 
 
 class LrSchedule:
@@ -69,21 +62,21 @@ class LrSchedule:
 
 
 def emit_table(schedule: LrSchedule, sink, meta: str | None = None) -> int:
-    """Write the schedule as CSV to a text stream: every warmup batch, then each epoch start.
+    """Write the schedule as UTF-8 CSV to a binary stream: every warmup batch, then each epoch start.
 
     Rates are printed with 17 significant digits so the file is bit-stable.
     Returns the number of data rows written.
     """
     cfg = schedule.config
     if meta is not None:
-        sink.write(f"# {meta}\n")
-    sink.write("global_batch,epoch,lr\n")
+        sink.write(f"# {meta}\n".encode("utf-8"))
+    sink.write(b"global_batch,epoch,lr\n")
     rows = 0
     for batch in range(schedule.warmup_batches):
-        sink.write(f"{batch},{schedule.epoch_of(batch)},{schedule.lr_at(batch):.17g}\n")
+        sink.write(f"{batch},{schedule.epoch_of(batch)},{schedule.lr_at(batch):.17g}\n".encode("utf-8"))
         rows += 1
     for epoch in range(schedule.warmup_epochs, cfg.total_epochs):
         batch = epoch * cfg.batches_per_epoch
-        sink.write(f"{batch},{epoch},{schedule.lr_at(batch):.17g}\n")
+        sink.write(f"{batch},{epoch},{schedule.lr_at(batch):.17g}\n".encode("utf-8"))
         rows += 1
     return rows

@@ -19,8 +19,8 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AnswerType, DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type
-from .errors import ValidationError
+from .corpus import AnswerType, DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
+from .errors import ConfigError, ValidationError
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b", re.UNICODE)
 _PUNCTUATION = set(string.punctuation)
@@ -62,24 +62,9 @@ def answer_bags(spans: Sequence[str]) -> tuple[list[str], list[frozenset[str]]]:
     return normalized, [frozenset(text.split()) for text in normalized]
 
 
-def normalize(text: str, span_delimiter: str = SPAN_DELIMITER) -> list[frozenset[str]]:
-    """Token bags for an answer string, split into spans at the delimiter."""
-    return answer_bags(split_prediction(text, span_delimiter))[1]
-
-
 def split_prediction(text: str, span_delimiter: str = SPAN_DELIMITER) -> list[str]:
     """A predicted string is one span unless the delimiter appears."""
     return text.split(span_delimiter) if span_delimiter in text else [text]
-
-
-def gold_answer_spans(gold: GoldAnswer) -> tuple[str, ...]:
-    """Gold answer as its span strings (dates render as 'DD month YYYY')."""
-    kind = derive_answer_type(gold)
-    if kind is AnswerType.NUMBER:
-        return (gold.number.strip(),)
-    if kind is AnswerType.DATE:
-        return (gold.date.to_text(),)
-    return tuple(s for s in gold.spans if s.strip())
 
 
 def _numbers_in(bag: frozenset[str]) -> frozenset[str]:
@@ -240,8 +225,11 @@ def build_report(
     """Macro-averaged EM/F1 overall and per answer type (type of first gold).
 
     Records without a prediction score 0; prediction ids that match no
-    record raise :class:`ValidationError` listing them.
+    record raise :class:`ValidationError` listing them. An empty
+    ``span_delimiter`` raises :class:`ConfigError`.
     """
+    if not span_delimiter:
+        raise ConfigError("the span delimiter must be non-empty")
     records = list(records)
     known = {record.query_id for record in records}
     unknown = sorted(set(predictions) - known)

@@ -86,9 +86,6 @@ class WorldState:
             value += held.get(entity, Decimal(0))
         return value
 
-    def copy(self) -> "WorldState":
-        return WorldState({name: dict(held) for name, held in self.containers.items()})
-
     def _set(self, container: str, entity: str, value: Decimal) -> None:
         self.containers.setdefault(container, {})[entity] = value
 
@@ -110,14 +107,6 @@ class WorldState:
             self._set(event.container, event.entity, held - event.quantity)
             if event.verb is VerbClass.TRANSFER:
                 self._set(event.target, event.entity, self.count(event.target, event.entity) + event.quantity)
-
-
-def simulate(events, initial: WorldState | None = None) -> WorldState:
-    """The state after ``events``, applied to a copy of ``initial`` (or an empty state)."""
-    state = initial.copy() if initial is not None else WorldState()
-    for event in events:
-        state.apply(event)
-    return state
 
 
 @dataclass(frozen=True)

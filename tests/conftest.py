@@ -1,6 +1,32 @@
 import json
+from pathlib import Path
 
 import pytest
+
+from numtext.corpus import CONTEXT_MARKER, TaskTag, iter_examples
+
+
+def read_examples(source):
+    """Every example of a JSONL file or binary stream, validated by iter_examples."""
+    return [example for _, example in iter_examples(source)]
+
+
+def read_meta(path):
+    """The leading {"meta": ...} record of a JSONL file, or None."""
+    first = Path(path).read_bytes().split(b"\n", 1)[0]
+    try:
+        obj = json.loads(first)
+    except json.JSONDecodeError:
+        return None
+    return obj["meta"] if isinstance(obj, dict) and set(obj) == {"meta"} else None
+
+
+def parse_input(text):
+    """Inverse of format_input: (task, question, context or None)."""
+    prefix, _, body = text.partition(": ")
+    question, sep, context = body.partition(CONTEXT_MARKER)
+    return TaskTag(prefix), question, context if sep else None
+
 
 MING_RUI_PASSAGE = (
     "In March 1768, Ming Rui began his retreat, pursued by a Burmese army "

@@ -32,7 +32,7 @@ from numtext.numgen import NumGenConfig, eval_expr, generate_num
 from numtext.pipelines import builtin_pipelines, expand
 from numtext.schedule import LrConfig, LrSchedule
 from numtext.scoring import score_pair, score_record
-from numtext.txtgen import Event, VerbClass, WorldState, generate_txt, simulate
+from numtext.txtgen import Event, VerbClass, WorldState, generate_txt
 
 from conftest import typed_drop_file
 from oracles import bf_score, oracle_eval, resimulate
@@ -121,12 +121,9 @@ def test_c4_txt_generator():
         rng = random.Random(99)
         containers = ("A", "B", "C")
         for _ in range(1_000):
-            state = simulate(
-                [
-                    Event(VerbClass.OBSERVE, name, "e", Decimal(rng.randint(0, 50)))
-                    for name in containers
-                ]
-            )
+            state = WorldState()
+            for name in containers:
+                state.apply(Event(VerbClass.OBSERVE, name, "e", Decimal(rng.randint(0, 50))))
             expected_total = state.total("e")
             for _ in range(rng.randint(1, 8)):
                 source = rng.choice(containers)

@@ -7,10 +7,10 @@ import pytest
 
 from numtext import numgen
 from numtext.cli import run
-from numtext.corpus import TaskTag, read_examples, read_meta
+from numtext.corpus import TaskTag
 from numtext.decimals import MAX_FRAC_DIGITS
 
-from conftest import build_drop_file, drop_answer, drop_qa
+from conftest import build_drop_file, drop_answer, drop_qa, read_examples, read_meta
 
 
 def _read_json_file(path):
@@ -311,6 +311,32 @@ def test_vocabulary_content_goes_into_the_config_hash(tmp_path, monkeypatch):
     assert len(set(hashes.values())) == 3
 
 
+def test_config_that_records_a_vocabulary_needs_that_vocabulary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    vocab = {
+        "containers": ["Ann", "Bo"],
+        "entities": ["figs", "nuts"],
+        "sentence_templates": {verb: ["{container} met {qty} {entity}."] for verb in ("observe", "gain", "lose")},
+        "question_templates": {kind: ["How many {entity}?"] for kind in ("how_many", "how_many_more", "total")},
+    }
+    vocab["sentence_templates"]["transfer"] = ["{container} gave {qty} {entity} to {target}."]
+    (tmp_path / "v.json").write_text(json.dumps(vocab), encoding="utf-8")
+    (tmp_path / "w.json").write_text(json.dumps({**vocab, "entities": ["figs", "plums"]}), encoding="utf-8")
+    argv = ["gen-txt", "--count", "3", "--seed", "2"]
+    assert run(argv + ["--vocab", "v.json", "--out", "a.jsonl", "--dump-config", "a.cfg"]) == 0
+    capsys.readouterr()
+
+    assert run(["gen-txt", "--config", "a.cfg", "--out", "missing.jsonl"]) == 1
+    assert run(["gen-txt", "--config", "a.cfg", "--vocab", "w.json", "--out", "other.jsonl"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: --config records vocab_sha256 ") for line in err)
+    assert err[0].endswith("give that vocabulary with --vocab") and err[1].endswith("--vocab is not that vocabulary")
+    assert not (tmp_path / "missing.jsonl").exists() and not (tmp_path / "other.jsonl").exists()
+
+    assert run(["gen-txt", "--config", "a.cfg", "--vocab", "v.json", "--out", "same.jsonl"]) == 0
+    assert (tmp_path / "same.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
 def test_pipeline_list(capsys):
     assert run(["pipeline", "--list"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -389,7 +415,17 @@ _BAD_INPUT_FILES = {
     "stats.json": '[{"name": "a", "length": 5}]',
     "stats-no-name.json": '[{"length": 5}]',
     "stats-nan-scale.json": '[{"name": "a", "length": 5, "scale": NaN}]',
+    "stats-list-name.json": '[{"name": ["a"], "length": 5}]',
+    "stats-huge-length.json": '[{"name": "a", "length": 1' + "0" * 400 + '}]',
+    "cfg-list-count.json": '{"count": [3]}',
+    "cfg-nan-count.json": '{"count": NaN}',
     "drop-bad-qa.json": '{"p": {"passage": "x", "qa_pairs": [3]}}',
+    "drop-number-answer.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": 5}]}}',
+    "drop-text-date.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"date": "x"}}]}}',
+    "drop-number-validated.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "validated_answers": [5]}]}}',
+    "drop-text-spans.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"spans": "abc"}}]}}',
+    "squad-number-article.json": '{"data": [5]}',
+    "squad-number-answer.json": '{"data": [{"paragraphs": [{"context": "c", "qas": [{"question": "q", "answers": [5]}]}]}]}',
     "spec-no-datasets.json": '{"name": "x", "stages": [{"name": "s"}]}',
     "spec-nan-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": NaN}]}',
     "spec-text-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": "x"}]}',
@@ -402,6 +438,7 @@ _BAD_INPUT_FILES = {
     "vocab-malformed.json": '{"containers": [',
     "vocab-number-containers.json": '{"containers": 5, "entities": ["a", "b"]}',
     "gold.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
+    "pred.jsonl": '{"id": "q1", "prediction": "1"}\n',
     "pred-number.jsonl": '5\n',
     "pred-null.jsonl": 'null\n',
     "pred-list.jsonl": '[1]\n',
@@ -433,10 +470,23 @@ _BAD_INPUT_FILES = {
         ),
         pytest.param(["mix", "--stats", "stats-no-name.json"], id="stats-row-without-name"),
         pytest.param(["mix", "--stats", "stats-nan-scale.json"], id="stats-nan-scale"),
+        pytest.param(["mix", "--stats", "stats-list-name.json"], id="stats-list-name"),
+        pytest.param(["mix", "--stats", "stats-huge-length.json"], id="stats-huge-length"),
+        pytest.param(["gen-num", "--config", "cfg-list-count.json", "--out", "o.jsonl"], id="config-list-count"),
+        pytest.param(["gen-num", "--config", "cfg-nan-count.json", "--out", "o.jsonl"], id="config-nan-count"),
+        pytest.param(["gen-num", "--count", "3", "--config", "\x00", "--out", "o.jsonl"], id="nul-argument"),
         pytest.param(["mix", "--stats", "stats.json", "-T", "nan"], id="mix-T-nan"),
         pytest.param(["mix", "--stats", "stats.json", "-T", "inf"], id="mix-T-inf"),
         pytest.param(["audit", "--in", "o.jsonl", "--encoder-max", "abc"], id="audit-encoder-max-abc"),
         pytest.param(["ingest", "--format", "drop", "--in", "drop-bad-qa.json", "--out", "o.jsonl"], id="drop-qa-not-object"),
+        *(
+            pytest.param(["ingest", "--format", "drop", "--in", f"drop-{case}.json", "--out", "o.jsonl"], id=f"drop-{case}")
+            for case in ("number-answer", "text-date", "number-validated", "text-spans")
+        ),
+        *(
+            pytest.param(["ingest", "--format", "squad", "--in", f"squad-{case}.json", "--out", "o.jsonl"], id=f"squad-{case}")
+            for case in ("number-article", "number-answer")
+        ),
         pytest.param(
             ["pipeline", "--spec", "spec-no-datasets.json", "--stats", "stats.json", "--batch-size", "2"],
             id="stage-without-datasets",
@@ -468,6 +518,7 @@ _BAD_INPUT_FILES = {
             pytest.param(["score", "--gold", "gold.json", "--pred", f"pred-{case}.jsonl"], id=f"pred-{case}")
             for case in ("number", "null", "list")
         ),
+        pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--delimiter", ""], id="score-empty-delimiter"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,24 +16,29 @@ from numtext.corpus import (
     audit_truncation,
     count_tokens,
     derive_answer_type,
-    digit_detokenize,
     digit_tokenize,
-    example_to_json,
     format_input,
     ingest_drop,
     ingest_squad,
     iter_examples,
+    iter_jsonl,
     make_classification_example,
     make_drop_example,
     make_squad_example,
-    parse_input,
-    read_examples,
-    read_meta,
     write_examples,
 )
 from numtext.errors import ParseError, ValidationError
 
-from conftest import MING_RUI_PASSAGE, MING_RUI_QUESTION, build_drop_file, drop_answer, drop_qa
+from conftest import (
+    MING_RUI_PASSAGE,
+    MING_RUI_QUESTION,
+    build_drop_file,
+    drop_answer,
+    drop_qa,
+    parse_input,
+    read_examples,
+    read_meta,
+)
 from oracles import oracle_tokenize
 
 
@@ -196,6 +202,36 @@ def test_ingest_drop_tallies_empty_answers():
     assert result.errors[0].question_id == "bad-2"
 
 
+@pytest.mark.parametrize(
+    "qa, place",
+    [
+        ({"question": "q", "answer": 5}, "passage 'p': qa_pairs[0].answer is not an object"),
+        ({"question": "q", "answer": {"date": "x"}}, "qa_pairs[0].answer: 'date' is not an object"),
+        ({"question": "q", "answer": {"spans": "abc"}}, "qa_pairs[0].answer: 'spans' is not a list"),
+        ({"question": "q", "validated_answers": [{}, 5]}, "qa_pairs[0].validated_answers[1] is not an object"),
+        ({"question": "q", "validated_answers": 5}, "qa_pairs[0].validated_answers is not a list"),
+    ],
+    ids=["number-answer", "text-date", "text-spans", "number-validated-entry", "number-validated"],
+)
+def test_ingest_drop_wrong_json_type_names_its_place(qa, place):
+    with pytest.raises(ParseError, match=re.escape(place)):
+        ingest_drop(io.BytesIO(json.dumps({"p": {"passage": "x", "qa_pairs": [qa]}}).encode()))
+
+
+@pytest.mark.parametrize(
+    "data, place",
+    [
+        ([5], "data[0] is not an object"),
+        ([{"paragraphs": 5}], "data[0].paragraphs is not a list"),
+        ([{"paragraphs": [{"qas": [{"answers": [{}, 5]}]}]}], "data[0].paragraphs[0].qas[0].answers[1] is not an object"),
+    ],
+    ids=["number-article", "number-paragraphs", "number-answer"],
+)
+def test_ingest_squad_wrong_json_type_names_its_place(data, place):
+    with pytest.raises(ParseError, match=re.escape(place)):
+        ingest_squad(io.BytesIO(json.dumps({"data": data}).encode()))
+
+
 def test_ingest_squad(squad_file):
     result = ingest_squad(squad_file)
     assert len(result.records) == 2 and not result.errors
@@ -221,39 +257,6 @@ def test_digit_tokenize_plain_word():
 
 def test_digit_tokenize_mixed():
     assert digit_tokenize("pay 51.4 now") == ["pay", "5", "1", ".", "4", "now"]
-    assert digit_detokenize(["pay", "5", "1", ".", "4", "now"]) == "pay 51.4 now"
-
-
-_word = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs", "Nd"),
-        blacklist_characters="0123456789.",
-    ),
-    min_size=1,
-    max_size=8,
-)
-_number = st.one_of(
-    st.integers(0, 10**6).map(str),
-    st.tuples(st.integers(0, 10**6), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
-)
-
-
-@given(st.lists(st.tuples(_word, _number), min_size=1, max_size=6))
-def test_digit_round_trip_on_canonical_text(pairs):
-    # Canonical inputs: words and numbers separated by single spaces, with no
-    # two numbers adjacent (the flat token format cannot distinguish "1 0"
-    # from "10", so adjacency is the one genuinely ambiguous arrangement).
-    words = []
-    for word, number in pairs:
-        words += [word, number]
-    text = " ".join(words)
-    assert digit_detokenize(digit_tokenize(text)) == text
-
-
-@given(st.text(max_size=60))
-def test_digit_tokenize_idempotent_on_any_text(text):
-    tokens = digit_tokenize(text)
-    assert digit_tokenize(digit_detokenize(tokens)) == tokens
 
 
 _TOKENIZER_PIECES = st.sampled_from(
@@ -375,16 +378,18 @@ def test_read_reports_corrupted_line_number():
         read_examples(io.BytesIO(b"\n".join(lines) + b"\n"))
 
 
-def test_read_skips_meta_line_and_read_meta_returns_it():
+def test_read_skips_meta_line_and_read_meta_returns_it(tmp_path):
     sink = io.BytesIO()
     write_examples(_some_examples(3), sink, meta={"seed": 9})
     data = sink.getvalue()
     assert len(read_examples(io.BytesIO(data))) == 3
-    assert read_meta(io.BytesIO(data)) == {"seed": 9}
+    path = tmp_path / "ex.jsonl"
+    path.write_bytes(data)
+    assert read_meta(path) == {"seed": 9}
 
 
 def test_example_json_fields_are_strings():
-    row = example_to_json(_some_examples(1)[0])
+    row = _some_examples(1)[0].to_json()
     assert all(isinstance(v, str) for v in row.values())
 
 
@@ -408,6 +413,11 @@ def test_indexed_examples_match_read_examples(tmp_path):
         assert len(indexed) == 25
         assert [indexed[i] for i in (24, 0, 7, 7)] == [_some_examples(25)[i] for i in (24, 0, 7, 7)]
         assert list(indexed) == read_examples(path)
+
+
+def test_read_reports_a_line_that_is_not_utf8():
+    with pytest.raises(ParseError, match=r"not UTF-8.*\(byte offset 3\) \(line 2\)"):
+        list(iter_jsonl(io.BytesIO(b'{}\n\xff{}\n')))
 
 
 def test_indexed_examples_validate_every_line_up_front():

@@ -5,7 +5,6 @@ import pytest
 from numtext.errors import ConfigError, ValidationError
 from numtext.mixing import DatasetStat, EpochMode
 from numtext.pipelines import (
-    KNOWN_DATASETS,
     PipelineSpec,
     StageSpec,
     builtin_pipelines,
@@ -58,7 +57,7 @@ def test_validation_variants_differ_only_in_validation_sets():
 def test_every_builtin_references_known_datasets():
     for spec in builtin_pipelines():
         for stage in spec.stages:
-            assert set(stage.datasets) <= set(KNOWN_DATASETS)
+            assert set(stage.datasets) <= set(STATS)
             assert set(stage.validation) <= set(stage.datasets)
             assert stage.temperature > 0
 

@@ -103,39 +103,39 @@ def test_seam_continuity_property(total_epochs, batches_per_epoch, fraction):
 
 
 def test_table_row_counts():
-    rows = emit_table(_schedule(), io.StringIO())
+    rows = emit_table(_schedule(), io.BytesIO())
     assert rows == 100 + 9  # all warmup batches + epochs 1..9
 
 
 def test_table_all_warmup_for_single_epoch():
-    out = io.StringIO()
+    out = io.BytesIO()
     rows = emit_table(_schedule(total_epochs=1, batches_per_epoch=7), out)
     assert rows == 7
-    lines = out.getvalue().strip().splitlines()
+    lines = out.getvalue().decode("utf-8").strip().splitlines()
     assert lines[0] == "global_batch,epoch,lr"
     assert len(lines) == 8
 
 
 def test_table_zero_decay_is_flat():
-    out = io.StringIO()
+    out = io.BytesIO()
     emit_table(_schedule(decay_rate=0.0), out)
-    data_rows = out.getvalue().strip().splitlines()[1:]
+    data_rows = out.getvalue().decode("utf-8").strip().splitlines()[1:]
     post = [row for row in data_rows if int(row.split(",")[0]) >= 100]
     assert len(post) == 9
     assert all(float(row.split(",")[2]) == 1e-4 for row in post)
 
 
 def test_table_first_row_lr():
-    out = io.StringIO()
+    out = io.BytesIO()
     emit_table(_schedule(), out)
-    first = out.getvalue().splitlines()[1]
+    first = out.getvalue().decode("utf-8").splitlines()[1]
     batch, epoch, rate = first.split(",")
     assert (batch, epoch) == ("0", "0")
     assert float(rate) == 1e-8  # 17 significant digits round-trip exactly
 
 
 def test_table_bytes_stable():
-    a, b = io.StringIO(), io.StringIO()
+    a, b = io.BytesIO(), io.BytesIO()
     emit_table(_schedule(), a, meta="run 1")
     emit_table(_schedule(), b, meta="run 1")
     assert a.getvalue() == b.getvalue()

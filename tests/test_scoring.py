@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from numtext.corpus import DateParts, DropRecord, GoldAnswer
+from numtext.corpus import DateParts, DropRecord, GoldAnswer, gold_answer_spans
 from numtext.errors import ValidationError
 from numtext.scoring import (
+    answer_bags,
     build_report,
-    gold_answer_spans,
-    normalize,
     normalize_span,
     score_pair,
     score_record,
@@ -42,7 +41,7 @@ def _record(golds, query_id="q"):
 # ---------------------------------------------------------------------------
 
 def test_normalize_strips_articles_and_punctuation():
-    bags = normalize("The Untitled (1981) painting")
+    _, bags = answer_bags(split_prediction("The Untitled (1981) painting"))
     assert bags == [frozenset({"untitled", "1981", "painting"})]
 
 
@@ -53,7 +52,7 @@ def test_normalize_number_value_equality():
 
 
 def test_normalize_empty():
-    assert normalize("") == [frozenset()]
+    assert answer_bags(split_prediction("")) == ([""], [frozenset()])
     assert normalize_span("the a an") == ""
 
 

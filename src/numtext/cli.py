@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -42,6 +43,7 @@ from .numgen import NumGenConfig, TemplateFamily, ValueRange, generate_num, num_
 from .pipelines import builtin_pipelines, expand, load_pipeline_spec
 from .schedule import LrConfig, LrSchedule, emit_table
 from .scoring import build_report
+from .shard import write_blocks
 from .txtgen import DEFAULT_VOCAB, TxtGenConfig, Vocabulary, generate_txt, txt_to_example
 
 #: Per command, the flags its effective config records, in --dump-config
@@ -108,11 +110,18 @@ def _command_config(args: argparse.Namespace, **extra) -> dict:
     return config
 
 
-def _write_generated(args: argparse.Namespace, config: dict, items, to_example) -> int:
-    """Stream generated items to --out as tagged examples or, with --emit raw, as their own rows."""
-    records = items if args.emit == "raw" else map(to_example, items)
+def _write_generated(args: argparse.Namespace, config: dict, generate, to_example) -> int:
+    """Write items 0..--count-1 of ``generate(count, start=...)`` to --out, block by block on the
+    usable CPUs (see shard), as tagged examples or, with --emit raw, as their own rows."""
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")  # before the meta record is written
+
+    def records(start, stop):
+        items = generate(stop - start, start=start)
+        return items if args.emit == "raw" else map(to_example, items)
+
     with atomic_output(args.out) as sink:
-        write_examples(records, sink, meta=_meta(config, seed=int(args.seed)))
+        write_blocks(records, args.count, sink, meta=_meta(config, seed=int(args.seed)))
     return 0
 
 
@@ -142,8 +151,8 @@ def cmd_gen_num(args) -> int:
         ),
         family_weights=weights,
     )
-    examples = generate_num(int(args.count), gen_config, int(args.seed))
-    return _write_generated(args, config, examples, num_to_example)
+    generate = partial(generate_num, config=gen_config, seed=int(args.seed))
+    return _write_generated(args, config, generate, num_to_example)
 
 
 def cmd_gen_txt(args) -> int:
@@ -166,8 +175,8 @@ def cmd_gen_txt(args) -> int:
         max_quantity=int(args.max_quantity),
         frac_digits=int(args.frac_digits),
     )
-    examples = generate_txt(int(args.count), gen_config, int(args.seed))
-    return _write_generated(args, config, examples, txt_to_example)
+    generate = partial(generate_txt, config=gen_config, seed=int(args.seed))
+    return _write_generated(args, config, generate, txt_to_example)
 
 
 def cmd_ingest(args) -> int:
@@ -199,10 +208,10 @@ def _load_stats(path: str) -> list[DatasetStat]:
     stats = []
     for index, row in enumerate(rows):
         try:
-            name, length = row["name"], int(row["length"])
+            name, length = row["name"], row["length"]
             scale = float(row.get("scale", 1.0))
             cap = float(row["cap"]) if row.get("cap") is not None else None
-            if not isinstance(name, str):
+            if not isinstance(name, str) or not isinstance(length, int) or isinstance(length, bool):
                 raise TypeError
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError(

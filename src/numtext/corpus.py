@@ -291,25 +291,34 @@ def _objects(value, where: str) -> list:
     return value
 
 
+def _text(value, where: str, field: str, null: str | None = None) -> str:
+    """``value`` if it is a string, ``null`` for JSON null where that is
+    given; any other value raises ParseError naming ``where`` and ``field``
+    (joined only then, as ingestion calls this for every field)."""
+    if isinstance(value, str):
+        return value
+    if value is None and null is not None:
+        return null
+    raise ParseError(f"{where}{field} is not a string")
+
+
 def _gold_from_json(raw, where: str) -> GoldAnswer:
     if not isinstance(raw, dict):
         raise ParseError(f"{where} is not an object")
-    number = raw.get("number", "")
-    if number is None:
-        number = ""
     date_raw = raw.get("date") or {}
     spans = raw.get("spans", []) or []
     if not isinstance(date_raw, dict):
         raise ParseError(f"{where}: 'date' is not an object")
     if not isinstance(spans, list):
         raise ParseError(f"{where}: 'spans' is not a list")
+    # A null number or date part is empty, as an absent one is.
     return GoldAnswer(
-        number=str(number),
-        spans=tuple(str(s) for s in spans),
+        number=_text(raw.get("number"), where, ": 'number'", null=""),
+        spans=tuple(_text(span, where, ": a 'spans' entry") for span in spans),
         date=DateParts(
-            day=str(date_raw.get("day", "") or ""),
-            month=str(date_raw.get("month", "") or ""),
-            year=str(date_raw.get("year", "") or ""),
+            day=_text(date_raw.get("day"), where, ": 'date.day'", null=""),
+            month=_text(date_raw.get("month"), where, ": 'date.month'", null=""),
+            year=_text(date_raw.get("year"), where, ": 'date.year'", null=""),
         ),
     )
 
@@ -330,15 +339,15 @@ def ingest_drop(source) -> IngestResult:
     for passage_id, block in data.items():
         if not isinstance(block, dict) or "passage" not in block:
             raise ParseError(f"passage block {passage_id!r} missing 'passage'")
-        passage = str(block["passage"])
+        passage = _text(block["passage"], f"passage {passage_id!r}", ": 'passage'")
         where = f"passage {passage_id!r}: qa_pairs"
         for index, qa in enumerate(_objects(block.get("qa_pairs"), where)):
-            query_id = str(qa.get("query_id") or f"{passage_id}.{index}")
-            golds = [_gold_from_json(qa.get("answer", {}) or {}, f"{where}[{index}].answer")]
-            validated = _objects(qa.get("validated_answers"), f"{where}[{index}].validated_answers")
-            golds.extend(
-                _gold_from_json(v, f"{where}[{index}].validated_answers[{j}]") for j, v in enumerate(validated)
-            )
+            at = f"{where}[{index}]"
+            query_id = _text(qa.get("query_id"), at, ".query_id", null="") or f"{passage_id}.{index}"
+            question = _text(qa.get("question", ""), at, ".question")
+            golds = [_gold_from_json(qa.get("answer", {}) or {}, f"{at}.answer")]
+            validated = _objects(qa.get("validated_answers"), f"{at}.validated_answers")
+            golds.extend(_gold_from_json(v, f"{at}.validated_answers[{j}]") for j, v in enumerate(validated))
             golds = [g for g in golds if not g.is_empty()]
             if not golds:
                 errors.append(IngestIssue(query_id, "every gold answer is empty"))
@@ -346,7 +355,7 @@ def ingest_drop(source) -> IngestResult:
             records.append(
                 DropRecord(
                     passage=passage,
-                    question=str(qa.get("question", "")),
+                    question=question,
                     answers=tuple(golds),
                     query_id=query_id,
                 )
@@ -366,12 +375,14 @@ def ingest_squad(source) -> IngestResult:
     errors: list[IngestIssue] = []
     for a, article in enumerate(_objects(data["data"], "data")):
         for p, paragraph in enumerate(_objects(article.get("paragraphs"), f"data[{a}].paragraphs")):
-            context = str(paragraph.get("context", ""))
+            context = _text(paragraph.get("context", ""), f"data[{a}].paragraphs[{p}]", ".context")
             where = f"data[{a}].paragraphs[{p}].qas"
             for q, qa in enumerate(_objects(paragraph.get("qas"), where)):
-                qa_id = str(qa.get("id", ""))
-                answers = _objects(qa.get("answers"), f"{where}[{q}].answers")
-                texts = [str(answer.get("text", "")) for answer in answers]
+                at = f"{where}[{q}]"
+                qa_id = _text(qa.get("id", ""), at, ".id")
+                question = _text(qa.get("question", ""), at, ".question")
+                answers = _objects(qa.get("answers"), f"{at}.answers")
+                texts = [_text(answer.get("text", ""), at, ".answers: an entry's 'text'") for answer in answers]
                 texts = [t for t in texts if t.strip()]
                 if not texts:
                     errors.append(IngestIssue(qa_id, "every answer is empty"))
@@ -379,7 +390,7 @@ def ingest_squad(source) -> IngestResult:
                 records.append(
                     SquadRecord(
                         passage=context,
-                        question=str(qa.get("question", "")),
+                        question=question,
                         answers=tuple(texts),
                         qa_id=qa_id,
                     )

@@ -310,21 +310,26 @@ def instantiate(
     raise ConfigError(f"unknown family: {family}")
 
 
-def generate_num(count: int, config: NumGenConfig = NumGenConfig(), seed: int = 0) -> Iterator[NumExample]:
-    """Yield ``count`` reproducible examples, each self-checked against eval_expr.
+def generate_num(
+    count: int, config: NumGenConfig = NumGenConfig(), seed: int = 0, start: int = 0
+) -> Iterator[NumExample]:
+    """Yield examples ``start`` to ``start + count - 1``, each self-checked against eval_expr.
 
     Example i draws everything from a child seed derived as (seed, "num", i),
-    so any index range can be generated independently (sharding).
+    so any index range gives the same examples as that slice of a run from 0
+    (this is what lets workers share a run).
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
+    if start < 0:
+        raise ConfigError("start must be >= 0")
     families = [f for f, w in config.family_weights.items() if w > 0]
     weights = [config.family_weights[f] for f in families]
-    return _generate_num(count, config, seed, families, weights)
+    return _generate_num(config, seed, start, start + count, families, weights)
 
 
-def _generate_num(count, config, seed, families, weights) -> Iterator[NumExample]:
-    for index in range(count):
+def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumExample]:
+    for index in range(start, stop):
         # One exact context per example, left before the yield (see decimals).
         with localcontext(EXACT):
             child = derive_seed(seed, "num", index)

@@ -315,23 +315,28 @@ def _draw_quantity(rng: random.Random, config: TxtGenConfig, upper: Decimal | No
     return Decimal(rng.randint(min(1, high), high)).scaleb(-scale)
 
 
-def generate_txt(count: int, config: TxtGenConfig = TxtGenConfig(), seed: int = 0) -> Iterator[TxtExample]:
-    """Yield ``count`` reproducible word problems, answers from simulation.
+def generate_txt(
+    count: int, config: TxtGenConfig = TxtGenConfig(), seed: int = 0, start: int = 0
+) -> Iterator[TxtExample]:
+    """Yield word problems ``start`` to ``start + count - 1``, answers from simulation.
 
-    Example i draws from a child seed (seed, "txt", i); lose/transfer
+    Example i draws from a child seed (seed, "txt", i), so any index range
+    gives the same problems as that slice of a run from 0. Lose/transfer
     amounts never exceed the holder's count, and how_many_more questions
     order their arguments so the difference is never negative.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    return _generate_txt(count, config, seed)
+    if start < 0:
+        raise ConfigError("start must be >= 0")
+    return _generate_txt(config, seed, start, start + count)
 
 
-def _generate_txt(count, config, seed) -> Iterator[TxtExample]:
+def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
     vocab = config.vocab
     kinds = list(QuestionKind)
     unit = Decimal(f"1e-{config.frac_digits}")  # the smallest quantity a holder can lose
-    for index in range(count):
+    for index in range(start, stop):
         # One exact context per example, left before the yield (see decimals).
         with localcontext(EXACT):
             child = derive_seed(seed, "txt", index)

@@ -21,6 +21,15 @@ def read_meta(path):
     return obj["meta"] if isinstance(obj, dict) and set(obj) == {"meta"} else None
 
 
+class Forked(Exception):
+    """Raised by ``no_fork``; ``run()`` does not catch it, so a test that patches it in fails on a fork."""
+
+
+def no_fork():
+    """A stand-in for ``os.fork`` where no process may start."""
+    raise Forked
+
+
 def parse_input(text):
     """Inverse of format_input: (task, question, context or None)."""
     prefix, _, body = text.partition(": ")

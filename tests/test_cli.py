@@ -417,6 +417,8 @@ _BAD_INPUT_FILES = {
     "stats-nan-scale.json": '[{"name": "a", "length": 5, "scale": NaN}]',
     "stats-list-name.json": '[{"name": ["a"], "length": 5}]',
     "stats-huge-length.json": '[{"name": "a", "length": 1' + "0" * 400 + '}]',
+    "stats-float-length.json": '[{"name": "a", "length": 2.9}]',
+    "stats-bool-length.json": '[{"name": "a", "length": true}]',
     "cfg-list-count.json": '{"count": [3]}',
     "cfg-nan-count.json": '{"count": NaN}',
     "drop-bad-qa.json": '{"p": {"passage": "x", "qa_pairs": [3]}}',
@@ -424,8 +426,18 @@ _BAD_INPUT_FILES = {
     "drop-text-date.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"date": "x"}}]}}',
     "drop-number-validated.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "validated_answers": [5]}]}}',
     "drop-text-spans.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"spans": "abc"}}]}}',
+    "drop-number-passage.json": '{"p": {"passage": 5, "qa_pairs": []}}',
+    "drop-null-question.json": '{"p": {"passage": "x", "qa_pairs": [{"question": null, "answer": {"number": "1"}}]}}',
+    "drop-number-query-id.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": 5, "answer": {"number": "1"}}]}}',
+    "drop-object-number.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"number": {"a": 1}}}]}}',
+    "drop-null-span.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"spans": ["7", null]}}]}}',
+    "drop-number-date-part.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"date": {"day": 3}}}]}}',
     "squad-number-article.json": '{"data": [5]}',
     "squad-number-answer.json": '{"data": [{"paragraphs": [{"context": "c", "qas": [{"question": "q", "answers": [5]}]}]}]}',
+    "squad-number-context.json": '{"data": [{"paragraphs": [{"context": 5, "qas": []}]}]}',
+    "squad-null-question.json": '{"data": [{"paragraphs": [{"context": "c", "qas": [{"question": null, "answers": []}]}]}]}',
+    "squad-number-id.json": '{"data": [{"paragraphs": [{"context": "c", "qas": [{"question": "q", "id": 5, "answers": []}]}]}]}',
+    "squad-null-answer-text.json": '{"data": [{"paragraphs": [{"context": "c", "qas": [{"question": "q", "answers": [{"text": null}]}]}]}]}',
     "spec-no-datasets.json": '{"name": "x", "stages": [{"name": "s"}]}',
     "spec-nan-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": NaN}]}',
     "spec-text-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": "x"}]}',
@@ -472,6 +484,8 @@ _BAD_INPUT_FILES = {
         pytest.param(["mix", "--stats", "stats-nan-scale.json"], id="stats-nan-scale"),
         pytest.param(["mix", "--stats", "stats-list-name.json"], id="stats-list-name"),
         pytest.param(["mix", "--stats", "stats-huge-length.json"], id="stats-huge-length"),
+        pytest.param(["mix", "--stats", "stats-float-length.json"], id="stats-float-length"),
+        pytest.param(["mix", "--stats", "stats-bool-length.json"], id="stats-bool-length"),
         pytest.param(["gen-num", "--config", "cfg-list-count.json", "--out", "o.jsonl"], id="config-list-count"),
         pytest.param(["gen-num", "--config", "cfg-nan-count.json", "--out", "o.jsonl"], id="config-nan-count"),
         pytest.param(["gen-num", "--count", "3", "--config", "\x00", "--out", "o.jsonl"], id="nul-argument"),
@@ -481,11 +495,16 @@ _BAD_INPUT_FILES = {
         pytest.param(["ingest", "--format", "drop", "--in", "drop-bad-qa.json", "--out", "o.jsonl"], id="drop-qa-not-object"),
         *(
             pytest.param(["ingest", "--format", "drop", "--in", f"drop-{case}.json", "--out", "o.jsonl"], id=f"drop-{case}")
-            for case in ("number-answer", "text-date", "number-validated", "text-spans")
+            for case in (
+                "number-answer", "text-date", "number-validated", "text-spans", "number-passage", "null-question",
+                "number-query-id", "object-number", "null-span", "number-date-part",
+            )
         ),
         *(
             pytest.param(["ingest", "--format", "squad", "--in", f"squad-{case}.json", "--out", "o.jsonl"], id=f"squad-{case}")
-            for case in ("number-article", "number-answer")
+            for case in (
+                "number-article", "number-answer", "number-context", "null-question", "number-id", "null-answer-text",
+            )
         ),
         pytest.param(
             ["pipeline", "--spec", "spec-no-datasets.json", "--stats", "stats.json", "--batch-size", "2"],

@@ -210,8 +210,16 @@ def test_ingest_drop_tallies_empty_answers():
         ({"question": "q", "answer": {"spans": "abc"}}, "qa_pairs[0].answer: 'spans' is not a list"),
         ({"question": "q", "validated_answers": [{}, 5]}, "qa_pairs[0].validated_answers[1] is not an object"),
         ({"question": "q", "validated_answers": 5}, "qa_pairs[0].validated_answers is not a list"),
+        ({"question": None, "answer": {"number": "1"}}, "passage 'p': qa_pairs[0].question is not a string"),
+        ({"question": "q", "answer": {"number": {"a": 1}}}, "qa_pairs[0].answer: 'number' is not a string"),
+        ({"question": "q", "answer": {"spans": ["7", None]}}, "qa_pairs[0].answer: a 'spans' entry is not a string"),
+        ({"question": "q", "validated_answers": [{"date": {"year": 1768}}]},
+         "qa_pairs[0].validated_answers[0]: 'date.year' is not a string"),
     ],
-    ids=["number-answer", "text-date", "text-spans", "number-validated-entry", "number-validated"],
+    ids=[
+        "number-answer", "text-date", "text-spans", "number-validated-entry", "number-validated", "null-question",
+        "object-number", "null-span", "number-date-part",
+    ],
 )
 def test_ingest_drop_wrong_json_type_names_its_place(qa, place):
     with pytest.raises(ParseError, match=re.escape(place)):
@@ -224,8 +232,10 @@ def test_ingest_drop_wrong_json_type_names_its_place(qa, place):
         ([5], "data[0] is not an object"),
         ([{"paragraphs": 5}], "data[0].paragraphs is not a list"),
         ([{"paragraphs": [{"qas": [{"answers": [{}, 5]}]}]}], "data[0].paragraphs[0].qas[0].answers[1] is not an object"),
+        ([{"paragraphs": [{"qas": [{"answers": [{"text": None}]}]}]}],
+         "data[0].paragraphs[0].qas[0].answers: an entry's 'text' is not a string"),
     ],
-    ids=["number-article", "number-paragraphs", "number-answer"],
+    ids=["number-article", "number-paragraphs", "number-answer", "null-answer-text"],
 )
 def test_ingest_squad_wrong_json_type_names_its_place(data, place):
     with pytest.raises(ParseError, match=re.escape(place)):

@@ -6,20 +6,23 @@ another type (``NaN``, huge integers, lists, objects, ...), bytes that are
 not UTF-8, or a truncated file. Whatever the input, ``run()`` must return
 0, 1 or 2 without raising, write no traceback, and after a non-zero exit
 leave neither its target nor a ``.<name>.*`` temp file. Counts stay tiny,
-so no example does real work, and nothing starts a process.
+so no example does real work, and nothing starts a process: ``os.fork``
+raises an exception that ``run()`` does not catch.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from numtext.cli import run
 
-from conftest import build_drop_file, drop_answer, drop_qa
+from conftest import build_drop_file, drop_answer, drop_qa, no_fork
 
 _EXAMPLE = {
     "input": "answer_me: How many? context: Ann had 2 figs.",
@@ -185,7 +188,11 @@ def test_mutated_commands_fail_cleanly(data):
         target = root / "target.out"
         argv = [_resolved(token, root) for token in argv]
         stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with (
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+            mock.patch.object(os, "fork", no_fork),
+        ):
             code = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue()

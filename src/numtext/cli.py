@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -161,8 +162,9 @@ def cmd_gen_txt(args) -> int:
     vocab, extra = DEFAULT_VOCAB, {}
     if args.vocab:
         # The vocabulary's content, not its path, goes into the config hash.
-        vocab = Vocabulary.from_file(args.vocab)
-        extra["vocab_sha256"] = hashlib.sha256(Path(args.vocab).read_bytes()).hexdigest()
+        data = Path(args.vocab).read_bytes()
+        vocab = Vocabulary.from_json(load_json(io.BytesIO(data)))
+        extra["vocab_sha256"] = hashlib.sha256(data).hexdigest()
     recorded = args.config_values.get("vocab_sha256")
     if recorded is not None and recorded != extra.get("vocab_sha256"):
         problem = "--vocab is not that vocabulary" if args.vocab else "give that vocabulary with --vocab"
@@ -277,9 +279,9 @@ def cmd_score(args) -> int:
     predictions = {}
     with open(args.pred, "rb") as handle:
         for _, lineno, row in iter_jsonl(handle):
-            if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
-                raise ValidationError(f"line {lineno}: prediction rows are objects with 'id' and 'prediction'")
-            predictions[str(row["id"])] = str(row["prediction"])
+            if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
+                raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
+            predictions[row["id"]] = row["prediction"]
     report = build_report(result.records, predictions, span_delimiter=args.delimiter)
     config = {"gold": str(args.gold), "pred": str(args.pred), "delimiter": args.delimiter}
     return _write_json(args.out, {"meta": _meta(config), **report.to_json()})

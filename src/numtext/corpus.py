@@ -419,9 +419,31 @@ def digit_tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
+# Byte classes for count_tokens: "D" an ASCII digit, " " ASCII whitespace,
+# "x" any other byte. Every byte >= 0x80 is "x": in UTF-8 it is part of a
+# multi-byte character, even 0x85 and 0xA0 ("à" is C3 A0).
+_BYTE_CLASS = b"".join(
+    b"D" if char.isdecimal() else b" " if char.isspace() else b"x" for char in map(chr, range(128))
+) + b"x" * 128
+# A non-ASCII character that is \s or \d; the lookbehind runs only at
+# non-ASCII characters, which keeps the scan fast.
+_NON_ASCII_SPACE_OR_DIGIT = re.compile(r"[^\x00-\x7f](?<=[\s\d])")
+
+
 def count_tokens(text: str) -> int:
-    """Default token counter: whitespace words with digits split out."""
-    return len(digit_tokenize(text))
+    """Default token counter; always equals ``len(digit_tokenize(text))``.
+
+    A text with a non-ASCII whitespace or Nd character is tokenized. Any
+    other text is counted from its UTF-8 bytes' classes without building
+    the tokens: a token starts at each digit and at each other byte that
+    follows whitespace or a digit. ASCII texts skip the scan that decides.
+    """
+    if not text.isascii() and _NON_ASCII_SPACE_OR_DIGIT.search(text):
+        return len(digit_tokenize(text))
+    # A lone surrogate (JSON allows one) is one "other" character; it
+    # encodes to three "x" bytes.
+    classes = b" " + text.encode("utf-8", "surrogatepass").translate(_BYTE_CLASS)
+    return classes.count(b"D") + classes.count(b" x") + classes.count(b"Dx")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterator, Mapping
 
-from .corpus import AnswerType, Example, TaskTag, format_input, load_json
+from .corpus import AnswerType, Example, TaskTag, format_input
 from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render
 from .errors import ConfigError, SimulationError, ValidationError
 from .seeding import derive_seed
@@ -209,10 +209,6 @@ class Vocabulary:
             sentence_templates=_templates(obj, "sentence_templates", VerbClass),
             question_templates=_templates(obj, "question_templates", QuestionKind),
         )
-
-    @classmethod
-    def from_file(cls, path) -> "Vocabulary":
-        return cls.from_json(load_json(path))
 
 
 def _strings(value, name: str) -> tuple[str, ...]:

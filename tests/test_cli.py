@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +338,33 @@ def test_config_that_records_a_vocabulary_needs_that_vocabulary(tmp_path, monkey
     assert (tmp_path / "same.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
+def test_gen_txt_hashes_the_vocabulary_bytes_it_parsed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    vocab = {
+        "containers": ["Ann", "Bo"],
+        "entities": ["figs", "nuts"],
+        "sentence_templates": {verb: ["{container} met {qty} {entity}."] for verb in ("observe", "gain", "lose")},
+        "question_templates": {kind: ["How many {entity}?"] for kind in ("how_many", "how_many_more", "total")},
+    }
+    vocab["sentence_templates"]["transfer"] = ["{container} gave {qty} {entity} to {target}."]
+    parsed = json.dumps(vocab).encode("utf-8")
+    (tmp_path / "v.json").write_bytes(parsed)
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(path):
+        # The file is replaced right after it is read, so a second read
+        # would see another vocabulary.
+        data = read_bytes(path)
+        if path.name == "v.json":
+            path.write_text(json.dumps({**vocab, "entities": ["figs", "plums"]}), encoding="utf-8")
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+    argv = ["gen-txt", "--count", "2", "--seed", "1", "--vocab", "v.json", "--out", "a.jsonl", "--dump-config", "a.cfg"]
+    assert run(argv) == 0
+    assert _read_json_file(tmp_path / "a.cfg")["vocab_sha256"] == hashlib.sha256(parsed).hexdigest()
+
+
 def test_pipeline_list(capsys):
     assert run(["pipeline", "--list"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -454,6 +482,11 @@ _BAD_INPUT_FILES = {
     "pred-number.jsonl": '5\n',
     "pred-null.jsonl": 'null\n',
     "pred-list.jsonl": '[1]\n',
+    "pred-null-prediction.jsonl": '{"id": "q1", "prediction": null}\n',
+    "pred-number-prediction.jsonl": '{"id": "q1", "prediction": 1}\n',
+    "pred-list-prediction.jsonl": '{"id": "q1", "prediction": ["1"]}\n',
+    "gold-id-7.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "7", "answer": {"number": "1"}}]}}',
+    "pred-number-id.jsonl": '{"id": 7, "prediction": "1"}\n',
 }
 
 
@@ -535,8 +568,9 @@ _BAD_INPUT_FILES = {
         ),
         *(
             pytest.param(["score", "--gold", "gold.json", "--pred", f"pred-{case}.jsonl"], id=f"pred-{case}")
-            for case in ("number", "null", "list")
+            for case in ("number", "null", "list", "null-prediction", "number-prediction", "list-prediction")
         ),
+        pytest.param(["score", "--gold", "gold-id-7.json", "--pred", "pred-number-id.jsonl"], id="pred-number-id"),
         pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--delimiter", ""], id="score-empty-delimiter"),
     ],
 )

@@ -1,10 +1,12 @@
 import io
+import itertools
 import json
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from numtext import corpus
 from numtext.corpus import (
     AnswerType,
     DateParts,
@@ -274,6 +276,10 @@ _TOKENIZER_PIECES = st.sampled_from(
     + ["\u0663", "\u00b2"]  # an Nd digit and a non-Nd one
     + ["\x1c", "\x85", "\u3000", " ", "\n"]  # Unicode and ASCII whitespace
     + ["a", "Z", "\u00e9"]
+    # NBSP is C2 A0 in UTF-8 and "\u00e0" is C3 A0, so a byte >= 0x80 is
+    # never whitespace on its own; then a figure space, a 4-byte Nd digit,
+    # a 4-byte symbol and a dash.
+    + ["\xa0", "\u00e0", "\u2007", "\U0001d7d8", "\U0001f600", "\u2013"]
 )
 
 
@@ -282,6 +288,26 @@ def test_digit_tokenize_matches_character_scan_oracle(text):
     tokens = oracle_tokenize(text)
     assert digit_tokenize(text) == tokens
     assert count_tokens(text) == len(tokens)
+
+
+def test_count_tokens_agrees_with_digit_tokenize_on_every_code_point(monkeypatch):
+    # Every code point that is neither whitespace nor Nd (lone surrogates
+    # too), in one long text mixed with ASCII digits and spaces...
+    chars = list(map(chr, range(0x110000)))
+    plain = "".join([char for char in chars if not (char.isspace() or char.isdecimal())])
+    seps = itertools.cycle(["", " ", "7", "", "7 ", " 7", "\t"])
+    text = "".join(plain[i : i + 5] + next(seps) for i in range(0, len(plain), 5))
+    expected = len(digit_tokenize(text))
+    # ...is counted from its bytes' classes, never through digit_tokenize.
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "digit_tokenize", None)
+        assert count_tokens(text) == expected
+    # Each non-ASCII whitespace or Nd code point takes the fallback.
+    special = [char for char in chars[0x80:] if char.isspace() or char.isdecimal()]
+    assert special
+    for char in special:
+        short = f"a{char}b 1{char}2 {char}"
+        assert count_tokens(short) == len(digit_tokenize(short)), hex(ord(char))
 
 
 # ---------------------------------------------------------------------------

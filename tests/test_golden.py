@@ -103,6 +103,11 @@ CASES = {
         "out",
         "0a3ffd4c3cafd342b8d87092464d3915935f0e4f9ab2f73efd571e3acbe61815",
     ),
+    "audit-unicode": (
+        ["audit", "--in", "unicode.jsonl", "--encoder-max", "6", "--decoder-max", "2", "--out", "out"],
+        "out",
+        "848325e306a437e649423e8b978b45012f18ef9d9e434b7757d2e27cc82d8145",
+    ),
     "score": (
         ["score", "--gold", "drop.json", "--pred", "pred.jsonl", "--out", "out"],
         "out",
@@ -130,6 +135,18 @@ CASES = {
         "a526e9e667e84bfa4697680f2f20cb1212fd534a17a5e6fbd5fcfcba6e4eed82",
     ),
 }
+
+#: (input, target) pairs whose token counts sit at the audit-unicode limits
+#: (6 and 2), so one token more or less flips a count: accented letters
+#: ("à" is the bytes C3 A0), NBSP, Arabic-Indic digits and 4-byte digits.
+UNICODE_TEXTS = [
+    ("answer_me: déjàvu café 12 naïve", "déjàvu à-la"),
+    ("answer_me: 5\xa0kg\xa0rice was sold today", "5\xa0kg\xa0rice"),
+    ("answer_me: room \u0663\u0664 is open now", "\u0663\u0664\u0665"),
+    ("answer_me: \U0001d7d8\U0001d7d9 and \U0001d7da ok fine", "\U0001d7d8\U0001d7d9"),
+    ("answer_me: plain 1 ascii text here", "12"),
+    ("answer_me: plain 12 ascii text here", "1 2 3"),
+]
 
 PAPER_STATS = [
     {"name": "DROP", "length": 96_000},
@@ -182,6 +199,14 @@ def workdir(tmp_path, monkeypatch, squad_file):
         "".join(json.dumps(row) + "\n" for row in predictions), encoding="utf-8"
     )
     _write_json(tmp_path / "paper-stats.json", PAPER_STATS)
+    (tmp_path / "unicode.jsonl").write_text(
+        "".join(
+            json.dumps({"input": text, "target": target, "task": "answer_me", "answer_type": "span", "source_id": f"u{i}"},
+                       ensure_ascii=False) + "\n"
+            for i, (text, target) in enumerate(UNICODE_TEXTS)
+        ),
+        encoding="utf-8",
+    )
     _write_json(
         tmp_path / "mix-stats.json",
         [{"name": "num", "length": 30}, {"name": "txt", "length": 30, "scale": 2.0}, {"name": "drop", "length": 14}],

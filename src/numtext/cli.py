@@ -29,8 +29,8 @@ from .corpus import (
     count_tokens,
     ingest_drop,
     ingest_squad,
-    iter_examples,
     iter_jsonl,
+    iter_records,
     load_json,
     make_classification_example,
     make_drop_example,
@@ -223,6 +223,11 @@ def _load_stats(path: str) -> list[DatasetStat]:
     return stats
 
 
+def _size_and_mtime(handle) -> tuple[int, int]:
+    stat = os.fstat(handle.fileno())
+    return stat.st_size, stat.st_mtime_ns
+
+
 def cmd_mix(args) -> int:
     stats = _load_stats(args.stats)
     plan = compute_plan(stats, float(args.temperature))
@@ -235,15 +240,28 @@ def cmd_mix(args) -> int:
         raise ConfigError("--sample needs --sources and --out")
     config.update({"sample": int(args.sample), "seed": args.seed})
     with ExitStack() as stack:
-        sources = {}
+        sources, opened = {}, []
         for part in args.sources.split(","):
             name, _, path = part.partition("=")
             if not path:
                 raise ConfigError(f"bad --sources entry: {part!r}")
-            sources[name.strip()] = IndexedExamples(stack.enter_context(open(path, "rb")))
+            handle = stack.enter_context(open(path, "rb"))
+            opened.append((path, handle, _size_and_mtime(handle)))
+            try:
+                sources[name.strip()] = IndexedExamples(handle)
+            except ToolkitError as exc:
+                raise type(exc)(f"source {path}: {exc}") from None
         stream = sample_stream(plan, sources, int(args.sample), args.seed, allow_repeats=not args.no_repeats)
         with atomic_output(args.out) as sink:
-            write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
+            try:
+                write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
+            finally:
+                # Draws copy the lines at the indexed offsets, so a source
+                # changed in place since may have given other bytes; that
+                # is the error to report, also when a draw failed on it.
+                for path, handle, indexed in opened:
+                    if _size_and_mtime(handle) != indexed:
+                        raise ValidationError(f"source {path} changed while mix read it")
     return 0
 
 
@@ -267,9 +285,9 @@ def cmd_lr_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    examples = (example for _, example in iter_examples(args.input))
+    records = (record for *_, record in iter_records(args.input))
     limits = LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = audit_truncation(examples, limits, count_tokens)
+    audit = audit_truncation(records, limits, count_tokens)
     config = {"input": str(args.input), "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
 
@@ -278,7 +296,7 @@ def cmd_score(args) -> int:
     result = ingest_drop(args.gold)
     predictions = {}
     with open(args.pred, "rb") as handle:
-        for _, lineno, row in iter_jsonl(handle):
+        for _, lineno, _, row in iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
             predictions[row["id"]] = row["prediction"]

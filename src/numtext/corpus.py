@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -46,6 +47,8 @@ CONTEXT_MARKER = " context: "
 #: JSONL field order; fixed so golden files are bit-exact.
 EXAMPLE_FIELDS = ("input", "target", "task", "answer_type", "source_id")
 _FIELD_SET = frozenset(EXAMPLE_FIELDS)
+_TASKS = frozenset(tag.value for tag in TaskTag)
+_ANSWER_TYPES = frozenset(kind.value for kind in AnswerType)
 
 
 def format_input(task: TaskTag | str, question: str, context: str = "") -> str:
@@ -83,14 +86,7 @@ class Example:
         task = TaskTag(self.task)
         object.__setattr__(self, "task", task)
         object.__setattr__(self, "answer_type", AnswerType(self.answer_type))
-        prefix = f"{task.value}: "
-        if not self.input.startswith(prefix):
-            raise ValidationError(f"input must start with {task.value!r} prefix: {self.input[:40]!r}")
-        question = self.input[len(prefix) :].split(CONTEXT_MARKER, 1)[0]
-        if not question.strip():
-            raise ValidationError("input question is empty")
-        if not self.target:
-            raise ValidationError("target must be non-empty")
+        _check_text(self.input, self.target, task.value)
 
     def to_json(self) -> dict:
         return {
@@ -100,6 +96,20 @@ class Example:
             "answer_type": self.answer_type.value,
             "source_id": self.source_id,
         }
+
+
+def _check_text(input: str, target: str, task: str) -> None:
+    """The rules on a record's text: ``input`` starts with the prefix of
+    ``task`` and holds a non-blank question, and ``target`` is non-empty."""
+    prefix = f"{task}: "
+    if not input.startswith(prefix):
+        raise ValidationError(f"input must start with {task!r} prefix: {input[:40]!r}")
+    end = input.find(CONTEXT_MARKER, len(prefix))
+    question = input[len(prefix) : end] if end >= 0 else input[len(prefix) :]
+    if not question.strip():
+        raise ValidationError("input question is empty")
+    if not target:
+        raise ValidationError("target must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -430,16 +440,20 @@ _BYTE_CLASS = b"".join(
 _NON_ASCII_SPACE_OR_DIGIT = re.compile(r"[^\x00-\x7f](?<=[\s\d])")
 
 
+def _ascii_space_or_digit(match: re.Match) -> str:
+    return " " if match[0].isspace() else "0"
+
+
 def count_tokens(text: str) -> int:
     """Default token counter; always equals ``len(digit_tokenize(text))``.
 
-    A text with a non-ASCII whitespace or Nd character is tokenized. Any
-    other text is counted from its UTF-8 bytes' classes without building
-    the tokens: a token starts at each digit and at each other byte that
-    follows whitespace or a digit. ASCII texts skip the scan that decides.
+    Counts from the classes of the text's UTF-8 bytes without building the
+    tokens: a token starts at each digit and at each other byte that
+    follows whitespace or a digit. A non-ASCII whitespace or Nd character
+    is first replaced by an ASCII space or ``0``; ASCII texts skip that scan.
     """
-    if not text.isascii() and _NON_ASCII_SPACE_OR_DIGIT.search(text):
-        return len(digit_tokenize(text))
+    if not text.isascii():
+        text = _NON_ASCII_SPACE_OR_DIGIT.sub(_ascii_space_or_digit, text)
     # A lone surrogate (JSON allows one) is one "other" character; it
     # encodes to three "x" bytes.
     classes = b" " + text.encode("utf-8", "surrogatepass").translate(_BYTE_CLASS)
@@ -490,15 +504,41 @@ def audit_truncation(
 # JSONL record stream
 # ---------------------------------------------------------------------------
 
-def example_from_json(obj: dict) -> Example:
+class Record(NamedTuple):
+    """One checked JSONL record as read: its five fields as strings."""
+
+    input: str
+    target: str
+    task: str
+    answer_type: str
+    source_id: str
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+def record_from_json(obj) -> Record:
+    """Check one decoded JSONL row against the record rules and return it.
+
+    The row holds exactly the :data:`EXAMPLE_FIELDS`, each a string; the
+    task and answer type are known values; and the text passes the rules
+    that :class:`Example` applies. Any violation raises ValidationError.
+    """
     if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
         raise ValidationError(f"expected exactly the fields {EXAMPLE_FIELDS}")
-    if not all(isinstance(value, str) for value in obj.values()):
+    record = Record(obj["input"], obj["target"], obj["task"], obj["answer_type"], obj["source_id"])
+    if not all(isinstance(value, str) for value in record):
         raise ValidationError("all example fields must be strings")
-    try:
-        return Example(obj["input"], obj["target"], obj["task"], obj["answer_type"], obj["source_id"])
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    if record.task not in _TASKS:
+        raise ValidationError(f"{record.task!r} is not a valid TaskTag")
+    if record.answer_type not in _ANSWER_TYPES:
+        raise ValidationError(f"{record.answer_type!r} is not a valid AnswerType")
+    _check_text(record.input, record.target, record.task)
+    return record
+
+
+def example_from_json(obj) -> Example:
+    return Example(*record_from_json(obj))
 
 
 #: Encodes one record line; the same bytes as ``json.dumps(obj, ensure_ascii=False)``
@@ -509,23 +549,29 @@ _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
     """Write each record's ``to_json()`` as one UTF-8 JSONL line (\\n-terminated).
 
-    Records are :class:`Example` objects (fixed key order) or a generator's
-    raw rows. ``sink`` is a binary stream. When ``meta`` is given it is
-    written first as a ``{"meta": ...}`` record; readers skip it. Returns
-    the number of records written, not counting the meta record.
+    Records are :class:`Example` or :class:`Record` objects (fixed key
+    order), a generator's raw rows, or ``bytes`` that already hold one
+    such line, which are written as they are. ``sink`` is a binary stream.
+    When ``meta`` is given it is written first as a ``{"meta": ...}``
+    record; readers skip it. Returns the number of records written, not
+    counting the meta record.
     """
     count = 0
     if meta is not None:
         sink.write(_encode_line({"meta": meta}).encode("utf-8") + b"\n")
     for record in records:
-        sink.write(_encode_line(record.to_json()).encode("utf-8") + b"\n")
+        if isinstance(record, bytes):
+            sink.write(record)
+        else:
+            sink.write(_encode_line(record.to_json()).encode("utf-8") + b"\n")
         count += 1
     return count
 
 
-def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
-    """Yield ``(byte offset, line number, value)`` for each non-blank line
-    of a binary JSONL stream, skipping a leading ``{"meta": ...}`` record.
+def iter_jsonl(source) -> Iterator[tuple[int, int, str, object]]:
+    """Yield ``(byte offset, line number, line text, value)`` for each
+    non-blank line of a binary JSONL stream, skipping a leading
+    ``{"meta": ...}`` record.
 
     A line that is not UTF-8 or not valid JSON raises :class:`ParseError` naming it.
     """
@@ -544,43 +590,83 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
         if not (lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}):
-            yield start, lineno, obj
+            yield start, lineno, text, obj
 
 
-def iter_examples(source) -> Iterator[tuple[int, Example]]:
-    """Yield ``(byte offset, example)`` for each record of a JSONL stream
-    written by :func:`write_examples`, validating as it goes.
+def iter_records(source) -> Iterator[tuple[int, int, str, Record]]:
+    """Yield ``(byte offset, line number, line text, record)`` for each
+    record of a JSONL stream, each checked by :func:`record_from_json`.
 
     ``source`` is a path or a binary stream. Besides the errors of
-    :func:`iter_jsonl`, a record that fails the schema raises
-    :class:`ValidationError` naming its line.
+    :func:`iter_jsonl`, a record that breaks the rules raises
+    :class:`ValidationError` naming its line. No :class:`Example` is built.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            yield from iter_examples(handle)
+            yield from iter_records(handle)
         return
-    for offset, lineno, obj in iter_jsonl(source):
+    for offset, lineno, text, obj in iter_jsonl(source):
         try:
-            yield offset, example_from_json(obj)
+            record = record_from_json(obj)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+        yield offset, lineno, text, record
+
+
+#: The line :func:`write_examples` writes for a record whose strings need
+#: no JSON escape; a line without a backslash that equals it is canonical.
+_CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'
+#: A lone surrogate: JSON can hold one (``"\\ud800"``), UTF-8 cannot.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+class SourceLine(bytes):
+    """A drawn canonical record: the bytes of its source line, undecoded."""
+
+    __slots__ = ()
+
+    @property
+    def source_id(self) -> str:
+        return json.loads(self)["source_id"]
 
 
 class IndexedExamples(Sequence):
     """The records of an open binary JSONL file, re-read on each access.
 
-    Building it validates every line once, as :func:`iter_examples` does,
-    but keeps only an 8-byte line offset per record, so memory does not
-    grow with the records' text. The caller owns and closes ``handle``.
+    Building it checks every line once, as :func:`iter_records` does, and
+    keeps one 8-byte integer per record: the line's offset if the line is
+    canonical, i.e. exactly what :func:`write_examples` writes for its
+    record, else the offset's complement ``~offset``, which is negative.
+    A canonical record is returned as its line's bytes (a
+    :class:`SourceLine`); any other is decoded, checked again and returned
+    as a :class:`Record`, so writing either gives the canonical line.
+    A record holding a lone surrogate cannot be written as UTF-8 and
+    raises ValidationError at indexing. The caller owns and closes
+    ``handle`` and must not change the file while it reads records.
     """
 
     def __init__(self, handle):
         self._handle = handle
-        self._offsets = array("q", (offset for offset, _ in iter_examples(handle)))
+        self._offsets = array("q")
+        for offset, lineno, text, record in iter_records(handle):
+            canonical = "\\" not in text and text == _CANONICAL_LINE % record
+            if not canonical and any(map(_SURROGATE.search, record)):
+                raise ValidationError(f"line {lineno}: holds a lone surrogate, which UTF-8 cannot encode")
+            self._offsets.append(offset if canonical else ~offset)
 
     def __len__(self) -> int:
         return len(self._offsets)
 
-    def __getitem__(self, index: int) -> Example:
-        self._handle.seek(self._offsets[index])
-        return example_from_json(json.loads(self._handle.readline().decode("utf-8")))
+    def __getitem__(self, index: int) -> SourceLine | Record:
+        offset = self._offsets[index]
+        if offset >= 0:
+            self._handle.seek(offset)
+            return SourceLine(self._handle.readline())
+        self._handle.seek(~offset)
+        try:
+            record = record_from_json(json.loads(self._handle.readline().decode("utf-8")))
+        except ValueError:
+            record = None
+        if record is None or any(map(_SURROGATE.search, record)):
+            raise ValidationError(f"byte offset {~offset} no longer holds the record indexed there")
+        return record

@@ -150,11 +150,11 @@ class PairScore:
 
 def score_pair(
     predicted: str,
-    gold: GoldAnswer | Sequence[str],
+    gold: GoldAnswer,
     span_delimiter: str = SPAN_DELIMITER,
 ) -> PairScore:
     """Score one predicted string against one gold answer."""
-    gold_spans = gold_answer_spans(gold) if isinstance(gold, GoldAnswer) else tuple(gold)
+    gold_spans = gold_answer_spans(gold)
     pred_spans = split_prediction(predicted, span_delimiter)
     pred_strings, pred_bags = answer_bags(pred_spans)
     gold_strings, gold_bags = answer_bags(gold_spans)

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from numtext.corpus import CONTEXT_MARKER, TaskTag, iter_examples
+from numtext.corpus import CONTEXT_MARKER, Example, TaskTag, iter_records
+
+
+def iter_examples(source):
+    """Yield ``(byte offset, example)`` for each record of a JSONL file or binary stream."""
+    for offset, _, _, record in iter_records(source):
+        yield offset, Example(*record)
 
 
 def read_examples(source):
@@ -19,6 +25,28 @@ def read_meta(path):
     except json.JSONDecodeError:
         return None
     return obj["meta"] if isinstance(obj, dict) and set(obj) == {"meta"} else None
+
+
+#: A mix source whose lines are valid records written in ways other than
+#: the program's own encoding, between lines that are written that way:
+#: escaped non-ASCII, an escaped slash, another key order, extra spaces,
+#: an escaped quote, a CRLF line end and a last line without a newline.
+NONCANONICAL_SOURCE = (
+    b'{"meta": {"tool": "by hand"}}\n'
+    b'{"input": "answer_me: who won? context: the reds won", "target": "the reds", "task": "answer_me", '
+    b'"answer_type": "span", "source_id": "nc-0"}\n'
+    b'{"input": "answer_me: caf\\u00e9 price? context: caf\\u00e9 costs 3", "target": "3", "task": "answer_me", '
+    b'"answer_type": "number", "source_id": "nc-1"}\n'
+    b'{"input": "calculate: 6 \\/ 3", "target": "2", "task": "calculate", "answer_type": "number", "source_id": "nc-2"}\n'
+    b'{"source_id": "nc-3", "target": "7", "input": "calculate: 3 + 4", "task": "calculate", "answer_type": "number"}\n'
+    b'{ "input" : "calculate: 2 + 2" , "target":"4", "task": "calculate","answer_type": "number", "source_id": "nc-4" }\n'
+    + '{"input": "answer_me: naïve? context: a naïve text", "target": "naïve", "task": "answer_me", '
+    '"answer_type": "span", "source_id": "nc-5"}\n'.encode("utf-8")
+    + b'{"input": "calculate: 9 - 1", "target": "8", "task": "calculate", "answer_type": "number", "source_id": "nc-6"}\r\n'
+    b'{"input": "answer_me: who said \\"hi\\"? context: ann said \\"hi\\"", "target": "ann", "task": "answer_me", '
+    b'"answer_type": "span", "source_id": "nc-7"}\n'
+    b'{"input": "calculate: 5 * 5", "target": "25", "task": "calculate", "answer_type": "number", "source_id": "nc-8"}'
+)
 
 
 class Forked(Exception):

@@ -20,6 +20,7 @@ from numtext.cli import run
 from numtext.corpus import (
     AnswerType,
     Example,
+    GoldAnswer,
     LengthLimits,
     TaskTag,
     audit_truncation,
@@ -147,9 +148,9 @@ def test_c5_evaluator():
             bf_em, bf_f1 = bf_score(case["prediction"], case["golds"])
             assert bf_em == case["em"] and abs(bf_f1 - case["f1"]) < 1e-12
 
-        partial = score_pair("Kasay", ["John Kasay"])
+        partial = score_pair("Kasay", GoldAnswer(spans=("John Kasay",)))
         assert partial.em == 0.0 and abs(partial.f1 - 2 / 3) < 1e-12
-        gated = score_pair("13 million", ["12 million"])
+        gated = score_pair("13 million", GoldAnswer(spans=("12 million",)))
         assert gated.f1 == 0.0
 
 

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from numtext import numgen
+from numtext import cli, numgen
 from numtext.cli import run
 from numtext.corpus import TaskTag
 from numtext.decimals import MAX_FRAC_DIGITS
 
-from conftest import build_drop_file, drop_answer, drop_qa, read_examples, read_meta
+from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, read_examples, read_meta
 
 
 def _read_json_file(path):
@@ -487,6 +487,8 @@ _BAD_INPUT_FILES = {
     "pred-list-prediction.jsonl": '{"id": "q1", "prediction": ["1"]}\n',
     "gold-id-7.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "7", "answer": {"number": "1"}}]}}',
     "pred-number-id.jsonl": '{"id": 7, "prediction": "1"}\n',
+    "stats-one.json": '[{"name": "s", "length": 1}]',
+    "surrogate.jsonl": '{"input": "answer_me: q\\ud800?", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n',
 }
 
 
@@ -572,6 +574,10 @@ _BAD_INPUT_FILES = {
         ),
         pytest.param(["score", "--gold", "gold-id-7.json", "--pred", "pred-number-id.jsonl"], id="pred-number-id"),
         pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--delimiter", ""], id="score-empty-delimiter"),
+        pytest.param(
+            ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=surrogate.jsonl", "--out", "o.jsonl"],
+            id="mix-lone-surrogate",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
@@ -609,6 +615,58 @@ def test_mix_no_repeats_failing_mid_stream_leaves_no_output(tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 1
     assert out.read_bytes() == b"previous contents\n"
     _assert_failed_cleanly(tmp_path, out, before)
+
+
+def test_audit_counts_a_lone_surrogate(tmp_path):
+    source = tmp_path / "surrogate.jsonl"
+    source.write_text(_BAD_INPUT_FILES["surrogate.jsonl"], encoding="utf-8")
+    assert run(["audit", "--in", str(source), "--out", str(tmp_path / "audit.json")]) == 0
+    assert json.loads((tmp_path / "audit.json").read_text(encoding="utf-8"))["total"] == 1
+
+
+def _truncate(path):
+    with open(path, "r+b") as handle:
+        handle.truncate(path.stat().st_size // 2)
+
+
+def _rewrite_a_byte(path):
+    # Same size; the mtime is moved on explicitly, as on some file systems
+    # timestamps are coarser than a fast test.
+    data = path.read_bytes()
+    index = data.rindex(b'"source_id": "') + len(b'"source_id": "')
+    with open(path, "r+b") as handle:
+        handle.seek(index)
+        handle.write(b"x" if data[index : index + 1] != b"x" else b"y")
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+
+
+@pytest.mark.parametrize("change", [_truncate, _rewrite_a_byte], ids=["truncated", "same-size"])
+@pytest.mark.parametrize("source", ["num", "nc"])
+def test_mix_source_changed_in_place_while_drawing_is_one_error(tmp_path, monkeypatch, capsys, change, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nc.jsonl").write_bytes(NONCANONICAL_SOURCE)
+    assert run(["gen-num", "--count", "20", "--seed", "3", "--out", "num.jsonl"]) == 0
+    (tmp_path / "stats.json").write_text(json.dumps([{"name": "nc", "length": 9}, {"name": "num", "length": 20}]))
+    real_sample_stream = cli.sample_stream
+
+    def changing_stream(*args, **kwargs):
+        for index, draw in enumerate(real_sample_stream(*args, **kwargs)):
+            if index == 1:
+                change(tmp_path / f"{source}.jsonl")
+            yield draw
+
+    monkeypatch.setattr(cli, "sample_stream", changing_stream)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["mix", "--stats", "stats.json", "-T", "10", "--sample", "60", "--sources", "nc=nc.jsonl,num=num.jsonl"]
+    capsys.readouterr()
+    assert run(argv + ["--out", "mix.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: source {source}.jsonl changed while mix read it"
+    ], err
+    assert "Traceback" not in err
+    _assert_failed_cleanly(tmp_path, tmp_path / "mix.jsonl", before)
 
 
 def test_ingest_failing_on_a_late_record_leaves_no_output(tmp_path, capsys):

@@ -14,6 +14,8 @@ from numtext.corpus import (
     GoldAnswer,
     IndexedExamples,
     LengthLimits,
+    Record,
+    SourceLine,
     TaskTag,
     audit_truncation,
     count_tokens,
@@ -22,21 +24,24 @@ from numtext.corpus import (
     format_input,
     ingest_drop,
     ingest_squad,
-    iter_examples,
     iter_jsonl,
+    iter_records,
     make_classification_example,
     make_drop_example,
     make_squad_example,
+    record_from_json,
     write_examples,
 )
 from numtext.errors import ParseError, ValidationError
 
 from conftest import (
     MING_RUI_PASSAGE,
+    NONCANONICAL_SOURCE,
     MING_RUI_QUESTION,
     build_drop_file,
     drop_answer,
     drop_qa,
+    iter_examples,
     parse_input,
     read_examples,
     read_meta,
@@ -298,16 +303,17 @@ def test_count_tokens_agrees_with_digit_tokenize_on_every_code_point(monkeypatch
     seps = itertools.cycle(["", " ", "7", "", "7 ", " 7", "\t"])
     text = "".join(plain[i : i + 5] + next(seps) for i in range(0, len(plain), 5))
     expected = len(digit_tokenize(text))
-    # ...is counted from its bytes' classes, never through digit_tokenize.
+    # ...and each non-ASCII whitespace or Nd code point in a short text...
+    special = [char for char in chars[0x80:] if char.isspace() or char.isdecimal()]
+    assert special
+    shorts = [f"a{char}b 1{char}2 {char}" for char in special]
+    expected_shorts = [len(digit_tokenize(short)) for short in shorts]
+    # ...are counted from their bytes' classes, never through digit_tokenize.
     with monkeypatch.context() as patch:
         patch.setattr(corpus, "digit_tokenize", None)
         assert count_tokens(text) == expected
-    # Each non-ASCII whitespace or Nd code point takes the fallback.
-    special = [char for char in chars[0x80:] if char.isspace() or char.isdecimal()]
-    assert special
-    for char in special:
-        short = f"a{char}b 1{char}2 {char}"
-        assert count_tokens(short) == len(digit_tokenize(short)), hex(ord(char))
+        for char, short, count in zip(special, shorts, expected_shorts):
+            assert count_tokens(short) == count, hex(ord(char))
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +450,95 @@ def test_indexed_examples_match_read_examples(tmp_path):
     sink = io.BytesIO()
     write_examples(_some_examples(25), sink, meta={"seed": 2})
     path.write_bytes(sink.getvalue())
+    lines = sink.getvalue().splitlines(keepends=True)[1:]
     with open(path, "rb") as handle:
         indexed = IndexedExamples(handle)
         assert len(indexed) == 25
-        assert [indexed[i] for i in (24, 0, 7, 7)] == [_some_examples(25)[i] for i in (24, 0, 7, 7)]
-        assert list(indexed) == read_examples(path)
+        draws = [indexed[i] for i in (24, 0, 7, 7)]
+        # The program's own lines are canonical: each draw is its line's bytes.
+        assert draws == [lines[i] for i in (24, 0, 7, 7)]
+        assert all(type(draw) is SourceLine for draw in draws)
+        assert [corpus.example_from_json(json.loads(line)) for line in indexed] == read_examples(path)
+
+
+def test_indexed_examples_write_every_line_as_write_examples_does():
+    examples = read_examples(io.BytesIO(NONCANONICAL_SOURCE))
+    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    assert len(indexed) == len(examples) == 9
+    for index, example in enumerate(examples):
+        drawn, expected = io.BytesIO(), io.BytesIO()
+        write_examples([indexed[index]], drawn)
+        write_examples([example], expected)
+        assert drawn.getvalue() == expected.getvalue(), example.source_id
+    # Only the lines with no escape, the fixed key order and spacing and a
+    # "\n" end are copied; the others are decoded again.
+    kinds = {example.source_id: type(indexed[index]) for index, example in enumerate(examples)}
+    assert {name for name, kind in kinds.items() if kind is SourceLine} == {"nc-0", "nc-5"}
+    assert {kind for name, kind in kinds.items() if name not in ("nc-0", "nc-5")} == {Record}
+
+
+def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows():
+    # What bench/ relies on: it reads `source_id` from every draw and checks
+    # generated rows with corpus.example_from_json.
+    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    assert [indexed[index].source_id for index in range(len(indexed))] == [f"nc-{i}" for i in range(9)]
+    good = _some_examples(1)[0].to_json()
+    assert corpus.example_from_json(good) == _some_examples(1)[0]
+    for bad in ({"bogus": True}, {**good, "task": "nope"}, {**good, "target": ""}, {**good, "input": "calculate: 1"}):
+        with pytest.raises(ValueError):
+            corpus.example_from_json(bad)
+
+
+def test_a_changed_noncanonical_line_is_a_validation_error_when_drawn():
+    source = io.BytesIO(NONCANONICAL_SOURCE)
+    indexed = IndexedExamples(source)
+    assert indexed[3].source_id == "nc-3"
+    start = NONCANONICAL_SOURCE.index(b'{"source_id": "nc-3"')
+    source.getbuffer()[start] = ord("[")
+    with pytest.raises(ValidationError, match=f"byte offset {start} no longer holds the record"):
+        indexed[3]
+
+
+_GOOD_ROW = {"input": "answer_me: q? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([], "exactly the fields"),
+        ({**_GOOD_ROW, "extra": ""}, "exactly the fields"),
+        ({key: _GOOD_ROW[key] for key in list(_GOOD_ROW)[:4]}, "exactly the fields"),
+        ({**_GOOD_ROW, "source_id": 7}, "must be strings"),
+        ({**_GOOD_ROW, "task": "nope"}, "not a valid TaskTag"),
+        ({**_GOOD_ROW, "answer_type": "nope"}, "not a valid AnswerType"),
+        ({**_GOOD_ROW, "input": "calculate: q? context: c"}, "prefix"),
+        ({**_GOOD_ROW, "input": "answer_me:  \t context: c"}, "question is empty"),
+        ({**_GOOD_ROW, "input": "answer_me: "}, "question is empty"),
+        ({**_GOOD_ROW, "target": ""}, "target must be non-empty"),
+    ],
+)
+def test_record_from_json_holds_the_rules_example_holds(row, message):
+    with pytest.raises(ValidationError, match=message):
+        record_from_json(row)
+    if isinstance(row, dict) and row.keys() == _GOOD_ROW.keys() and all(isinstance(v, str) for v in row.values()):
+        with pytest.raises(ValueError):
+            Example(*row.values())
+
+
+def test_record_from_json_returns_the_five_strings():
+    record = record_from_json(_GOOD_ROW)
+    assert record == tuple(_GOOD_ROW.values())
+    assert record.to_json() == _GOOD_ROW
+    assert Example(*record).to_json() == _GOOD_ROW
+
+
+def test_a_lone_surrogate_is_read_but_not_indexed():
+    line = b'{"input": "answer_me: q\\ud800? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n'
+    data = json.dumps(_GOOD_ROW).encode() + b"\n" + line
+    (_, _, _, record), = iter_records(io.BytesIO(line))
+    assert record.input == "answer_me: q\ud800? context: c"
+    with pytest.raises(ValidationError, match="line 2: .*surrogate"):
+        IndexedExamples(io.BytesIO(data))
 
 
 def test_read_reports_a_line_that_is_not_utf8():

@@ -13,7 +13,7 @@ import pytest
 
 from numtext.cli import run
 
-from conftest import build_drop_file, drop_answer, drop_qa, typed_drop_file
+from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, typed_drop_file
 
 SEED = "301"
 #: 10^30, past the 28 digits of the default decimal context.
@@ -97,6 +97,12 @@ CASES = {
          "--sources", "num=num.jsonl,txt=txt.jsonl,drop=drop.jsonl", "--seed", SEED, "--out", "out"],
         "out",
         "cfe908c557922a77c6dd8969cf0f2400fe282643657f886267a03408d217995f",
+    ),
+    "mix-noncanonical": (
+        ["mix", "--stats", "nc-stats.json", "-T", "10", "--sample", "60",
+         "--sources", "nc=noncanonical.jsonl,num=num.jsonl", "--seed", SEED, "--out", "out"],
+        "out",
+        "90631f31677f1915e7e60084c633c215f7dab2cd4eec36599ff4ba14dff28857",
     ),
     "audit": (
         ["audit", "--in", "txt.jsonl", "--encoder-max", "40", "--decoder-max", "1", "--out", "out"],
@@ -211,6 +217,8 @@ def workdir(tmp_path, monkeypatch, squad_file):
         tmp_path / "mix-stats.json",
         [{"name": "num", "length": 30}, {"name": "txt", "length": 30, "scale": 2.0}, {"name": "drop", "length": 14}],
     )
+    (tmp_path / "noncanonical.jsonl").write_bytes(NONCANONICAL_SOURCE)
+    _write_json(tmp_path / "nc-stats.json", [{"name": "nc", "length": 9}, {"name": "num", "length": 30}])
     _write_json(tmp_path / "gen-num.cfg", {"count": 12, "seed": 9, "max_value": "500", "emit": "examples"})
     _write_json(tmp_path / "gen-txt.cfg", {"count": 12, "seed": 9, "max_events": 4, "max_quantity": 9})
     _write_json(tmp_path / "lr.cfg", {"epochs": 2, "batches_per_epoch": 6, "decay_rate": 0.01})

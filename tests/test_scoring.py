@@ -97,6 +97,11 @@ def test_empty_prediction_scores_zero():
     assert pair.em == 0.0 and pair.f1 == 0.0
 
 
+def test_score_pair_refuses_an_empty_gold_answer():
+    with pytest.raises(ValidationError):
+        score_pair("alpha", GoldAnswer(spans=("", "  ")))
+
+
 def test_max_over_gold_answers():
     record = _record([GoldAnswer(spans=("12 million",)), GoldAnswer(number="4300000")])
     assert score_record(record, "4300000").f1 == 1.0
@@ -119,29 +124,36 @@ def test_adding_gold_never_decreases_score():
 
 _token_list = st.lists(st.sampled_from(["alpha", "beta", "12", "7.5", "gamma", "19"]), min_size=0, max_size=5)
 _word_list = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=0, max_size=5)
+# A gold answer holds at least one non-blank span.
+_gold_token_list = st.lists(st.sampled_from(["alpha", "beta", "12", "7.5", "gamma", "19"]), min_size=1, max_size=5)
+_gold_word_list = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=5)
 
 
-@given(_word_list, _word_list)
+def _spans(*spans):
+    return GoldAnswer(spans=spans)
+
+
+@given(_gold_word_list, _gold_word_list)
 def test_single_span_f1_symmetric_without_numbers(a, b):
     # The numeric gate only inspects the gold side, so symmetry is a
     # property of the bag overlap itself: it holds whenever the gate
     # cannot fire asymmetrically (here: no numbers at all).
-    left = score_pair(" ".join(a), [" ".join(b)]).f1
-    right = score_pair(" ".join(b), [" ".join(a)]).f1
+    left = score_pair(" ".join(a), _spans(" ".join(b))).f1
+    right = score_pair(" ".join(b), _spans(" ".join(a))).f1
     assert abs(left - right) < 1e-12
 
 
 @given(_word_list, _word_list, st.sampled_from(["12", "7.5"]))
 def test_single_span_f1_symmetric_with_shared_number(a, b, number):
-    left = score_pair(f"{number} " + " ".join(a), [f"{number} " + " ".join(b)]).f1
-    right = score_pair(f"{number} " + " ".join(b), [f"{number} " + " ".join(a)]).f1
+    left = score_pair(f"{number} " + " ".join(a), _spans(f"{number} " + " ".join(b))).f1
+    right = score_pair(f"{number} " + " ".join(b), _spans(f"{number} " + " ".join(a))).f1
     assert abs(left - right) < 1e-12
 
 
-@given(_token_list)
+@given(_gold_token_list)
 def test_em_implies_f1(tokens):
     text = " ".join(tokens)
-    pair = score_pair(text, [text])
+    pair = score_pair(text, _spans(text))
     assert pair.em == 1.0
     assert pair.f1 == 1.0
 
@@ -152,7 +164,7 @@ def test_gate_dominates_any_overlap(x, y, shared):
         y += 1
     pred = f"{x} " + " ".join(t for t in shared if not t[0].isdigit())
     gold = f"{y} " + " ".join(t for t in shared if not t[0].isdigit())
-    assert score_pair(pred, [gold]).f1 == 0.0
+    assert score_pair(pred, _spans(gold)).f1 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +175,7 @@ def test_alignment_beats_the_greedy_trap():
     # Greedy takes the perfect "red blue" pair first and leaves "red" vs
     # "blue" (0); crossing the pairs scores 2/3 + 2/3 instead.
     cities = ["oslo", "rome", "kyiv", "lima", "doha", "baku", "riga"]
-    pair = score_pair("; ".join(["red blue", "blue", *cities]), ["red blue", "red", *cities])
+    pair = score_pair("; ".join(["red blue", "blue", *cities]), _spans("red blue", "red", *cities))
     assert abs(pair.f1 - 25 / 27) < 1e-12
 
 
@@ -188,7 +200,7 @@ def test_alignment_matches_scipy_assignment(pred_spans, gold_spans):
             matrix[g][p] = _bf_pair_f1(pred_bag, gold_bag)
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     expected = sum(matrix[row][col] for row, col in zip(rows, cols)) / size
-    got = score_pair("; ".join(pred_spans), gold_spans).f1
+    got = score_pair("; ".join(pred_spans), _spans(*gold_spans)).f1
     assert abs(got - expected) < _TIE_ROUNDING
 
 

@@ -29,8 +29,9 @@ from .corpus import (
     count_tokens,
     ingest_drop,
     ingest_squad,
+    is_json_number,
+    iter_examples,
     iter_jsonl,
-    iter_records,
     load_json,
     make_classification_example,
     make_drop_example,
@@ -210,12 +211,12 @@ def _load_stats(path: str) -> list[DatasetStat]:
     stats = []
     for index, row in enumerate(rows):
         try:
-            name, length = row["name"], row["length"]
-            scale = float(row.get("scale", 1.0))
-            cap = float(row["cap"]) if row.get("cap") is not None else None
-            if not isinstance(name, str) or not isinstance(length, int) or isinstance(length, bool):
+            name, length, scale, cap = row["name"], row["length"], row.get("scale", 1.0), row.get("cap")
+            numbers = is_json_number(length, int) and is_json_number(scale) and (cap is None or is_json_number(cap))
+            if not (isinstance(name, str) and numbers):
                 raise TypeError
-        except (KeyError, TypeError, ValueError, OverflowError):
+            scale, cap = float(scale), None if cap is None else float(cap)
+        except (KeyError, TypeError, OverflowError):
             raise ConfigError(
                 f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
             ) from None
@@ -243,12 +244,15 @@ def cmd_mix(args) -> int:
         sources, opened = {}, []
         for part in args.sources.split(","):
             name, _, path = part.partition("=")
+            name = name.strip()
             if not path:
                 raise ConfigError(f"bad --sources entry: {part!r}")
+            if name in sources:
+                raise ConfigError(f"--sources names {name!r} twice")
             handle = stack.enter_context(open(path, "rb"))
             opened.append((path, handle, _size_and_mtime(handle)))
             try:
-                sources[name.strip()] = IndexedExamples(handle)
+                sources[name] = IndexedExamples(handle)
             except ToolkitError as exc:
                 raise type(exc)(f"source {path}: {exc}") from None
         stream = sample_stream(plan, sources, int(args.sample), args.seed, allow_repeats=not args.no_repeats)
@@ -285,9 +289,9 @@ def cmd_lr_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    records = (record for *_, record in iter_records(args.input))
+    examples = (example for *_, example in iter_examples(args.input))
     limits = LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = audit_truncation(records, limits, count_tokens)
+    audit = audit_truncation(examples, limits, count_tokens)
     config = {"input": str(args.input), "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
 

@@ -7,6 +7,8 @@ tail, never the question), maps a gold answer to its spans (the one rule
 for targets and scoring), audits length cutoffs under a pluggable token
 counter, and writes every JSONL record stream byte-stably through
 :func:`write_examples`.
+Every record line is one :class:`Example`, and :func:`example_from_json`
+is the one way to read one back.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -72,44 +74,47 @@ def format_input(task: TaskTag | str, question: str, context: str = "") -> str:
     return f"{tag.value}: {question}{CONTEXT_MARKER}{context}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Example:
-    """One prefix-tagged input/target pair, the universal pipeline record."""
+    """One JSONL record line as five strings; building one checks every record rule.
+
+    ``task`` and ``answer_type`` are :class:`TaskTag` and :class:`AnswerType`
+    values, ``input`` starts with the task's prefix and holds a non-blank
+    question, and ``target`` is non-empty.
+    """
 
     input: str
     target: str
-    task: TaskTag
-    answer_type: AnswerType = AnswerType.NONE
+    task: str
+    answer_type: str = "none"
     source_id: str = ""
 
     def __post_init__(self):
-        task = TaskTag(self.task)
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "answer_type", AnswerType(self.answer_type))
-        _check_text(self.input, self.target, task.value)
+        task = self.task
+        if task not in _TASKS:
+            raise ValidationError(f"{task!r} is not a valid TaskTag")
+        if self.answer_type not in _ANSWER_TYPES:
+            raise ValidationError(f"{self.answer_type!r} is not a valid AnswerType")
+        # Not an f-string: a TaskTag member formats as "TaskTag.X" there.
+        prefix = task + ": "
+        text = self.input
+        if not text.startswith(prefix):
+            raise ValidationError(f"input must start with {task!r} prefix: {text[:40]!r}")
+        end = text.find(CONTEXT_MARKER, len(prefix))
+        question = text[len(prefix) : end] if end >= 0 else text[len(prefix) :]
+        if not question.strip():
+            raise ValidationError("input question is empty")
+        if not self.target:
+            raise ValidationError("target must be non-empty")
 
     def to_json(self) -> dict:
         return {
             "input": self.input,
             "target": self.target,
-            "task": self.task.value,
-            "answer_type": self.answer_type.value,
+            "task": self.task,
+            "answer_type": self.answer_type,
             "source_id": self.source_id,
         }
-
-
-def _check_text(input: str, target: str, task: str) -> None:
-    """The rules on a record's text: ``input`` starts with the prefix of
-    ``task`` and holds a non-blank question, and ``target`` is non-empty."""
-    prefix = f"{task}: "
-    if not input.startswith(prefix):
-        raise ValidationError(f"input must start with {task!r} prefix: {input[:40]!r}")
-    end = input.find(CONTEXT_MARKER, len(prefix))
-    question = input[len(prefix) : end] if end >= 0 else input[len(prefix) :]
-    if not question.strip():
-        raise ValidationError("input question is empty")
-    if not target:
-        raise ValidationError("target must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -228,9 +233,9 @@ def gold_answer_spans(answer: GoldAnswer) -> tuple[str, ...]:
     return tuple(s.strip() for s in answer.spans if s.strip())
 
 
-def gold_target(answer: GoldAnswer, span_delimiter: str = SPAN_DELIMITER) -> str:
+def gold_target(answer: GoldAnswer) -> str:
     """Serialize a gold answer to the single target string a model must emit."""
-    return span_delimiter.join(gold_answer_spans(answer))
+    return SPAN_DELIMITER.join(gold_answer_spans(answer))
 
 
 def make_classification_example(record: DropRecord) -> Example:
@@ -239,20 +244,20 @@ def make_classification_example(record: DropRecord) -> Example:
     return Example(
         input=format_input(TaskTag.CLASSIFY_ME, record.question, record.passage),
         target=kind.value,
-        task=TaskTag.CLASSIFY_ME,
-        answer_type=kind,
+        task=TaskTag.CLASSIFY_ME.value,
+        answer_type=kind.value,
         source_id=record.query_id,
     )
 
 
-def make_drop_example(record: DropRecord, span_delimiter: str = SPAN_DELIMITER) -> Example:
+def make_drop_example(record: DropRecord) -> Example:
     """Build the answer_me example for one DROP record (first gold as target)."""
     kind = derive_answer_type(record.answers[0])
     return Example(
         input=format_input(TaskTag.ANSWER_ME, record.question, record.passage),
-        target=gold_target(record.answers[0], span_delimiter),
-        task=TaskTag.ANSWER_ME,
-        answer_type=kind,
+        target=gold_target(record.answers[0]),
+        task=TaskTag.ANSWER_ME.value,
+        answer_type=kind.value,
         source_id=record.query_id,
     )
 
@@ -262,8 +267,8 @@ def make_squad_example(record: SquadRecord) -> Example:
     return Example(
         input=format_input(TaskTag.SQUAD_CONTEXT, record.question, record.passage),
         target=record.answers[0],
-        task=TaskTag.SQUAD_CONTEXT,
-        answer_type=AnswerType.SPAN,
+        task=TaskTag.SQUAD_CONTEXT.value,
+        answer_type=AnswerType.SPAN.value,
         source_id=record.qa_id,
     )
 
@@ -286,6 +291,11 @@ def load_json(source):
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
+
+
+def is_json_number(value, kind: type | tuple = (int, float)) -> bool:
+    """Whether a decoded JSON value is a number of ``kind``; ``true`` and ``false`` are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _objects(value, where: str) -> list:
@@ -504,41 +514,18 @@ def audit_truncation(
 # JSONL record stream
 # ---------------------------------------------------------------------------
 
-class Record(NamedTuple):
-    """One checked JSONL record as read: its five fields as strings."""
+def example_from_json(obj) -> Example:
+    """One decoded JSONL row as an :class:`Example`.
 
-    input: str
-    target: str
-    task: str
-    answer_type: str
-    source_id: str
-
-    def to_json(self) -> dict:
-        return self._asdict()
-
-
-def record_from_json(obj) -> Record:
-    """Check one decoded JSONL row against the record rules and return it.
-
-    The row holds exactly the :data:`EXAMPLE_FIELDS`, each a string; the
-    task and answer type are known values; and the text passes the rules
-    that :class:`Example` applies. Any violation raises ValidationError.
+    The row must hold exactly the :data:`EXAMPLE_FIELDS`, each a string;
+    :class:`Example` checks the rest. Any violation raises ValidationError.
     """
     if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
         raise ValidationError(f"expected exactly the fields {EXAMPLE_FIELDS}")
-    record = Record(obj["input"], obj["target"], obj["task"], obj["answer_type"], obj["source_id"])
-    if not all(isinstance(value, str) for value in record):
+    fields = obj["input"], obj["target"], obj["task"], obj["answer_type"], obj["source_id"]
+    if not all(isinstance(value, str) for value in fields):
         raise ValidationError("all example fields must be strings")
-    if record.task not in _TASKS:
-        raise ValidationError(f"{record.task!r} is not a valid TaskTag")
-    if record.answer_type not in _ANSWER_TYPES:
-        raise ValidationError(f"{record.answer_type!r} is not a valid AnswerType")
-    _check_text(record.input, record.target, record.task)
-    return record
-
-
-def example_from_json(obj) -> Example:
-    return Example(*record_from_json(obj))
+    return Example(*fields)
 
 
 #: Encodes one record line; the same bytes as ``json.dumps(obj, ensure_ascii=False)``
@@ -549,9 +536,9 @@ _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
     """Write each record's ``to_json()`` as one UTF-8 JSONL line (\\n-terminated).
 
-    Records are :class:`Example` or :class:`Record` objects (fixed key
-    order), a generator's raw rows, or ``bytes`` that already hold one
-    such line, which are written as they are. ``sink`` is a binary stream.
+    Records are :class:`Example` objects (fixed key order), a generator's
+    raw rows, or ``bytes`` that already hold one such line, which are
+    written as they are. ``sink`` is a binary stream.
     When ``meta`` is given it is written first as a ``{"meta": ...}``
     record; readers skip it. Returns the number of records written, not
     counting the meta record.
@@ -593,26 +580,28 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, str, object]]:
             yield start, lineno, text, obj
 
 
-def iter_records(source) -> Iterator[tuple[int, int, str, Record]]:
-    """Yield ``(byte offset, line number, line text, record)`` for each
-    record of a JSONL stream, each checked by :func:`record_from_json`.
+def iter_examples(source) -> Iterator[tuple[int, int, str, Example]]:
+    """Yield ``(byte offset, line number, line text, example)`` for each
+    record of a JSONL stream, each read by :func:`example_from_json`.
 
     ``source`` is a path or a binary stream. Besides the errors of
     :func:`iter_jsonl`, a record that breaks the rules raises
-    :class:`ValidationError` naming its line. No :class:`Example` is built.
+    :class:`ValidationError` naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            yield from iter_records(handle)
+            yield from iter_examples(handle)
         return
     for offset, lineno, text, obj in iter_jsonl(source):
         try:
-            record = record_from_json(obj)
+            example = example_from_json(obj)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        yield offset, lineno, text, record
+        yield offset, lineno, text, example
 
 
+#: An example's five fields as a tuple, in :data:`EXAMPLE_FIELDS` order.
+_fields = attrgetter(*EXAMPLE_FIELDS)
 #: The line :func:`write_examples` writes for a record whose strings need
 #: no JSON escape; a line without a backslash that equals it is canonical.
 _CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'
@@ -633,13 +622,13 @@ class SourceLine(bytes):
 class IndexedExamples(Sequence):
     """The records of an open binary JSONL file, re-read on each access.
 
-    Building it checks every line once, as :func:`iter_records` does, and
+    Building it checks every line once, as :func:`iter_examples` does, and
     keeps one 8-byte integer per record: the line's offset if the line is
     canonical, i.e. exactly what :func:`write_examples` writes for its
     record, else the offset's complement ``~offset``, which is negative.
     A canonical record is returned as its line's bytes (a
     :class:`SourceLine`); any other is decoded, checked again and returned
-    as a :class:`Record`, so writing either gives the canonical line.
+    as an :class:`Example`, so writing either gives the canonical line.
     A record holding a lone surrogate cannot be written as UTF-8 and
     raises ValidationError at indexing. The caller owns and closes
     ``handle`` and must not change the file while it reads records.
@@ -648,25 +637,26 @@ class IndexedExamples(Sequence):
     def __init__(self, handle):
         self._handle = handle
         self._offsets = array("q")
-        for offset, lineno, text, record in iter_records(handle):
-            canonical = "\\" not in text and text == _CANONICAL_LINE % record
-            if not canonical and any(map(_SURROGATE.search, record)):
+        for offset, lineno, text, example in iter_examples(handle):
+            fields = _fields(example)
+            canonical = "\\" not in text and text == _CANONICAL_LINE % fields
+            if not canonical and any(map(_SURROGATE.search, fields)):
                 raise ValidationError(f"line {lineno}: holds a lone surrogate, which UTF-8 cannot encode")
             self._offsets.append(offset if canonical else ~offset)
 
     def __len__(self) -> int:
         return len(self._offsets)
 
-    def __getitem__(self, index: int) -> SourceLine | Record:
+    def __getitem__(self, index: int) -> SourceLine | Example:
         offset = self._offsets[index]
         if offset >= 0:
             self._handle.seek(offset)
             return SourceLine(self._handle.readline())
         self._handle.seek(~offset)
         try:
-            record = record_from_json(json.loads(self._handle.readline().decode("utf-8")))
+            example = example_from_json(json.loads(self._handle.readline().decode("utf-8")))
         except ValueError:
-            record = None
-        if record is None or any(map(_SURROGATE.search, record)):
+            example = None
+        if example is None or any(map(_SURROGATE.search, _fields(example))):
             raise ValidationError(f"byte offset {~offset} no longer holds the record indexed there")
-        return record
+        return example

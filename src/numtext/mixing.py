@@ -173,25 +173,24 @@ def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:
         yield cursors[pick].next()
 
 
+#: The dataset whose one pass is an epoch in ``drop_epoch_exception`` mode.
+DROP = "DROP"
+
+
 class EpochMode(str, Enum):
     COVER_ALL = "cover_all_epoch"
     DROP_EXCEPTION = "drop_epoch_exception"
 
 
-def steps_per_epoch(
-    stats: Sequence[DatasetStat],
-    batch_size: int,
-    mode: EpochMode = EpochMode.COVER_ALL,
-    reference: str = "DROP",
-) -> int:
+def steps_per_epoch(stats: Sequence[DatasetStat], batch_size: int, mode: EpochMode = EpochMode.COVER_ALL) -> int:
     """Steps for one epoch: cover every example, or one pass of the
-    reference dataset in the multitask-exception mode."""
+    :data:`DROP` dataset in the multitask-exception mode."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     mode = EpochMode(mode)
     if mode is EpochMode.COVER_ALL:
         return -(-sum(stat.length for stat in stats) // batch_size)
     for stat in stats:
-        if stat.name == reference:
+        if stat.name == DROP:
             return -(-stat.length // batch_size)
-    raise ConfigError(f"reference dataset {reference!r} not in stats")
+    raise ConfigError(f"reference dataset {DROP!r} not in stats")

@@ -36,6 +36,13 @@ class TemplateFamily(str, Enum):
     DIFFERENCE = "difference"
 
 
+#: Inclusive ranges drawn for each example: the terms of a combination
+#: chain, the values of a min/max/avg or argmax/argmin list, and P in "P% of X".
+COMBINATION_TERMS = (3, 5)
+LIST_TERMS = (3, 4)
+PERCENT_RANGE = (1, 100)
+
+
 @dataclass(frozen=True)
 class ValueRange:
     """Magnitude range and decimal grid for drawn numbers.
@@ -77,9 +84,6 @@ class NumGenConfig:
     family_weights: Mapping[TemplateFamily, float] = field(
         default_factory=lambda: {family: 1.0 for family in TemplateFamily}
     )
-    combination_terms: tuple[int, int] = (3, 5)
-    list_terms: tuple[int, int] = (3, 4)
-    percent_range: tuple[int, int] = (1, 100)
 
     def __post_init__(self):
         weights = {TemplateFamily(k): float(v) for k, v in self.family_weights.items()}
@@ -88,17 +92,13 @@ class NumGenConfig:
         if not all(0 <= w < math.inf for w in weights.values()):
             raise ConfigError("family weights must be finite and >= 0")
         object.__setattr__(self, "family_weights", weights)
-        for name in ("combination_terms", "list_terms", "percent_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi or lo < (2 if name != "percent_range" else 1):
-                raise ConfigError(f"bad {name}: {(lo, hi)}")
         if weights.get(TemplateFamily.ARGMAX_LIKE, 0.0) > 0:
             # argmax_like redraws until its values are distinct; the finest
             # grid holds every value any coarser one can draw.
             low, high = self.ranges.grids[-1]
-            if high - low + 1 < self.list_terms[1]:
+            if high - low + 1 < LIST_TERMS[1]:
                 raise ConfigError(
-                    f"argmax_like needs {self.list_terms[1]} distinct values, "
+                    f"argmax_like needs {LIST_TERMS[1]} distinct values, "
                     f"but the value range holds only {high - low + 1}"
                 )
 
@@ -262,7 +262,6 @@ def instantiate(
     terms: int,
     rng: random.Random,
     ranges: ValueRange = ValueRange(),
-    percent_range: tuple[int, int] = (1, 100),
     rng_seed: int = 0,
 ) -> NumExample:
     """Draw an expression of ``family`` over ``terms`` values and compute its exact answer.
@@ -296,7 +295,7 @@ def instantiate(
         return NumExample(expression, answer, family, rng_seed)
 
     if family is TemplateFamily.PERCENT:
-        percent = Decimal(rng.randint(*percent_range))
+        percent = Decimal(rng.randint(*PERCENT_RANGE))
         base = _draw_decimal(rng, ranges)
         expression = f"{render(percent)}% of {render(base)}"
         return NumExample(expression, (percent * base).scaleb(-2), family, rng_seed)
@@ -336,12 +335,12 @@ def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumE
             rng = random.Random(child)
             family = rng.choices(families, weights=weights, k=1)[0]
             if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
-                terms = 2 if family is TemplateFamily.ADDITION_SUB else rng.randint(*config.combination_terms)
+                terms = 2 if family is TemplateFamily.ADDITION_SUB else rng.randint(*COMBINATION_TERMS)
             elif family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
-                terms = rng.randint(*config.list_terms)
+                terms = rng.randint(*LIST_TERMS)
             else:
                 terms = 2
-            example = instantiate(family, terms, rng, config.ranges, config.percent_range, rng_seed=child)
+            example = instantiate(family, terms, rng, config.ranges, rng_seed=child)
             check = eval_expr(example.expression, config.ranges.max_frac_digits)
             if check != example.answer:
                 raise SelfCheckError(f"self-check failed for {example.expression!r}: {check} != {example.answer}")
@@ -353,7 +352,7 @@ def num_to_example(example: NumExample) -> Example:
     return Example(
         input=format_input(TaskTag.CALCULATE, example.expression),
         target=render(example.answer),
-        task=TaskTag.CALCULATE,
-        answer_type=AnswerType.NUMBER,
+        task=TaskTag.CALCULATE.value,
+        answer_type=AnswerType.NUMBER.value,
         source_id=f"num-{example.rng_seed:016x}",
     )

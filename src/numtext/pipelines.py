@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import load_json
+from .corpus import is_json_number, load_json
 from .errors import ConfigError, ValidationError
-from .mixing import DatasetStat, EpochMode, MixturePlan, compute_plan, steps_per_epoch
+from .mixing import DROP, DatasetStat, EpochMode, MixturePlan, compute_plan, steps_per_epoch
 
-DROP = "DROP"
 DROP_CLASS = "DROP-class"
 NUM = "NUM"
 TXT = "TXT"
@@ -157,9 +156,12 @@ def _stage_from_json(index: int, raw) -> StageSpec:
         names = raw.get(key, [])
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise ConfigError(f"pipeline stage {index}: {key!r} must be a list of dataset names")
+    temperature = raw.get("temperature", 1.0)
     try:
-        temperature = float(raw.get("temperature", 1.0))
-    except (TypeError, ValueError):
+        if not is_json_number(temperature):
+            raise TypeError
+        temperature = float(temperature)
+    except (TypeError, OverflowError):
         raise ConfigError(f"pipeline stage {index}: 'temperature' must be a number") from None
     try:
         mode = EpochMode(raw.get("mode", EpochMode.COVER_ALL.value))
@@ -223,7 +225,7 @@ def expand(
             raise ValidationError(f"stage {stage.name!r} references unknown datasets: {missing}")
         stage_stats = [stats[name] for name in stage.datasets]
         mixture = compute_plan(stage_stats, stage.temperature)
-        steps = steps_per_epoch(stage_stats, batch_size, stage.mode, reference=DROP)
+        steps = steps_per_epoch(stage_stats, batch_size, stage.mode)
         shards = (f"{spec.name}/{index:02d}-{stage.name}.jsonl",)
         plans.append(StagePlan(stage, mixture, steps, shards))
     return PipelinePlan(spec.name, seed, batch_size, tuple(plans))

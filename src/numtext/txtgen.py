@@ -405,7 +405,7 @@ def txt_to_example(example: TxtExample) -> Example:
     return Example(
         input=format_input(TaskTag.ANSWER_ME, example.question, example.context),
         target=example.answer,
-        task=TaskTag.ANSWER_ME,
-        answer_type=AnswerType.NUMBER,
+        task=TaskTag.ANSWER_ME.value,
+        answer_type=AnswerType.NUMBER.value,
         source_id=f"txt-{example.rng_seed:016x}",
     )

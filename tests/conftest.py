@@ -3,18 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from numtext.corpus import CONTEXT_MARKER, Example, TaskTag, iter_records
-
-
-def iter_examples(source):
-    """Yield ``(byte offset, example)`` for each record of a JSONL file or binary stream."""
-    for offset, _, _, record in iter_records(source):
-        yield offset, Example(*record)
+from numtext.corpus import CONTEXT_MARKER, TaskTag, iter_examples
 
 
 def read_examples(source):
     """Every example of a JSONL file or binary stream, validated by iter_examples."""
-    return [example for _, example in iter_examples(source)]
+    return [example for *_, example in iter_examples(source)]
 
 
 def read_meta(path):

@@ -47,7 +47,7 @@ def test_gen_num_is_byte_identical_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     examples = read_examples(first)
     assert len(examples) == 200
-    assert all(e.task is TaskTag.CALCULATE for e in examples)
+    assert all(e.task == TaskTag.CALCULATE.value for e in examples)
 
 
 def test_gen_num_meta_line_records_seed(tmp_path):
@@ -103,7 +103,7 @@ def test_gen_txt_round_trip_and_determinism(tmp_path):
     assert run(["gen-txt", "--count", "50", "--seed", "11", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     examples = read_examples(first)
-    assert all(e.task is TaskTag.ANSWER_ME for e in examples)
+    assert all(e.task == TaskTag.ANSWER_ME.value for e in examples)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -146,14 +146,14 @@ def test_ingest_squad_cli(tmp_path, squad_file):
     assert run(["ingest", "--format", "squad", "--in", str(squad_file), "--out", str(out)]) == 0
     examples = read_examples(out)
     assert len(examples) == 2
-    assert all(e.task is TaskTag.SQUAD_CONTEXT for e in examples)
+    assert all(e.task == TaskTag.SQUAD_CONTEXT.value for e in examples)
 
 
 def test_derive_class_cli(tmp_path, ming_rui_drop):
     out = tmp_path / "class.jsonl"
     assert run(["derive-class", "--in", str(ming_rui_drop), "--out", str(out)]) == 0
     examples = read_examples(out)
-    assert examples[0].task is TaskTag.CLASSIFY_ME
+    assert examples[0].task == TaskTag.CLASSIFY_ME.value
     assert examples[0].target == "number"
 
 
@@ -447,6 +447,10 @@ _BAD_INPUT_FILES = {
     "stats-huge-length.json": '[{"name": "a", "length": 1' + "0" * 400 + '}]',
     "stats-float-length.json": '[{"name": "a", "length": 2.9}]',
     "stats-bool-length.json": '[{"name": "a", "length": true}]',
+    "stats-text-scale.json": '[{"name": "a", "length": 5, "scale": "2"}]',
+    "stats-bool-scale.json": '[{"name": "a", "length": 5, "scale": true}]',
+    "stats-text-cap.json": '[{"name": "a", "length": 5, "cap": "3"}]',
+    "stats-bool-cap.json": '[{"name": "a", "length": 5, "cap": false}]',
     "cfg-list-count.json": '{"count": [3]}',
     "cfg-nan-count.json": '{"count": NaN}',
     "drop-bad-qa.json": '{"p": {"passage": "x", "qa_pairs": [3]}}',
@@ -469,6 +473,9 @@ _BAD_INPUT_FILES = {
     "spec-no-datasets.json": '{"name": "x", "stages": [{"name": "s"}]}',
     "spec-nan-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": NaN}]}',
     "spec-text-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": "x"}]}',
+    "spec-numeric-text-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": "10"}]}',
+    "spec-bool-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": true}]}',
+    "spec-huge-temperature.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "temperature": 1' + "0" * 400 + '}]}',
     "spec-unknown-mode.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "mode": "zzz"}]}',
     "spec-number-datasets.json": '{"name": "x", "stages": [{"name": "s", "datasets": 5}]}',
     "spec-number-validation.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "validation": 7}]}',
@@ -488,6 +495,7 @@ _BAD_INPUT_FILES = {
     "gold-id-7.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "7", "answer": {"number": "1"}}]}}',
     "pred-number-id.jsonl": '{"id": 7, "prediction": "1"}\n',
     "stats-one.json": '[{"name": "s", "length": 1}]',
+    "record.jsonl": '{"input": "calculate: 1 + 1", "target": "2", "task": "calculate", "answer_type": "number", "source_id": ""}\n',
     "surrogate.jsonl": '{"input": "answer_me: q\\ud800?", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n',
 }
 
@@ -521,6 +529,10 @@ _BAD_INPUT_FILES = {
         pytest.param(["mix", "--stats", "stats-huge-length.json"], id="stats-huge-length"),
         pytest.param(["mix", "--stats", "stats-float-length.json"], id="stats-float-length"),
         pytest.param(["mix", "--stats", "stats-bool-length.json"], id="stats-bool-length"),
+        *(
+            pytest.param(["mix", "--stats", f"stats-{case}.json"], id=f"stats-{case}")
+            for case in ("text-scale", "bool-scale", "text-cap", "bool-cap")
+        ),
         pytest.param(["gen-num", "--config", "cfg-list-count.json", "--out", "o.jsonl"], id="config-list-count"),
         pytest.param(["gen-num", "--config", "cfg-nan-count.json", "--out", "o.jsonl"], id="config-nan-count"),
         pytest.param(["gen-num", "--count", "3", "--config", "\x00", "--out", "o.jsonl"], id="nul-argument"),
@@ -554,7 +566,10 @@ _BAD_INPUT_FILES = {
                 ["pipeline", "--spec", f"spec-{case}.json", "--stats", "stats.json", "--batch-size", "2"],
                 id=f"stage-{case}",
             )
-            for case in ("text-temperature", "unknown-mode", "number-datasets", "number-validation", "list-name")
+            for case in (
+                "text-temperature", "numeric-text-temperature", "bool-temperature", "huge-temperature",
+                "unknown-mode", "number-datasets", "number-validation", "list-name",
+            )
         ),
         pytest.param(
             ["pipeline", "--spec", "spec-list-pipeline-name.json", "--stats", "stats.json", "--batch-size", "2"],
@@ -577,6 +592,11 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=surrogate.jsonl", "--out", "o.jsonl"],
             id="mix-lone-surrogate",
+        ),
+        pytest.param(
+            ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,s=record.jsonl",
+             "--out", "o.jsonl"],
+            id="mix-source-named-twice",
         ),
     ],
 )

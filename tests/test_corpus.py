@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -10,12 +11,13 @@ from numtext import corpus
 from numtext.corpus import (
     AnswerType,
     DateParts,
+    DropRecord,
     Example,
     GoldAnswer,
     IndexedExamples,
     LengthLimits,
-    Record,
     SourceLine,
+    SquadRecord,
     TaskTag,
     audit_truncation,
     count_tokens,
@@ -24,15 +26,16 @@ from numtext.corpus import (
     format_input,
     ingest_drop,
     ingest_squad,
+    iter_examples,
     iter_jsonl,
-    iter_records,
     make_classification_example,
     make_drop_example,
     make_squad_example,
-    record_from_json,
     write_examples,
 )
 from numtext.errors import ParseError, ValidationError
+from numtext.numgen import generate_num, num_to_example
+from numtext.txtgen import generate_txt, txt_to_example
 
 from conftest import (
     MING_RUI_PASSAGE,
@@ -41,7 +44,6 @@ from conftest import (
     build_drop_file,
     drop_answer,
     drop_qa,
-    iter_examples,
     parse_input,
     read_examples,
     read_meta,
@@ -123,7 +125,7 @@ def test_derive_answer_type_rejects_empty():
 def test_classification_example_from_number_record(ming_rui_drop):
     record = ingest_drop(ming_rui_drop).records[0]
     example = make_classification_example(record)
-    assert example.task is TaskTag.CLASSIFY_ME
+    assert example.task == TaskTag.CLASSIFY_ME.value
     assert example.target == "number"
     assert example.input.startswith(f"classify_me: {MING_RUI_QUESTION} context: ")
 
@@ -146,7 +148,7 @@ def test_make_drop_example_serializes_date_target():
     record = ingest_drop(io.BytesIO(json.dumps(data).encode())).records[0]
     example = make_drop_example(record)
     assert example.target == "3 March 1768"
-    assert example.answer_type is AnswerType.DATE
+    assert example.answer_type == AnswerType.DATE.value
 
 
 def test_make_drop_example_joins_spans():
@@ -255,7 +257,7 @@ def test_ingest_squad(squad_file):
     record = result.records[0]
     assert record.answers == ("John Kasay", "Kasay")
     example = make_squad_example(record)
-    assert example.task is TaskTag.SQUAD_CONTEXT
+    assert example.task == TaskTag.SQUAD_CONTEXT.value
     assert example.input.startswith("squad_context: Which kicker tied the game? context: ")
     assert example.target == "John Kasay"
 
@@ -440,9 +442,9 @@ def test_iter_examples_yields_line_byte_offsets():
     write_examples(_some_examples(4), sink, meta={"seed": 1})
     data = sink.getvalue().replace(b"answer 2", "ånswer 2".encode("utf-8")) + b"\n"
     starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
-    pairs = list(iter_examples(io.BytesIO(data)))
-    assert [offset for offset, _ in pairs] == starts[1:5]
-    assert [example for _, example in pairs] == read_examples(io.BytesIO(data))
+    rows = list(iter_examples(io.BytesIO(data)))
+    assert [offset for offset, *_ in rows] == starts[1:5]
+    assert [example for *_, example in rows] == read_examples(io.BytesIO(data))
 
 
 def test_indexed_examples_match_read_examples(tmp_path):
@@ -474,7 +476,49 @@ def test_indexed_examples_write_every_line_as_write_examples_does():
     # "\n" end are copied; the others are decoded again.
     kinds = {example.source_id: type(indexed[index]) for index, example in enumerate(examples)}
     assert {name for name, kind in kinds.items() if kind is SourceLine} == {"nc-0", "nc-5"}
-    assert {kind for name, kind in kinds.items() if name not in ("nc-0", "nc-5")} == {Record}
+    assert {kind for name, kind in kinds.items() if name not in ("nc-0", "nc-5")} == {Example}
+
+
+def _built_examples():
+    """One example from each builder in the package."""
+    drop = DropRecord("The reds won 3 games.", "Who won?", (GoldAnswer(spans=("the reds",)),), "d-1")
+    squad = SquadRecord("Ann met Bo.", "Who met Bo?", ("Ann",), "s-1")
+    return [
+        num_to_example(next(generate_num(1, seed=3))),
+        txt_to_example(next(generate_txt(1, seed=3))),
+        make_drop_example(drop),
+        make_classification_example(drop),
+        make_squad_example(squad),
+    ]
+
+
+def test_a_built_example_holds_plain_strings_and_equals_its_read_back():
+    for example in _built_examples():
+        fields = [getattr(example, name) for name in corpus.EXAMPLE_FIELDS]
+        assert [type(value) for value in fields] == [str] * 5, example
+        assert corpus.example_from_json(example.to_json()) == example
+        line = io.BytesIO()
+        write_examples([example], line)
+        assert read_examples(io.BytesIO(line.getvalue())) == [example]
+
+
+def test_example_init_can_be_wrapped_as_the_benchmark_tracer_does(monkeypatch):
+    # bench/tracing.py replaces Example.__init__ with a functools.wraps
+    # wrapper that calls the original; every builder and reader must still work.
+    calls = []
+    original = Example.__init__
+
+    @functools.wraps(original)
+    def traced(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Example, "__init__", traced)
+    built = _built_examples()
+    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    assert len(calls) == len(built) + len(indexed)
+    assert corpus.example_from_json(built[0].to_json()) == built[0]
+    assert indexed[3].source_id == "nc-3"
 
 
 def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows():
@@ -484,7 +528,16 @@ def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows():
     assert [indexed[index].source_id for index in range(len(indexed))] == [f"nc-{i}" for i in range(9)]
     good = _some_examples(1)[0].to_json()
     assert corpus.example_from_json(good) == _some_examples(1)[0]
-    for bad in ({"bogus": True}, {**good, "task": "nope"}, {**good, "target": ""}, {**good, "input": "calculate: 1"}):
+    bad_rows = (
+        [],
+        {"bogus": True},
+        {**good, "source_id": 7},
+        {**good, "task": "nope"},
+        {**good, "answer_type": "nope"},
+        {**good, "target": ""},
+        {**good, "input": "calculate: 1"},
+    )
+    for bad in bad_rows:
         with pytest.raises(ValueError):
             corpus.example_from_json(bad)
 
@@ -518,25 +571,28 @@ _GOOD_ROW = {"input": "answer_me: q? context: c", "target": "t", "task": "answer
     ],
 )
 def test_record_from_json_holds_the_rules_example_holds(row, message):
+    # A record read from JSON goes through example_from_json, which checks
+    # the JSON shape and leaves the other rules to Example itself.
     with pytest.raises(ValidationError, match=message):
-        record_from_json(row)
+        corpus.example_from_json(row)
     if isinstance(row, dict) and row.keys() == _GOOD_ROW.keys() and all(isinstance(v, str) for v in row.values()):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=message):
             Example(*row.values())
 
 
 def test_record_from_json_returns_the_five_strings():
-    record = record_from_json(_GOOD_ROW)
-    assert record == tuple(_GOOD_ROW.values())
-    assert record.to_json() == _GOOD_ROW
-    assert Example(*record).to_json() == _GOOD_ROW
+    example = corpus.example_from_json(_GOOD_ROW)
+    assert example == Example(*_GOOD_ROW.values())
+    assert [type(value) for value in example.to_json().values()] == [str] * 5
+    assert example.to_json() == _GOOD_ROW
+    assert list(example.to_json()) == list(corpus.EXAMPLE_FIELDS)
 
 
 def test_a_lone_surrogate_is_read_but_not_indexed():
     line = b'{"input": "answer_me: q\\ud800? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n'
     data = json.dumps(_GOOD_ROW).encode() + b"\n" + line
-    (_, _, _, record), = iter_records(io.BytesIO(line))
-    assert record.input == "answer_me: q\ud800? context: c"
+    (_, _, _, example), = iter_examples(io.BytesIO(line))
+    assert example.input == "answer_me: q\ud800? context: c"
     with pytest.raises(ValidationError, match="line 2: .*surrogate"):
         IndexedExamples(io.BytesIO(data))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from numtext import numgen
 from numtext.decimals import EXACT, exact, parse_decimal, render
 from numtext.errors import ConfigError, ParseError
 from numtext.numgen import (
@@ -118,7 +119,7 @@ def test_negative_magnitude_rejected():
 
 
 def test_argmax_like_needs_enough_distinct_values_on_the_grid():
-    # argmax_like redraws until its up to list_terms[1] values are distinct:
+    # argmax_like redraws until its up to LIST_TERMS[1] values are distinct:
     # a grid of 2 values must be refused before anything is drawn.
     argmax_only = {TemplateFamily.ARGMAX_LIKE: 1.0}
     with pytest.raises(ConfigError, match="distinct values"):
@@ -185,11 +186,9 @@ def test_family_weights_respected():
     assert families == {TemplateFamily.MIN_MAX_AVG}
 
 
-def test_sign_coverage_is_fair():
-    config = NumGenConfig(
-        family_weights={TemplateFamily.COMBINATION: 1.0},
-        combination_terms=(3, 3),
-    )
+def test_sign_coverage_is_fair(monkeypatch):
+    monkeypatch.setattr(numgen, "COMBINATION_TERMS", (3, 3))
+    config = NumGenConfig(family_weights={TemplateFamily.COMBINATION: 1.0})
     plus = [0, 0, 0]
     total = 0
     for example in generate_num(10_000, config, seed=21):
@@ -242,7 +241,7 @@ def test_render_matches_canonical_reference(negative, magnitude, trailing_zeros,
 def test_num_to_example_uses_calculate_prefix():
     example = num_to_example(next(iter(generate_num(1, seed=2))))
     assert example.input.startswith("calculate: ")
-    assert example.task.value == "calculate"
+    assert example.task == "calculate"
     assert example.target == render(eval_expr(example.input[len("calculate: "):]))
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    SPAN_DELIMITER,
     IndexedExamples,
     LengthLimits,
     audit_truncation,
@@ -123,7 +124,7 @@ def _write_generated(args: argparse.Namespace, config: dict, generate, to_exampl
         return items if args.emit == "raw" else map(to_example, items)
 
     with atomic_output(args.out) as sink:
-        write_blocks(records, args.count, sink, meta=_meta(config, seed=int(args.seed)))
+        write_blocks(records, args.count, sink, meta=_meta(config, seed=args.seed))
     return 0
 
 
@@ -138,7 +139,7 @@ def cmd_gen_num(args) -> int:
     weights = {family: 1.0 for family in TemplateFamily}
     if args.families:
         weights = {}
-        for part in str(args.families).split(","):
+        for part in args.families.split(","):
             name, _, weight = part.partition("=")
             try:
                 weights[TemplateFamily(name.strip())] = float(weight) if weight else 1.0
@@ -147,13 +148,13 @@ def cmd_gen_num(args) -> int:
                 raise ConfigError(f"bad --families entry {part!r}; families are {known}") from None
     gen_config = NumGenConfig(
         ranges=ValueRange(
-            min_value=parse_decimal(str(args.min_value)),
-            max_value=parse_decimal(str(args.max_value)),
-            max_frac_digits=int(args.max_frac_digits),
+            min_value=parse_decimal(args.min_value),
+            max_value=parse_decimal(args.max_value),
+            max_frac_digits=args.max_frac_digits,
         ),
         family_weights=weights,
     )
-    generate = partial(generate_num, config=gen_config, seed=int(args.seed))
+    generate = partial(generate_num, config=gen_config, seed=args.seed)
     return _write_generated(args, config, generate, num_to_example)
 
 
@@ -173,31 +174,36 @@ def cmd_gen_txt(args) -> int:
     config = _command_config(args, **extra)
     gen_config = TxtGenConfig(
         vocab=vocab,
-        min_events=int(args.min_events),
-        max_events=int(args.max_events),
-        max_quantity=int(args.max_quantity),
-        frac_digits=int(args.frac_digits),
+        min_events=args.min_events,
+        max_events=args.max_events,
+        max_quantity=args.max_quantity,
+        frac_digits=args.frac_digits,
     )
-    generate = partial(generate_txt, config=gen_config, seed=int(args.seed))
+    generate = partial(generate_txt, config=gen_config, seed=args.seed)
     return _write_generated(args, config, generate, txt_to_example)
 
 
-def cmd_ingest(args) -> int:
-    drop = args.format == "drop"
-    ingest, to_example = (ingest_drop, make_drop_example) if drop else (ingest_squad, make_squad_example)
-    result = ingest(args.input)
-    meta = _meta({"format": args.format, "input": str(args.input)}, records=len(result.records))
-    with atomic_output(args.out) as sink:
-        written = write_examples(map(to_example, result.records), sink, meta=meta)
+def _ingest(path: str, read=ingest_drop):
+    """``read(path)``, a DROP file by default, after one ``skipped ID: reason`` line per skipped question."""
+    result = read(path)
     for issue in result.errors:
         print(f"skipped {issue.question_id}: {issue.message}", file=sys.stderr)
+    return result
+
+
+def cmd_ingest(args) -> int:
+    read, to_example = (ingest_drop, make_drop_example) if args.format == "drop" else (ingest_squad, make_squad_example)
+    result = _ingest(args.input, read)
+    meta = _meta({"format": args.format, "input": args.input}, records=len(result.records))
+    with atomic_output(args.out) as sink:
+        written = write_examples(map(to_example, result.records), sink, meta=meta)
     print(f"wrote {written} examples ({len(result.errors)} skipped)", file=sys.stderr)
     return 0
 
 
 def cmd_derive_class(args) -> int:
-    result = ingest_drop(args.input)
-    meta = _meta({"input": str(args.input)}, records=len(result.records))
+    result = _ingest(args.input)
+    meta = _meta({"input": args.input}, records=len(result.records))
     with atomic_output(args.out) as sink:
         written = write_examples(map(make_classification_example, result.records), sink, meta=meta)
     print(f"wrote {written} classification examples", file=sys.stderr)
@@ -231,31 +237,36 @@ def _size_and_mtime(handle) -> tuple[int, int]:
 
 def cmd_mix(args) -> int:
     stats = _load_stats(args.stats)
-    plan = compute_plan(stats, float(args.temperature))
-    config = {"stats": str(args.stats), "temperature": float(args.temperature)}
+    plan = compute_plan(stats, args.temperature)
+    config = {"stats": args.stats, "temperature": args.temperature}
 
     if args.sample is None:
         return _write_json(args.out, {"meta": _meta(config), **plan.to_json()})
 
     if not args.sources or args.out is None:
         raise ConfigError("--sample needs --sources and --out")
-    config.update({"sample": int(args.sample), "seed": args.seed})
+    config.update({"sample": args.sample, "seed": args.seed})
+    paths = {}
+    for part in args.sources.split(","):
+        name, _, path = part.partition("=")
+        name = name.strip()
+        if not (name and path):
+            raise ConfigError(f"bad --sources entry: {part!r}")
+        if name in paths:
+            raise ConfigError(f"--sources names {name!r} twice")
+        if name not in plan.ratios:
+            raise ConfigError(f"--sources names {name!r}, which the plan does not hold")
+        paths[name] = path
     with ExitStack() as stack:
         sources, opened = {}, []
-        for part in args.sources.split(","):
-            name, _, path = part.partition("=")
-            name = name.strip()
-            if not path:
-                raise ConfigError(f"bad --sources entry: {part!r}")
-            if name in sources:
-                raise ConfigError(f"--sources names {name!r} twice")
+        for name, path in paths.items():
             handle = stack.enter_context(open(path, "rb"))
             opened.append((path, handle, _size_and_mtime(handle)))
             try:
                 sources[name] = IndexedExamples(handle)
             except ToolkitError as exc:
                 raise type(exc)(f"source {path}: {exc}") from None
-        stream = sample_stream(plan, sources, int(args.sample), args.seed, allow_repeats=not args.no_repeats)
+        stream = sample_stream(plan, sources, args.sample, args.seed, allow_repeats=not args.no_repeats)
         with atomic_output(args.out) as sink:
             try:
                 write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
@@ -273,12 +284,12 @@ def cmd_lr_table(args) -> int:
     if args.epochs is None or args.batches_per_epoch is None:
         raise ConfigError("--epochs and --batches-per-epoch are required")
     lr_config = LrConfig(
-        total_epochs=int(args.epochs),
-        batches_per_epoch=int(args.batches_per_epoch),
-        warmup_start=float(args.warmup_start),
-        warmup_end=float(args.warmup_end),
-        decay_rate=float(args.decay_rate),
-        warmup_fraction=float(args.warmup_fraction),
+        total_epochs=args.epochs,
+        batches_per_epoch=args.batches_per_epoch,
+        warmup_start=args.warmup_start,
+        warmup_end=args.warmup_end,
+        decay_rate=args.decay_rate,
+        warmup_fraction=args.warmup_fraction,
     )
     config = _command_config(args)
     schedule = LrSchedule(lr_config)
@@ -292,20 +303,26 @@ def cmd_audit(args) -> int:
     examples = (example for *_, example in iter_examples(args.input))
     limits = LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
     audit = audit_truncation(examples, limits, count_tokens)
-    config = {"input": str(args.input), "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
+    config = {"input": args.input, "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
 
 
 def cmd_score(args) -> int:
-    result = ingest_drop(args.gold)
+    result = _ingest(args.gold)
     predictions = {}
     with open(args.pred, "rb") as handle:
         for _, lineno, _, row in iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
+            if row["id"] in predictions:  # find the first line again rather than keep every line number
+                handle.seek(0)
+                first = next(n for _, n, _, earlier in iter_jsonl(handle) if earlier["id"] == row["id"])
+                raise ValidationError(f"line {lineno}: prediction id {row['id']!r} is also on line {first}")
             predictions[row["id"]] = row["prediction"]
+    for query_id in {issue.question_id for issue in result.errors} - {record.query_id for record in result.records}:
+        predictions.pop(query_id, None)  # a question skipped for empty gold is not scored
     report = build_report(result.records, predictions, span_delimiter=args.delimiter)
-    config = {"gold": str(args.gold), "pred": str(args.pred), "delimiter": args.delimiter}
+    config = {"gold": args.gold, "pred": args.pred, "delimiter": args.delimiter}
     return _write_json(args.out, {"meta": _meta(config), **report.to_json()})
 
 
@@ -322,13 +339,8 @@ def cmd_pipeline(args) -> int:
     if args.stats is None or args.batch_size is None:
         raise ConfigError("--stats and --batch-size are required")
     stats = _load_stats(args.stats)
-    plan = expand(spec, stats, int(args.batch_size), args.seed)
-    config = {
-        "pipeline": spec.name,
-        "stats": str(args.stats),
-        "batch_size": int(args.batch_size),
-        "seed": args.seed,
-    }
+    plan = expand(spec, stats, args.batch_size, args.seed)
+    config = {"pipeline": spec.name, "stats": args.stats, "batch_size": args.batch_size, "seed": args.seed}
     return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan.to_json()})
 
 
@@ -361,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-value", dest="min_value", default="0")
-    sub.add_argument("--max-value", dest="max_value", default="20000")
-    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int, default=2)
+    sub.add_argument("--min-value", dest="min_value", default=str(ValueRange.min_value))
+    sub.add_argument("--max-value", dest="max_value", default=str(ValueRange.max_value))
+    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int, default=ValueRange.max_frac_digits)
     sub.add_argument("--families", help="comma list of family[=weight]")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -372,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-events", dest="min_events", type=int, default=2)
-    sub.add_argument("--max-events", dest="max_events", type=int, default=6)
-    sub.add_argument("--max-quantity", dest="max_quantity", type=int, default=20)
-    sub.add_argument("--frac-digits", dest="frac_digits", type=int, default=0)
+    sub.add_argument("--min-events", dest="min_events", type=int, default=TxtGenConfig.min_events)
+    sub.add_argument("--max-events", dest="max_events", type=int, default=TxtGenConfig.max_events)
+    sub.add_argument("--max-quantity", dest="max_quantity", type=int, default=TxtGenConfig.max_quantity)
+    sub.add_argument("--frac-digits", dest="frac_digits", type=int, default=TxtGenConfig.frac_digits)
     sub.add_argument("--vocab", help="JSON vocabulary file")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -401,23 +413,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("lr-table", cmd_lr_table, "emit the learning-rate schedule as CSV")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    sub.add_argument("--warmup-start", dest="warmup_start", type=float, default=1e-8)
-    sub.add_argument("--warmup-end", dest="warmup_end", type=float, default=1e-4)
-    sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=1e-3)
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float, default=0.10)
+    sub.add_argument("--warmup-start", dest="warmup_start", type=float, default=LrConfig.warmup_start)
+    sub.add_argument("--warmup-end", dest="warmup_end", type=float, default=LrConfig.warmup_end)
+    sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=LrConfig.decay_rate)
+    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float, default=LrConfig.warmup_fraction)
     sub.add_argument("--out")
     add_config_flags(sub)
 
     sub = add("audit", cmd_audit, "report encoder/decoder truncation fractions")
     sub.add_argument("--in", dest="input", required=True)
-    sub.add_argument("--encoder-max", dest="encoder_max", type=int, default=512)
-    sub.add_argument("--decoder-max", dest="decoder_max", type=int, default=54)
+    sub.add_argument("--encoder-max", dest="encoder_max", type=int, default=LengthLimits.encoder_max)
+    sub.add_argument("--decoder-max", dest="decoder_max", type=int, default=LengthLimits.decoder_max)
     sub.add_argument("--out")
 
     sub = add("score", cmd_score, "score predictions against DROP gold answers")
     sub.add_argument("--gold", required=True, help="DROP-layout JSON file")
     sub.add_argument("--pred", required=True, help="JSONL of {id, prediction}")
-    sub.add_argument("--delimiter", default="; ")
+    sub.add_argument("--delimiter", default=SPAN_DELIMITER)
     sub.add_argument("--out")
 
     sub = add("pipeline", cmd_pipeline, "list built-in pipelines or expand one")

@@ -64,7 +64,7 @@ def answer_bags(spans: Sequence[str]) -> tuple[list[str], list[frozenset[str]]]:
 
 def split_prediction(text: str, span_delimiter: str = SPAN_DELIMITER) -> list[str]:
     """A predicted string is one span unless the delimiter appears."""
-    return text.split(span_delimiter) if span_delimiter in text else [text]
+    return text.split(span_delimiter)
 
 
 def _numbers_in(bag: frozenset[str]) -> frozenset[str]:
@@ -224,9 +224,10 @@ def build_report(
 ) -> ScoreReport:
     """Macro-averaged EM/F1 overall and per answer type (type of first gold).
 
-    Records without a prediction score 0; prediction ids that match no
-    record raise :class:`ValidationError` listing them. An empty
-    ``span_delimiter`` raises :class:`ConfigError`.
+    Records without a prediction score 0. A question with no non-empty
+    gold answer is not scored: ``ingest_drop`` skips it, so it is no record
+    here. Prediction ids that match no record raise :class:`ValidationError`
+    listing them. An empty ``span_delimiter`` raises :class:`ConfigError`.
     """
     if not span_delimiter:
         raise ConfigError("the span delimiter must be non-empty")

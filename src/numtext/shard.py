@@ -5,11 +5,18 @@ worker per usable CPU, but no more than there are blocks, and block k
 belongs to worker ``k % workers``. Worker 0 is the calling process; each
 other worker is a forked child that encodes its blocks in order and sends
 them through its own pipe. The caller writes every block to the sink in
-index order, so the bytes do not depend on the worker count. The caller
-writes its own blocks straight to the sink, so memory stays at about one
-encoded block per forked worker, on each side, plus the pipe buffers. With
-one CPU or one block nothing forks; pinning the process to one CPU (for
-example with ``taskset -c 0``) gives the one-process run.
+index order, its own ones straight, so the bytes do not depend on the
+worker count and memory stays at about one encoded block per forked worker,
+on each side, plus the pipe buffers. With one CPU or one block nothing
+forks; pinning the process to one CPU (for example with ``taskset -c 0``)
+gives the one-process run.
+
+A worker sends blocks and nothing else: on any failure it stops sending
+and exits, and the caller builds every block it did not send, as it builds
+its own. Records depend only on their index, so the output, or the error
+line, is the one-process run's; a worker that dies costs time, not the
+run. A deterministic hard crash (``os._exit`` inside ``records``) ends the
+caller as it would end one process.
 
 Workers are forked, not spawned: a spawned worker would import the package
 again, which costs about a third of a 3000-record run, and the command-line
@@ -21,17 +28,15 @@ from __future__ import annotations
 import io
 import os
 import struct
-import sys
 
 from .corpus import write_examples
-from .errors import ToolkitError
 
 #: Indices per block: fine enough to share a few thousand records evenly
 #: between two workers, coarse enough that framing costs nothing.
 BLOCK_SIZE = 500
 
-#: A frame is b"B" and an encoded block, or b"E" and a ToolkitError's message.
-_HEADER = struct.Struct(">cQ")
+#: A frame is an encoded block's length, then the block.
+_HEADER = struct.Struct(">Q")
 
 #: POSIX's SIGKILL; importing ``signal`` would cost every command start a millisecond.
 _SIGKILL = 9
@@ -49,12 +54,8 @@ def usable_cpus() -> int:
 def write_blocks(records, count: int, sink, meta: dict) -> None:
     """Write the meta record, then ``records(a, b)`` for each block [a, b) of [0, count).
 
-    ``records(a, b)`` yields the records of indices a..b-1 and runs in the
-    worker that owns the block. A ToolkitError raised in a child is raised
-    here as a ToolkitError with the same message once its block is due,
-    so the first failing index wins as in one process; a child that ends
-    without sending its blocks is a ToolkitError too. However this returns,
-    every child is stopped and reaped first.
+    ``records(a, b)`` yields the records of indices a..b-1. However this
+    returns, every child is stopped and reaped first.
     """
     blocks = [(a, min(a + BLOCK_SIZE, count)) for a in range(0, count, BLOCK_SIZE)]
     workers = max(1, min(usable_cpus(), len(blocks)))
@@ -64,11 +65,11 @@ def write_blocks(records, count: int, sink, meta: dict) -> None:
             children[worker] = _fork(records, blocks[worker::workers], children.values())
         write_examples((), sink, meta=meta)
         for index, (a, b) in enumerate(blocks):
-            worker = index % workers
-            if worker:
-                sink.write(_receive(children, worker))
-            else:
+            block = _receive(children, index % workers)
+            if block is None:
                 write_examples(records(a, b), sink)
+            else:
+                sink.write(block)
     finally:
         # Every block is in, or the run failed: either way no child has work left.
         for pid, pipe in children.values():
@@ -77,22 +78,23 @@ def write_blocks(records, count: int, sink, meta: dict) -> None:
             os.waitpid(pid, 0)
 
 
-def _receive(children: dict, worker: int) -> bytes:
-    """The next block from ``worker``'s pipe; its error or its end raises ToolkitError."""
+def _receive(children: dict, worker: int) -> bytes | None:
+    """The next block from ``worker``'s pipe, or None if this process must build it:
+    a block of its own, or of a worker that stopped sending (a short header or
+    payload), which is then reaped and leaves ``children``."""
+    if worker not in children:
+        return None
     pid, pipe = children[worker]
     header = pipe.read(_HEADER.size)
     if len(header) == _HEADER.size:
-        kind, size = _HEADER.unpack(header)
+        (size,) = _HEADER.unpack(header)
         payload = pipe.read(size)
         if len(payload) == size:
-            if kind == b"E":
-                raise ToolkitError(payload.decode("utf-8"))
             return payload
     del children[worker]
     pipe.close()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    raise ToolkitError(f"worker {worker + 1} ended before sending all its blocks ({how})")
+    os.waitpid(pid, 0)
+    return None
 
 
 def _fork(records, blocks: list[tuple[int, int]], inherited) -> tuple[int, io.BufferedReader]:
@@ -107,8 +109,8 @@ def _fork(records, blocks: list[tuple[int, int]], inherited) -> tuple[int, io.Bu
     if pid:
         os.close(write_fd)
         return pid, os.fdopen(read_fd, "rb")
-    # The worker never returns into the caller, whose cleanup is not its own.
-    code = 1
+    # The worker never returns into the caller, whose cleanup is not its own,
+    # and prints nothing: the caller builds whatever it did not send.
     try:
         os.close(read_fd)
         for _, pipe in inherited:
@@ -116,18 +118,8 @@ def _fork(records, blocks: list[tuple[int, int]], inherited) -> tuple[int, io.Bu
         with os.fdopen(write_fd, "wb") as pipe:
             for a, b in blocks:
                 buffer = io.BytesIO()
-                try:
-                    write_examples(records(a, b), buffer)
-                    kind, payload = b"B", buffer.getvalue()
-                except ToolkitError as exc:
-                    kind, payload = b"E", str(exc).encode("utf-8")
-                pipe.write(_HEADER.pack(kind, len(payload)))
-                pipe.write(payload)
-                if kind == b"E":
-                    break
-        code = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
+                write_examples(records(a, b), buffer)
+                pipe.write(_HEADER.pack(buffer.tell()))
+                pipe.write(buffer.getvalue())
     finally:
-        os._exit(code)
+        os._exit(0)

@@ -46,10 +46,6 @@ class Event:
     target: str | None = None
 
     def __post_init__(self):
-        if type(self.verb) is not VerbClass:
-            object.__setattr__(self, "verb", VerbClass(self.verb))
-        if type(self.quantity) is not Decimal:
-            object.__setattr__(self, "quantity", Decimal(self.quantity))
         if self.quantity < 0:
             raise ValidationError("event quantity must be >= 0")
         if self.verb is VerbClass.TRANSFER:
@@ -302,7 +298,6 @@ class TxtGenConfig:
             raise ConfigError(f"frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
 
 
-@exact
 def _draw_quantity(rng: random.Random, config: TxtGenConfig, upper: Decimal | None = None) -> Decimal:
     scale = config.frac_digits
     high = config.max_quantity * 10**scale

@@ -267,6 +267,59 @@ def test_score_unknown_id_exits_one(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def _gold_with_a_skipped_question(tmp_path):
+    gold = tmp_path / "gold.json"
+    qas = [drop_qa("How many?", "q1", drop_answer(number="5")), drop_qa("Who?", "q2", drop_answer())]
+    gold.write_text(json.dumps(build_drop_file({"p": ("x", qas)})), encoding="utf-8")
+    return gold
+
+
+@pytest.mark.parametrize("command", ["ingest", "derive-class", "score"])
+def test_drop_commands_skip_a_question_without_gold_alike(tmp_path, capsys, command):
+    gold, out = _gold_with_a_skipped_question(tmp_path), tmp_path / "out"
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(
+        json.dumps({"id": "q1", "prediction": "5"}) + "\n" + json.dumps({"id": "q2", "prediction": "5"}) + "\n",
+        encoding="utf-8",
+    )
+    argv = {
+        "ingest": ["ingest", "--format", "drop", "--in", str(gold)],
+        "derive-class": ["derive-class", "--in", str(gold)],
+        "score": ["score", "--gold", str(gold), "--pred", str(preds)],
+    }[command]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert "skipped q2: every gold answer is empty\n" in capsys.readouterr().err
+    if command == "score":
+        payload = _read_json_file(out)
+        assert payload["overall"] == {"count": 1, "em": 1.0, "f1": 1.0}
+        assert [q["id"] for q in payload["per_question"]] == ["q1"]
+    else:
+        assert len(read_examples(out)) == 1
+
+
+def test_score_keeps_the_prediction_of_an_id_a_skipped_question_shares(tmp_path):
+    gold, out = tmp_path / "gold.json", tmp_path / "report.json"
+    qas = [drop_qa("How many?", "q1", drop_answer(number="5")), drop_qa("Who?", "q1", drop_answer())]
+    gold.write_text(json.dumps(build_drop_file({"p": ("x", qas)})), encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "q1", "prediction": "5"}) + "\n", encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 0
+    assert _read_json_file(out)["overall"] == {"count": 1, "em": 1.0, "f1": 1.0}
+
+
+def test_score_rejects_a_prediction_id_given_twice(tmp_path, capsys):
+    gold, out = _gold_with_a_skipped_question(tmp_path), tmp_path / "report.json"
+    preds = tmp_path / "preds.jsonl"
+    rows = [{"id": "q1", "prediction": "5"}, {"id": "q2", "prediction": "5"}, {"id": "q1", "prediction": "6"}]
+    preds.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: line 3: prediction id 'q1' is also on line 1"
+    ]
+    assert not out.exists()
+
+
 def test_score_names_a_prediction_line_that_is_not_an_object(tmp_path, capsys):
     gold = tmp_path / "gold.json"
     gold.write_text(
@@ -597,6 +650,16 @@ _BAD_INPUT_FILES = {
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,s=record.jsonl",
              "--out", "o.jsonl"],
             id="mix-source-named-twice",
+        ),
+        pytest.param(
+            ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,extra=record.jsonl",
+             "--out", "o.jsonl"],
+            id="mix-source-not-in-plan",
+        ),
+        pytest.param(
+            ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,=record.jsonl",
+             "--out", "o.jsonl"],
+            id="mix-empty-source-name",
         ),
     ],
 )

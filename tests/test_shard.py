@@ -99,18 +99,35 @@ def test_a_worker_self_check_failure_is_the_one_process_error_line(tmp_path, mon
     assert first in lines[0][0]
 
 
-def test_a_worker_that_dies_is_one_error_line(tmp_path, monkeypatch, capsys, forks):
-    parent, dying = os.getpid(), _expression(700)
+def _exit_3():
+    os._exit(3)
+
+
+def _raise_runtime_error():
+    raise RuntimeError("worker failure")
+
+
+@pytest.mark.parametrize("fail", [_exit_3, _raise_runtime_error], ids=["exit", "raise"])
+def test_a_worker_that_fails_costs_time_not_the_run(tmp_path, monkeypatch, capfd, forks, fail):
+    # The worker fails on index 700 (block 1, which it owns); this process
+    # then builds that block and the rest itself, as one process would.
+    argv = ["gen-num", "--count", str(COUNT), "--seed", "5", "--out"]
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    _pin_cpus(monkeypatch, 1)
+    assert run(argv + [str(one)]) == 0
+    parent, failing = os.getpid(), _expression(700)
     real_eval = numgen.eval_expr
 
-    def die_in_the_worker(expression, frac_digits=2):
-        if expression == dying and os.getpid() != parent:
-            os._exit(3)
+    def fail_in_the_worker(expression, frac_digits=2):
+        if expression == failing and os.getpid() != parent:
+            fail()
         return real_eval(expression, frac_digits)
 
-    monkeypatch.setattr(numgen, "eval_expr", die_in_the_worker)
-    out = tmp_path / "never.jsonl"
-    assert run(["gen-num", "--count", str(COUNT), "--seed", "5", "--out", str(out)]) == 1
+    monkeypatch.setattr(numgen, "eval_expr", fail_in_the_worker)
+    _pin_cpus(monkeypatch, 2)
+    capfd.readouterr()
+    assert run(argv + [str(two)]) == 0
     assert forks == [1]
-    assert capsys.readouterr().err == "error: worker 2 ended before sending all its blocks (exit status 3)\n"
-    assert list(tmp_path.iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+    assert two.read_bytes() == one.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.jsonl", "two.jsonl"]

@@ -19,6 +19,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +42,7 @@ from .corpus import (
 )
 from .decimals import parse_decimal
 from .errors import ConfigError, ToolkitError, ValidationError
-from .mixing import DatasetStat, compute_plan, sample_stream
+from .mixing import DatasetStat, check_sample, compute_plan, sample_stream
 from .numgen import NumGenConfig, TemplateFamily, ValueRange, generate_num, num_to_example
 from .pipelines import builtin_pipelines, expand, load_pipeline_spec
 from .schedule import LrConfig, LrSchedule, emit_table
@@ -99,8 +100,11 @@ def atomic_output(path: str | None):
 
 
 def _write_json(path: str | None, payload: dict) -> int:
-    with atomic_output(path) as sink:
-        sink.write((json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8"))
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload)
+    with atomic_output(path) as sink:  # a few thousand chunks per write: the document is never one string
+        for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
+            sink.write(batch.encode("utf-8"))
+        sink.write(b"\n")
     return 0
 
 
@@ -257,6 +261,7 @@ def cmd_mix(args) -> int:
         if name not in plan.ratios:
             raise ConfigError(f"--sources names {name!r}, which the plan does not hold")
         paths[name] = path
+    check_sample(plan, paths, args.sample)  # before any source is opened
     with ExitStack() as stack:
         sources, opened = {}, []
         for name, path in paths.items():

@@ -117,7 +117,7 @@ class Example:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DateParts:
     day: str = ""
     month: str = ""
@@ -131,7 +131,7 @@ class DateParts:
         return " ".join(p for p in (self.day.strip(), self.month.strip(), self.year.strip()) if p)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GoldAnswer:
     """One gold answer: a number, a list of spans, or a date."""
 
@@ -147,7 +147,7 @@ class GoldAnswer:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DropRecord:
     """One DROP question with its passage and all gold answers."""
 
@@ -279,15 +279,14 @@ def make_squad_example(record: SquadRecord) -> Example:
 
 def load_json(source):
     """Parse one JSON document from a path or a stream; malformed input raises ParseError."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return json.loads(text)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc.reason}", offset=exc.start) from None
+    del data  # parse from the text alone, so the file's bytes are not held beside its objects
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
@@ -368,18 +367,11 @@ def ingest_drop(source) -> IngestResult:
             golds = [_gold_from_json(qa.get("answer", {}) or {}, f"{at}.answer")]
             validated = _objects(qa.get("validated_answers"), f"{at}.validated_answers")
             golds.extend(_gold_from_json(v, f"{at}.validated_answers[{j}]") for j, v in enumerate(validated))
-            golds = [g for g in golds if not g.is_empty()]
-            if not golds:
+            golds = tuple(g for g in golds if not g.is_empty())
+            try:
+                records.append(DropRecord(passage=passage, question=question, answers=golds, query_id=query_id))
+            except ValidationError:  # DropRecord's own check: no gold answer is left
                 errors.append(IngestIssue(query_id, "every gold answer is empty"))
-                continue
-            records.append(
-                DropRecord(
-                    passage=passage,
-                    question=question,
-                    answers=tuple(golds),
-                    query_id=query_id,
-                )
-            )
     return IngestResult(records, errors)
 
 

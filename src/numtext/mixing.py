@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, StreamError
 from .seeding import derive_seed
@@ -142,12 +142,17 @@ def sample_stream(
     each dataset's shuffle another, so the output is independent of how
     the sources were produced.
     """
+    check_sample(plan, sources, total)
+    return _sample_stream(plan, sources, total, seed, allow_repeats)
+
+
+def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:
+    """Raise ConfigError unless ``total`` >= 1 and ``names`` holds every dataset of ``plan``."""
     if total < 1:
         raise ConfigError("total must be >= 1")
-    missing = [entry.name for entry in plan.entries if entry.name not in sources]
+    missing = [entry.name for entry in plan.entries if entry.name not in names]
     if missing:
         raise ConfigError(f"no source for datasets: {missing}")
-    return _sample_stream(plan, sources, total, seed, allow_repeats)
 
 
 def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:

@@ -548,6 +548,7 @@ _BAD_INPUT_FILES = {
     "gold-id-7.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "7", "answer": {"number": "1"}}]}}',
     "pred-number-id.jsonl": '{"id": 7, "prediction": "1"}\n',
     "stats-one.json": '[{"name": "s", "length": 1}]',
+    "stats-two.json": '[{"name": "s", "length": 1}, {"name": "t", "length": 1}]',
     "record.jsonl": '{"input": "calculate: 1 + 1", "target": "2", "task": "calculate", "answer_type": "number", "source_id": ""}\n',
     "surrogate.jsonl": '{"input": "answer_me: q\\ud800?", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n',
 }
@@ -660,6 +661,15 @@ _BAD_INPUT_FILES = {
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,=record.jsonl",
              "--out", "o.jsonl"],
             id="mix-empty-source-name",
+        ),
+        # The plan is checked against --sources before any source is opened.
+        pytest.param(
+            ["mix", "--stats", "stats-two.json", "--sample", "2", "--sources", "t=nope.jsonl", "--out", "o.jsonl"],
+            id="mix-plan-dataset-missing",
+        ),
+        pytest.param(
+            ["mix", "--stats", "stats-one.json", "--sample", "0", "--sources", "s=nope.jsonl", "--out", "o.jsonl"],
+            id="mix-sample-zero",
         ),
     ],
 )

@@ -200,6 +200,18 @@ def test_ingest_drop_non_utf8_reports_byte_offset():
     assert info.value.offset == 22  # the \xe9 byte
 
 
+def test_ingest_drop_malformed_json_offset_counts_bytes():
+    with pytest.raises(ParseError) as info:
+        ingest_drop(io.BytesIO('{"\u00e9": 1,}'.encode()))
+    assert info.value.offset == 9  # the "}", after the two bytes of the e-acute
+
+
+def test_drop_record_refuses_answers_that_are_all_empty():
+    for answers in ((), (GoldAnswer(), GoldAnswer(spans=(" ",)))):
+        with pytest.raises(ValidationError, match="no non-empty gold answer"):
+            DropRecord("passage", "question", answers, "q-1")
+
+
 def test_ingest_drop_tallies_empty_answers():
     qas = [
         drop_qa("Q1?", "good-1", drop_answer(number="5")),

@@ -1,13 +1,18 @@
+import collections
 import json
+import re
+import unicodedata
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from numtext import scoring
 from numtext.corpus import DateParts, DropRecord, GoldAnswer, gold_answer_spans
 from numtext.errors import ValidationError
 from numtext.scoring import (
+    PairScore,
     answer_bags,
     build_report,
     normalize_span,
@@ -54,6 +59,92 @@ def test_normalize_number_value_equality():
 def test_normalize_empty():
     assert answer_bags(split_prediction("")) == ([""], [frozenset()])
     assert normalize_span("the a an") == ""
+
+
+def _value(token):
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def _same_tokens(got: str, expected: str) -> bool:
+    """The oracle writes 12 as 12.0, so tokens that differ are compared by float value."""
+    got_tokens, expected_tokens = got.split(), expected.split()
+    return len(got_tokens) == len(expected_tokens) and all(
+        mine == theirs or _value(mine) == _value(theirs) for mine, theirs in zip(got_tokens, expected_tokens)
+    )
+
+
+def _forms(char: str) -> tuple[str, ...]:
+    return (char, "a" + char, char + "the", "1" + char + "5", char + ".")
+
+
+# Normalization reads a character only through lower(), the whitespace,
+# letter, digit and word tests, float() (ASCII, Nd digits and whitespace)
+# and ASCII punctuation. Within each category below, every member agrees on
+# all of those (asserted), so one behaves as any other; 1 in 251 of them runs.
+_UNIFORM = ("Cn", "Co", "Cs", "Lo")  # unassigned, private use, surrogate, caseless letter
+
+
+def test_normalize_span_matches_the_oracle_on_every_code_point():
+    by_category = collections.defaultdict(list)
+    for char in map(chr, range(0x110000)):
+        by_category[unicodedata.category(char)].append(char)
+    chars = []
+    for category, members in by_category.items():
+        if category not in _UNIFORM:
+            chars.extend(members)
+            continue
+        joined = "".join(members)
+        assert joined.lower() == joined and not re.search(r"[\x00-\x7f]", joined), category
+        if category == "Lo":
+            assert joined.isalpha()  # so no member is a digit or space, and each is a word character
+        else:
+            assert not re.search(r"[\w\s]", joined), category
+        chars.extend(members[::251])
+    # Both sides split on whitespace and map each token on its own, so one
+    # long text checks every form at once; a mismatch is then located.
+    text = " ".join(" ".join(_forms(char)) for char in chars)
+    if not _same_tokens(normalize_span(text), bf_normalize(text)):
+        wrong = [
+            (hex(ord(char)), form)
+            for char in chars
+            for form in _forms(char)
+            if not _same_tokens(normalize_span(form), bf_normalize(form))
+        ]
+        pytest.fail(f"normalize_span differs from the oracle on {wrong[:20]}")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("inf", "inf"),
+        ("-Infinity", "-inf"),
+        ("nan", "nan"),
+        ("1_000", "1000"),
+        ("\u0663", "3"),  # ARABIC-INDIC DIGIT THREE is Nd: float() reads it
+        ("\u00b2", "\u00b2"),  # SUPERSCRIPT TWO is alphanumeric but no Nd digit
+        ("\u20acthe", "\u20ac"),
+        ("the\u20ac", "\u20ac"),
+        ("\u0130", "i\u0307"),  # lowercases to i + COMBINING DOT ABOVE, a non-word character
+    ],
+)
+def test_normalize_span_named_cases(text, expected):
+    assert normalize_span(text) == expected
+    assert _same_tokens(normalize_span(text), bf_normalize(text))
+    # Whether the token counts as a number decides the numeric gate.
+    for prediction in ("x", f"{text} x"):
+        gold = GoldAnswer(spans=(f"{text} x",))
+        em, f1 = bf_score(prediction, [{"number": "", "spans": [f"{text} x"], "date": {}}])
+        assert score_pair(prediction, gold) == PairScore(em, f1), prediction
+
+
+def test_alphanumeric_tokens_skip_the_article_regex(monkeypatch):
+    # \b can fall only at an alphanumeric token's ends, so such a token is
+    # an article or kept whole without the regex.
+    monkeypatch.setattr(scoring, "_ARTICLES", None)
+    assert normalize_span("The 1a5 a1 \u00b2 an x\u0663 a the") == "1a5 a1 \u00b2 x\u0663"
 
 
 def test_split_prediction_on_delimiter():
@@ -305,6 +396,28 @@ def test_report_unanswered_scores_zero():
     records = _four_question_records()
     report = build_report(records, {"n1": "8000"})
     assert report.overall_em == 0.25
+
+
+def test_report_scores_each_gold_of_each_predicted_record(monkeypatch):
+    # A tracer observes score_pair by name and reads its three arguments.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return score_pair(*args)
+
+    records = _four_question_records() + [
+        _record([GoldAnswer(spans=("a", "b")), GoldAnswer(number="3")], "m1")
+    ]
+    predictions = {"n1": "8000", "s1": "Kasay", "m1": "a | b"}
+    monkeypatch.setattr(scoring, "score_pair", recording)
+    build_report(records, predictions, span_delimiter=" | ")
+    assert calls == [
+        (predictions[record.query_id], gold, " | ")
+        for record in records
+        if record.query_id in predictions
+        for gold in record.answers
+    ]
 
 
 def test_report_unknown_id_rejected():

@@ -332,10 +332,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    pipelines = {spec.name: spec for spec in builtin_pipelines()}
+    pipelines = {spec["name"]: spec for spec in builtin_pipelines()}
     if args.list:
-        payload = {"meta": _meta({}), "pipelines": [spec.to_json() for spec in pipelines.values()]}
-        return _write_json(args.out, payload)
+        return _write_json(args.out, {"meta": _meta({}), "pipelines": list(pipelines.values())})
     if bool(args.name) == bool(args.spec):
         raise ConfigError("pass exactly one of --name or --spec")
     if args.name and args.name not in pipelines:
@@ -345,8 +344,8 @@ def cmd_pipeline(args) -> int:
         raise ConfigError("--stats and --batch-size are required")
     stats = _load_stats(args.stats)
     plan = expand(spec, stats, args.batch_size, args.seed)
-    config = {"pipeline": spec.name, "stats": args.stats, "batch_size": args.batch_size, "seed": args.seed}
-    return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan.to_json()})
+    config = {"pipeline": spec["name"], "stats": args.stats, "batch_size": args.batch_size, "seed": args.seed}
+    return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan})
 
 
 # ---------------------------------------------------------------------------

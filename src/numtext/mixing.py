@@ -16,7 +16,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, StreamError
@@ -176,26 +175,3 @@ def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:
         pick = bisect_right(cumulative, select_rng.random())
         pick = min(pick, len(cursors) - 1)  # guard the p-sum rounding edge
         yield cursors[pick].next()
-
-
-#: The dataset whose one pass is an epoch in ``drop_epoch_exception`` mode.
-DROP = "DROP"
-
-
-class EpochMode(str, Enum):
-    COVER_ALL = "cover_all_epoch"
-    DROP_EXCEPTION = "drop_epoch_exception"
-
-
-def steps_per_epoch(stats: Sequence[DatasetStat], batch_size: int, mode: EpochMode = EpochMode.COVER_ALL) -> int:
-    """Steps for one epoch: cover every example, or one pass of the
-    :data:`DROP` dataset in the multitask-exception mode."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    mode = EpochMode(mode)
-    if mode is EpochMode.COVER_ALL:
-        return -(-sum(stat.length for stat in stats) // batch_size)
-    for stat in stats:
-        if stat.name == DROP:
-            return -(-stat.length // batch_size)
-    raise ConfigError(f"reference dataset {DROP!r} not in stats")

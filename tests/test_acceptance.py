@@ -191,15 +191,15 @@ def test_c7_pipelines():
     with criterion(7, "five builtin pipelines and multitask steps", 5.0):
         specs = builtin_pipelines()
         assert len(specs) == 5
-        by_name = {spec.name: spec for spec in specs}
-        assert by_name["multitask"].stages[0].datasets == ("DROP", "TXT", "NUM", "SQuAD")
-        assert by_name["multitask"].stages[0].temperature == 10.0
-        assert by_name["rc-2"].stages[0].datasets == ("DROP", "DROP-class", "SQuAD")
-        assert by_name["rc-1"].stages[0].datasets == ("DROP", "SQuAD")
-        assert [s.datasets for s in by_name["validation-1"].stages] == [
-            ("DROP", "NUM"), ("DROP", "TXT"), ("DROP", "DROP-class"), ("DROP",),
+        by_name = {spec["name"]: spec for spec in specs}
+        assert by_name["multitask"]["stages"][0]["datasets"] == ["DROP", "TXT", "NUM", "SQuAD"]
+        assert by_name["multitask"]["stages"][0]["temperature"] == 10.0
+        assert by_name["rc-2"]["stages"][0]["datasets"] == ["DROP", "DROP-class", "SQuAD"]
+        assert by_name["rc-1"]["stages"][0]["datasets"] == ["DROP", "SQuAD"]
+        assert [s["datasets"] for s in by_name["validation-1"]["stages"]] == [
+            ["DROP", "NUM"], ["DROP", "TXT"], ["DROP", "DROP-class"], ["DROP"],
         ]
-        assert by_name["validation-2"].stages[0].validation == ("NUM",)
+        assert by_name["validation-2"]["stages"][0]["validation"] == ["NUM"]
 
         stats = {
             "DROP": DatasetStat("DROP", 96_000),
@@ -209,7 +209,7 @@ def test_c7_pipelines():
             "SQuAD": DatasetStat("SQuAD", 87_599),
         }
         plan = expand(by_name["multitask"], stats, batch_size=32)
-        assert plan.stages[0].steps == 3000
+        assert plan["stages"][0]["steps"] == 3000
         for spec in specs:
             expand(spec, stats, batch_size=32)  # every builtin expands cleanly
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -445,6 +447,30 @@ def test_pipeline_requires_name_xor_spec(capsys):
     assert run(["pipeline", "--name", "multitask", "--spec", "x.json"]) == 1
 
 
+DEMO_ARTIFACTS = [
+    "audit.json", "drop.jsonl", "drop_class.jsonl", "drop_mini.json", "full_stats.json", "lr.csv",
+    "multitask_plan.json", "num.jsonl", "plan.json", "predictions.jsonl", "pretrain_stream.jsonl",
+    "report.json", "stats.json", "txt.jsonl",
+]
+
+
+def test_build_demo_corpus_script_writes_its_artifacts(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+    out = tmp_path / "demo"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "build_demo_corpus.py"), str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    listed = [line.strip() for line in done.stdout.splitlines()[1:]]
+    assert listed == DEMO_ARTIFACTS == sorted(path.name for path in out.iterdir())
+    assert all((out / name).stat().st_size > 0 for name in DEMO_ARTIFACTS)
+    plan = _read_json_file(out / "multitask_plan.json")
+    assert [stage["steps"] for stage in plan["stages"]] == [3000, 6000, 3000]
+
+
 def test_output_file_mode_follows_umask(tmp_path):
     out = tmp_path / "n.jsonl"
     previous = os.umask(0o022)
@@ -547,6 +573,10 @@ _BAD_INPUT_FILES = {
     "pred-list-prediction.jsonl": '{"id": "q1", "prediction": ["1"]}\n',
     "gold-id-7.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "7", "answer": {"number": "1"}}]}}',
     "pred-number-id.jsonl": '{"id": 7, "prediction": "1"}\n',
+    "stats-name-twice.json": json.dumps(
+        [{"name": "DROP", "length": 96_000}, {"name": "DROP-class", "length": 96_000}, {"name": "NUM", "length": 10},
+         {"name": "TXT", "length": 10}, {"name": "SQuAD", "length": 10}, {"name": "DROP", "length": 32}]
+    ),
     "stats-one.json": '[{"name": "s", "length": 1}]',
     "stats-two.json": '[{"name": "s", "length": 1}, {"name": "t", "length": 1}]',
     "record.jsonl": '{"input": "calculate: 1 + 1", "target": "2", "task": "calculate", "answer_type": "number", "source_id": ""}\n',
@@ -628,6 +658,11 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["pipeline", "--spec", "spec-list-pipeline-name.json", "--stats", "stats.json", "--batch-size", "2"],
             id="spec-list-name",
+        ),
+        # One stats file naming a dataset twice is an error for pipeline as for mix.
+        pytest.param(
+            ["pipeline", "--name", "multitask", "--stats", "stats-name-twice.json", "--batch-size", "32"],
+            id="pipeline-stats-name-twice",
         ),
         pytest.param(
             ["lr-table", "--epochs", "1", "--batches-per-epoch", "1", "--decay-rate", "nan", "--dump-config", "-"],

@@ -140,6 +140,17 @@ CASES = {
         "out",
         "a526e9e667e84bfa4697680f2f20cb1212fd534a17a5e6fbd5fcfcba6e4eed82",
     ),
+    "pipeline-list": (
+        ["pipeline", "--list"],
+        "-",
+        "e1cb9ff0e8d9ba536b54d7e3879bd3bdd70c8c2df0c13cbdf9663de779744156",
+    ),
+    "pipeline-spec": (
+        ["pipeline", "--spec", "spec.json", "--stats", "paper-stats.json", "--batch-size", "32",
+         "--seed", SEED, "--out", "out"],
+        "out",
+        "2aaa4fc2bb79b9b1829ded3e029649aa4f8b2646cd59b492f9fd54f74908817c",
+    ),
 }
 
 #: (input, target) pairs whose token counts sit at the audit-unicode limits
@@ -153,6 +164,16 @@ UNICODE_TEXTS = [
     ("answer_me: plain 1 ascii text here", "12"),
     ("answer_me: plain 12 ascii text here", "1 2 3"),
 ]
+
+#: A spec that leaves ``validation``, ``temperature`` and ``mode`` to their
+#: defaults in its first stage and gives an integer temperature in its second.
+SPEC = {
+    "name": "mine",
+    "stages": [
+        {"name": "pretrain", "datasets": ["DROP", "NUM", "TXT"]},
+        {"name": "finetune", "datasets": ["DROP", "DROP-class"], "temperature": 10, "mode": "drop_epoch_exception"},
+    ],
+}
 
 PAPER_STATS = [
     {"name": "DROP", "length": 96_000},
@@ -205,6 +226,7 @@ def workdir(tmp_path, monkeypatch, squad_file):
         "".join(json.dumps(row) + "\n" for row in predictions), encoding="utf-8"
     )
     _write_json(tmp_path / "paper-stats.json", PAPER_STATS)
+    _write_json(tmp_path / "spec.json", SPEC)
     (tmp_path / "unicode.jsonl").write_text(
         "".join(
             json.dumps({"input": text, "target": target, "task": "answer_me", "answer_type": "span", "source_id": f"u{i}"},

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from numtext.errors import ConfigError, StreamError
-from numtext.mixing import DatasetStat, EpochMode, compute_plan, sample_stream, steps_per_epoch
+from numtext.mixing import DatasetStat, compute_plan, sample_stream
 
 PAPER_SIZES = [("NUM", 1_000_000), ("TXT", 2_000_000), ("DROP", 96_000)]
 
@@ -174,30 +174,3 @@ def test_missing_source_rejected():
     with pytest.raises(ConfigError):
         list(sample_stream(plan, _sources(["NUM"]), 5, seed=0))
 
-
-# ---------------------------------------------------------------------------
-# steps_per_epoch
-# ---------------------------------------------------------------------------
-
-def test_steps_cover_all():
-    stats = [DatasetStat("a", 10), DatasetStat("b", 20)]
-    assert steps_per_epoch(stats, 5, EpochMode.COVER_ALL) == 6
-
-
-def test_steps_drop_exception_mode():
-    stats = _stats()
-    assert steps_per_epoch(stats, 32, EpochMode.DROP_EXCEPTION) == 3000
-
-
-def test_steps_batch_larger_than_total():
-    assert steps_per_epoch([DatasetStat("a", 10)], 100) == 1
-
-
-def test_steps_missing_reference_rejected():
-    with pytest.raises(ConfigError):
-        steps_per_epoch([DatasetStat("a", 10)], 4, EpochMode.DROP_EXCEPTION)
-
-
-def test_steps_bad_batch_rejected():
-    with pytest.raises(ConfigError):
-        steps_per_epoch([DatasetStat("a", 10)], 0)

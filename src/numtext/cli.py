@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -23,32 +24,30 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    SPAN_DELIMITER,
-    IndexedExamples,
-    LengthLimits,
-    audit_truncation,
-    count_tokens,
-    ingest_drop,
-    ingest_squad,
-    is_json_number,
-    iter_examples,
-    iter_jsonl,
-    load_json,
-    make_classification_example,
-    make_drop_example,
-    make_squad_example,
-    write_examples,
-)
-from .decimals import parse_decimal
 from .errors import ConfigError, ToolkitError, ValidationError
-from .mixing import DatasetStat, check_sample, compute_plan, sample_stream
-from .numgen import NumGenConfig, TemplateFamily, ValueRange, generate_num, num_to_example
-from .pipelines import builtin_pipelines, expand, load_pipeline_spec
-from .schedule import LrConfig, LrSchedule, emit_table
-from .scoring import build_report
-from .shard import write_blocks
-from .txtgen import DEFAULT_VOCAB, TxtGenConfig, Vocabulary, generate_txt, txt_to_example
+
+
+def _lazy_layer(name: str):
+    """The module ``numtext.<name>``, put in ``sys.modules`` and on the package
+    as an import puts it, but executed only when one of its attributes is
+    first read (``importlib.util.LazyLoader``). A command thus runs only the
+    layers it uses, and an import error in a layer shows at that first use."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every layer is bound, seeding too, which cli does not call, so that
+# ``import numtext.cli`` makes every layer available.
+_LAYERS = ("corpus", "decimals", "mixing", "numgen", "pipelines", "schedule", "scoring", "seeding", "shard", "txtgen")
+corpus, decimals, mixing, numgen, pipelines, schedule, scoring, seeding, shard, txtgen = map(_lazy_layer, _LAYERS)
 
 #: Per command, the flags its effective config records, in --dump-config
 #: order. A --config file may set exactly these; other keys are ignored,
@@ -57,6 +56,24 @@ _CONFIG_KEYS = {
     "gen-num": ("count", "seed", "min_value", "max_value", "max_frac_digits", "families", "emit"),
     "gen-txt": ("count", "seed", "min_events", "max_events", "max_quantity", "frac_digits", "emit"),
     "lr-table": ("epochs", "batches_per_epoch", "warmup_start", "warmup_end", "decay_rate", "warmup_fraction"),
+}
+
+#: Per command, the flag defaults that its layers own. They are read once
+#: the command is known, so parsing loads no layer that the command does not run.
+_LAYER_DEFAULTS = {
+    "gen-num": lambda: {
+        "min_value": str(numgen.ValueRange.min_value),
+        "max_value": str(numgen.ValueRange.max_value),
+        "max_frac_digits": numgen.ValueRange.max_frac_digits,
+    },
+    "gen-txt": lambda: {
+        key: getattr(txtgen.TxtGenConfig, key) for key in ("min_events", "max_events", "max_quantity", "frac_digits")
+    },
+    "lr-table": lambda: {
+        key: getattr(schedule.LrConfig, key) for key in ("warmup_start", "warmup_end", "decay_rate", "warmup_fraction")
+    },
+    "audit": lambda: {"encoder_max": corpus.LengthLimits.encoder_max, "decoder_max": corpus.LengthLimits.decoder_max},
+    "score": lambda: {"delimiter": corpus.SPAN_DELIMITER},
 }
 
 
@@ -74,18 +91,26 @@ def _meta(config: dict, seed: int | None = None, **extra) -> dict:
 def atomic_output(path: str | None):
     """Yield a binary stream for ``path``, or for stdout when it is absent or ``-``.
 
-    A file is streamed to a temp file beside the target, given mode
-    ``0o666 & ~umask`` and renamed over the target on success. On any
-    exception the temp file is removed, so the target is either complete
-    or as it was before.
+    A symlink is followed to the file it names. A regular file, or a path
+    that does not exist yet, is streamed to a temp file beside it, given
+    mode ``0o666 & ~umask`` and renamed over it on success. On any
+    exception the temp file is removed, so the file is either complete or
+    as it was before. Any other existing target (a FIFO, a device) cannot
+    be replaced and is opened and written directly, as stdout is, so a
+    failed run may leave part of its output there.
     """
     if path is None or path == "-":
         sys.stdout.flush()
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
             umask = os.umask(0)
@@ -128,7 +153,7 @@ def _write_generated(args: argparse.Namespace, config: dict, generate, to_exampl
         return items if args.emit == "raw" else map(to_example, items)
 
     with atomic_output(args.out) as sink:
-        write_blocks(records, args.count, sink, meta=_meta(config, seed=args.seed))
+        shard.write_blocks(records, args.count, sink, meta=_meta(config, seed=args.seed))
     return 0
 
 
@@ -140,55 +165,55 @@ def cmd_gen_num(args) -> int:
     if args.count is None:
         raise ConfigError("--count is required")
     config = _command_config(args)
-    weights = {family: 1.0 for family in TemplateFamily}
+    weights = {family: 1.0 for family in numgen.TemplateFamily}
     if args.families:
         weights = {}
         for part in args.families.split(","):
             name, _, weight = part.partition("=")
             try:
-                weights[TemplateFamily(name.strip())] = float(weight) if weight else 1.0
+                weights[numgen.TemplateFamily(name.strip())] = float(weight) if weight else 1.0
             except ValueError:
-                known = ", ".join(family.value for family in TemplateFamily)
+                known = ", ".join(family.value for family in numgen.TemplateFamily)
                 raise ConfigError(f"bad --families entry {part!r}; families are {known}") from None
-    gen_config = NumGenConfig(
-        ranges=ValueRange(
-            min_value=parse_decimal(args.min_value),
-            max_value=parse_decimal(args.max_value),
+    gen_config = numgen.NumGenConfig(
+        ranges=numgen.ValueRange(
+            min_value=decimals.parse_decimal(args.min_value),
+            max_value=decimals.parse_decimal(args.max_value),
             max_frac_digits=args.max_frac_digits,
         ),
         family_weights=weights,
     )
-    generate = partial(generate_num, config=gen_config, seed=args.seed)
-    return _write_generated(args, config, generate, num_to_example)
+    generate = partial(numgen.generate_num, config=gen_config, seed=args.seed)
+    return _write_generated(args, config, generate, numgen.num_to_example)
 
 
 def cmd_gen_txt(args) -> int:
     if args.count is None:
         raise ConfigError("--count is required")
-    vocab, extra = DEFAULT_VOCAB, {}
+    vocab, extra = txtgen.DEFAULT_VOCAB, {}
     if args.vocab:
         # The vocabulary's content, not its path, goes into the config hash.
         data = Path(args.vocab).read_bytes()
-        vocab = Vocabulary.from_json(load_json(io.BytesIO(data)))
+        vocab = txtgen.Vocabulary.from_json(corpus.load_json(io.BytesIO(data)))
         extra["vocab_sha256"] = hashlib.sha256(data).hexdigest()
     recorded = args.config_values.get("vocab_sha256")
     if recorded is not None and recorded != extra.get("vocab_sha256"):
         problem = "--vocab is not that vocabulary" if args.vocab else "give that vocabulary with --vocab"
         raise ConfigError(f"--config records vocab_sha256 {str(recorded)[:16]}...; {problem}")
     config = _command_config(args, **extra)
-    gen_config = TxtGenConfig(
+    gen_config = txtgen.TxtGenConfig(
         vocab=vocab,
         min_events=args.min_events,
         max_events=args.max_events,
         max_quantity=args.max_quantity,
         frac_digits=args.frac_digits,
     )
-    generate = partial(generate_txt, config=gen_config, seed=args.seed)
-    return _write_generated(args, config, generate, txt_to_example)
+    generate = partial(txtgen.generate_txt, config=gen_config, seed=args.seed)
+    return _write_generated(args, config, generate, txtgen.txt_to_example)
 
 
-def _ingest(path: str, read=ingest_drop):
-    """``read(path)``, a DROP file by default, after one ``skipped ID: reason`` line per skipped question."""
+def _ingest(path: str, read):
+    """``read(path)``, a corpus ingest function, after one ``skipped ID: reason`` line per skipped question."""
     result = read(path)
     for issue in result.errors:
         print(f"skipped {issue.question_id}: {issue.message}", file=sys.stderr)
@@ -196,33 +221,36 @@ def _ingest(path: str, read=ingest_drop):
 
 
 def cmd_ingest(args) -> int:
-    read, to_example = (ingest_drop, make_drop_example) if args.format == "drop" else (ingest_squad, make_squad_example)
+    if args.format == "drop":
+        read, to_example = corpus.ingest_drop, corpus.make_drop_example
+    else:
+        read, to_example = corpus.ingest_squad, corpus.make_squad_example
     result = _ingest(args.input, read)
     meta = _meta({"format": args.format, "input": args.input}, records=len(result.records))
     with atomic_output(args.out) as sink:
-        written = write_examples(map(to_example, result.records), sink, meta=meta)
+        written = corpus.write_examples(map(to_example, result.records), sink, meta=meta)
     print(f"wrote {written} examples ({len(result.errors)} skipped)", file=sys.stderr)
     return 0
 
 
 def cmd_derive_class(args) -> int:
-    result = _ingest(args.input)
+    result = _ingest(args.input, corpus.ingest_drop)
     meta = _meta({"input": args.input}, records=len(result.records))
     with atomic_output(args.out) as sink:
-        written = write_examples(map(make_classification_example, result.records), sink, meta=meta)
+        written = corpus.write_examples(map(corpus.make_classification_example, result.records), sink, meta=meta)
     print(f"wrote {written} classification examples", file=sys.stderr)
     return 0
 
 
-def _load_stats(path: str) -> list[DatasetStat]:
-    rows = load_json(path)
+def _load_stats(path: str) -> list[mixing.DatasetStat]:
+    rows = corpus.load_json(path)
     if not isinstance(rows, list):
         raise ConfigError("stats file must hold a JSON list")
-    stats = []
+    stats, is_number = [], corpus.is_json_number
     for index, row in enumerate(rows):
         try:
             name, length, scale, cap = row["name"], row["length"], row.get("scale", 1.0), row.get("cap")
-            numbers = is_json_number(length, int) and is_json_number(scale) and (cap is None or is_json_number(cap))
+            numbers = is_number(length, int) and is_number(scale) and (cap is None or is_number(cap))
             if not (isinstance(name, str) and numbers):
                 raise TypeError
             scale, cap = float(scale), None if cap is None else float(cap)
@@ -230,7 +258,7 @@ def _load_stats(path: str) -> list[DatasetStat]:
             raise ConfigError(
                 f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
             ) from None
-        stats.append(DatasetStat(name=name, length=length, scale=scale, cap=cap))
+        stats.append(mixing.DatasetStat(name=name, length=length, scale=scale, cap=cap))
     return stats
 
 
@@ -241,7 +269,7 @@ def _size_and_mtime(handle) -> tuple[int, int]:
 
 def cmd_mix(args) -> int:
     stats = _load_stats(args.stats)
-    plan = compute_plan(stats, args.temperature)
+    plan = mixing.compute_plan(stats, args.temperature)
     config = {"stats": args.stats, "temperature": args.temperature}
 
     if args.sample is None:
@@ -261,20 +289,20 @@ def cmd_mix(args) -> int:
         if name not in plan.ratios:
             raise ConfigError(f"--sources names {name!r}, which the plan does not hold")
         paths[name] = path
-    check_sample(plan, paths, args.sample)  # before any source is opened
+    mixing.check_sample(plan, paths, args.sample)  # before any source is opened
     with ExitStack() as stack:
         sources, opened = {}, []
         for name, path in paths.items():
             handle = stack.enter_context(open(path, "rb"))
             opened.append((path, handle, _size_and_mtime(handle)))
             try:
-                sources[name] = IndexedExamples(handle)
+                sources[name] = corpus.IndexedExamples(handle)
             except ToolkitError as exc:
                 raise type(exc)(f"source {path}: {exc}") from None
-        stream = sample_stream(plan, sources, args.sample, args.seed, allow_repeats=not args.no_repeats)
+        stream = mixing.sample_stream(plan, sources, args.sample, args.seed, allow_repeats=not args.no_repeats)
         with atomic_output(args.out) as sink:
             try:
-                write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
+                corpus.write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
             finally:
                 # Draws copy the lines at the indexed offsets, so a source
                 # changed in place since may have given other bytes; that
@@ -288,7 +316,7 @@ def cmd_mix(args) -> int:
 def cmd_lr_table(args) -> int:
     if args.epochs is None or args.batches_per_epoch is None:
         raise ConfigError("--epochs and --batches-per-epoch are required")
-    lr_config = LrConfig(
+    lr_config = schedule.LrConfig(
         total_epochs=args.epochs,
         batches_per_epoch=args.batches_per_epoch,
         warmup_start=args.warmup_start,
@@ -297,53 +325,53 @@ def cmd_lr_table(args) -> int:
         warmup_fraction=args.warmup_fraction,
     )
     config = _command_config(args)
-    schedule = LrSchedule(lr_config)
+    lr_schedule = schedule.LrSchedule(lr_config)
     meta = _meta(config)
     with atomic_output(args.out) as sink:
-        emit_table(schedule, sink, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
+        schedule.emit_table(lr_schedule, sink, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
     return 0
 
 
 def cmd_audit(args) -> int:
-    examples = (example for *_, example in iter_examples(args.input))
-    limits = LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = audit_truncation(examples, limits, count_tokens)
+    examples = (example for *_, example in corpus.iter_examples(args.input))
+    limits = corpus.LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
+    audit = corpus.audit_truncation(examples, limits, corpus.count_tokens)
     config = {"input": args.input, "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
 
 
 def cmd_score(args) -> int:
-    result = _ingest(args.gold)
+    result = _ingest(args.gold, corpus.ingest_drop)
     predictions = {}
     with open(args.pred, "rb") as handle:
-        for _, lineno, _, row in iter_jsonl(handle):
+        for _, lineno, _, row in corpus.iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
             if row["id"] in predictions:  # find the first line again rather than keep every line number
                 handle.seek(0)
-                first = next(n for _, n, _, earlier in iter_jsonl(handle) if earlier["id"] == row["id"])
+                first = next(n for _, n, _, earlier in corpus.iter_jsonl(handle) if earlier["id"] == row["id"])
                 raise ValidationError(f"line {lineno}: prediction id {row['id']!r} is also on line {first}")
             predictions[row["id"]] = row["prediction"]
     for query_id in {issue.question_id for issue in result.errors} - {record.query_id for record in result.records}:
         predictions.pop(query_id, None)  # a question skipped for empty gold is not scored
-    report = build_report(result.records, predictions, span_delimiter=args.delimiter)
+    report = scoring.build_report(result.records, predictions, span_delimiter=args.delimiter)
     config = {"gold": args.gold, "pred": args.pred, "delimiter": args.delimiter}
     return _write_json(args.out, {"meta": _meta(config), **report.to_json()})
 
 
 def cmd_pipeline(args) -> int:
-    pipelines = {spec["name"]: spec for spec in builtin_pipelines()}
+    builtins = {spec["name"]: spec for spec in pipelines.builtin_pipelines()}
     if args.list:
-        return _write_json(args.out, {"meta": _meta({}), "pipelines": list(pipelines.values())})
+        return _write_json(args.out, {"meta": _meta({}), "pipelines": list(builtins.values())})
     if bool(args.name) == bool(args.spec):
         raise ConfigError("pass exactly one of --name or --spec")
-    if args.name and args.name not in pipelines:
-        raise ConfigError(f"unknown pipeline {args.name!r}; builtins: {sorted(pipelines)}")
-    spec = pipelines[args.name] if args.name else load_pipeline_spec(args.spec)
+    if args.name and args.name not in builtins:
+        raise ConfigError(f"unknown pipeline {args.name!r}; builtins: {sorted(builtins)}")
+    spec = builtins[args.name] if args.name else pipelines.load_pipeline_spec(args.spec)
     if args.stats is None or args.batch_size is None:
         raise ConfigError("--stats and --batch-size are required")
     stats = _load_stats(args.stats)
-    plan = expand(spec, stats, args.batch_size, args.seed)
+    plan = pipelines.expand(spec, stats, args.batch_size, args.seed)
     config = {"pipeline": spec["name"], "stats": args.stats, "batch_size": args.batch_size, "seed": args.seed}
     return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan})
 
@@ -377,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-value", dest="min_value", default=str(ValueRange.min_value))
-    sub.add_argument("--max-value", dest="max_value", default=str(ValueRange.max_value))
-    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int, default=ValueRange.max_frac_digits)
+    sub.add_argument("--min-value", dest="min_value")
+    sub.add_argument("--max-value", dest="max_value")
+    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int)
     sub.add_argument("--families", help="comma list of family[=weight]")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -388,10 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-events", dest="min_events", type=int, default=TxtGenConfig.min_events)
-    sub.add_argument("--max-events", dest="max_events", type=int, default=TxtGenConfig.max_events)
-    sub.add_argument("--max-quantity", dest="max_quantity", type=int, default=TxtGenConfig.max_quantity)
-    sub.add_argument("--frac-digits", dest="frac_digits", type=int, default=TxtGenConfig.frac_digits)
+    sub.add_argument("--min-events", dest="min_events", type=int)
+    sub.add_argument("--max-events", dest="max_events", type=int)
+    sub.add_argument("--max-quantity", dest="max_quantity", type=int)
+    sub.add_argument("--frac-digits", dest="frac_digits", type=int)
     sub.add_argument("--vocab", help="JSON vocabulary file")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -417,23 +445,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("lr-table", cmd_lr_table, "emit the learning-rate schedule as CSV")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    sub.add_argument("--warmup-start", dest="warmup_start", type=float, default=LrConfig.warmup_start)
-    sub.add_argument("--warmup-end", dest="warmup_end", type=float, default=LrConfig.warmup_end)
-    sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=LrConfig.decay_rate)
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float, default=LrConfig.warmup_fraction)
+    sub.add_argument("--warmup-start", dest="warmup_start", type=float)
+    sub.add_argument("--warmup-end", dest="warmup_end", type=float)
+    sub.add_argument("--decay-rate", dest="decay_rate", type=float)
+    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
     sub.add_argument("--out")
     add_config_flags(sub)
 
     sub = add("audit", cmd_audit, "report encoder/decoder truncation fractions")
     sub.add_argument("--in", dest="input", required=True)
-    sub.add_argument("--encoder-max", dest="encoder_max", type=int, default=LengthLimits.encoder_max)
-    sub.add_argument("--decoder-max", dest="decoder_max", type=int, default=LengthLimits.decoder_max)
+    sub.add_argument("--encoder-max", dest="encoder_max", type=int)
+    sub.add_argument("--decoder-max", dest="decoder_max", type=int)
     sub.add_argument("--out")
 
     sub = add("score", cmd_score, "score predictions against DROP gold answers")
     sub.add_argument("--gold", required=True, help="DROP-layout JSON file")
     sub.add_argument("--pred", required=True, help="JSONL of {id, prediction}")
-    sub.add_argument("--delimiter", default=SPAN_DELIMITER)
+    sub.add_argument("--delimiter")
     sub.add_argument("--out")
 
     sub = add("pipeline", cmd_pipeline, "list built-in pipelines or expand one")
@@ -449,23 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv; with --config, parse again after the file's non-null values
-    for the command's _CONFIG_KEYS become its defaults (flag > file > default).
-    The values become text first, so argparse converts and checks them as it
+    """Parse argv once to learn the command, set its defaults in one step, and
+    parse again. The defaults are the command's _LAYER_DEFAULTS with, under
+    --config, the file's non-null values for its _CONFIG_KEYS on top, so a
+    value comes from the flag, else the file, else the layer's class. File
+    values become text first, so argparse converts and checks them as it
     does the flags. ``args.config_values`` holds the whole file (``{}``
     without --config)."""
     if any("\x00" in arg for arg in argv or ()):
         raise ConfigError("an argument contains a NUL character")
     args = parser.parse_args(argv)
-    values = {}
+    defaults, values = _LAYER_DEFAULTS.get(args.command, dict)(), {}
     if getattr(args, "config", None):
-        values = load_json(args.config)
+        values = corpus.load_json(args.config)
         if not isinstance(values, dict):
             raise ConfigError("--config file must hold a JSON object")
-        keys = _CONFIG_KEYS[args.command]
-        parser.commands[args.command].set_defaults(
-            **{key: str(values[key]) for key in keys if values.get(key) is not None}
-        )
+        defaults.update({key: str(values[key]) for key in _CONFIG_KEYS[args.command] if values.get(key) is not None})
+    if defaults:
+        parser.commands[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
     args.config_values = values
     return args

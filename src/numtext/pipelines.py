@@ -88,7 +88,7 @@ def check_spec(spec) -> dict:
         raise ConfigError("pipeline spec needs 'name' and a 'stages' list")
     if not isinstance(spec["name"], str):
         raise ConfigError("pipeline spec: 'name' must be a string")
-    stages = [_check_stage(index, raw) for index, raw in enumerate(spec["stages"])]
+    stages = [_check_stage(spec["name"], index, raw) for index, raw in enumerate(spec["stages"])]
     if not stages:
         raise ConfigError(f"pipeline {spec['name']!r} has no stages")
     names = [stage["name"] for stage in stages]
@@ -97,7 +97,7 @@ def check_spec(spec) -> dict:
     return {"name": spec["name"], "stages": stages}
 
 
-def _check_stage(index: int, raw) -> dict:
+def _check_stage(pipeline: str, index: int, raw) -> dict:
     if not isinstance(raw, dict) or "name" not in raw or "datasets" not in raw:
         raise ConfigError(f"pipeline stage {index} needs 'name' and 'datasets'")
     name = raw["name"]
@@ -122,6 +122,8 @@ def _check_stage(index: int, raw) -> dict:
     validation = list(raw.get("validation", datasets))
     if not datasets:
         raise ConfigError(f"stage {name!r} has no datasets")
+    if len(set(datasets)) != len(datasets):
+        raise ConfigError(f"pipeline {pipeline!r} stage {name!r} lists a dataset twice: {datasets}")
     stray = set(validation) - set(datasets)
     if stray:
         raise ConfigError(f"stage {name!r} validates on unknown datasets: {sorted(stray)}")

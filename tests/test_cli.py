@@ -4,11 +4,12 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from numtext import cli, numgen
+from numtext import mixing, numgen
 from numtext.cli import run
 from numtext.corpus import TaskTag
 from numtext.decimals import MAX_FRAC_DIGITS
@@ -489,6 +490,44 @@ def test_out_dash_streams_to_stdout(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["n.jsonl"]
 
 
+_LR_TABLE = ["lr-table", "--epochs", "2", "--batches-per-epoch", "3", "--out"]
+
+
+def test_out_to_a_fifo_streams_to_its_reader(tmp_path):
+    assert run(_LR_TABLE + [str(tmp_path / "lr.csv")]) == 0
+    fifo, second_name = tmp_path / "fifo", tmp_path / "fifo-link"
+    os.mkfifo(fifo)
+    os.link(fifo, second_name)  # reaches the FIFO even if the command replaced "fifo"
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run(_LR_TABLE + [str(fifo)]) == 0
+    finally:
+        try:  # a reader still waiting for a writer gets end of file
+            os.close(os.open(second_name, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader is left
+            pass
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [(tmp_path / "lr.csv").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "fifo-link", "lr.csv"]
+
+
+def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    assert run(_LR_TABLE + [str(tmp_path / "lr.csv")]) == 0
+    (tmp_path / "dir").mkdir()
+    real, link = tmp_path / "dir" / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(b"previous contents\n")
+    link.symlink_to(Path("dir") / "real.csv")
+    assert run(_LR_TABLE + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("dir") / "real.csv")
+    assert real.read_bytes() == (tmp_path / "lr.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "link.csv", "lr.csv"]
+    assert [p.name for p in (tmp_path / "dir").iterdir()] == ["real.csv"]
+
+
 def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text("{bad", encoding="utf-8")
@@ -560,6 +599,7 @@ _BAD_INPUT_FILES = {
     "spec-number-validation.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a"], "validation": 7}]}',
     "spec-list-name.json": '{"name": "x", "stages": [{"name": ["x"], "datasets": ["a"]}]}',
     "spec-list-pipeline-name.json": '{"name": ["x"], "stages": [{"name": "s", "datasets": ["a"]}]}',
+    "spec-dataset-twice.json": '{"name": "x", "stages": [{"name": "s", "datasets": ["a", "a"]}]}',
     "vocab-no-containers.json": '{"entities": ["a", "b"]}',
     "vocab-malformed.json": '{"containers": [',
     "vocab-number-containers.json": '{"containers": 5, "entities": ["a", "b"]}',
@@ -658,6 +698,11 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["pipeline", "--spec", "spec-list-pipeline-name.json", "--stats", "stats.json", "--batch-size", "2"],
             id="spec-list-name",
+        ),
+        # A spec is checked in full, a dataset named twice in a stage too, before the stats are read.
+        pytest.param(
+            ["pipeline", "--spec", "spec-dataset-twice.json", "--stats", "nope.json", "--batch-size", "2"],
+            id="pipeline-spec-dataset-twice",
         ),
         # One stats file naming a dataset twice is an error for pipeline as for mix.
         pytest.param(
@@ -776,7 +821,7 @@ def test_mix_source_changed_in_place_while_drawing_is_one_error(tmp_path, monkey
     (tmp_path / "nc.jsonl").write_bytes(NONCANONICAL_SOURCE)
     assert run(["gen-num", "--count", "20", "--seed", "3", "--out", "num.jsonl"]) == 0
     (tmp_path / "stats.json").write_text(json.dumps([{"name": "nc", "length": 9}, {"name": "num", "length": 20}]))
-    real_sample_stream = cli.sample_stream
+    real_sample_stream = mixing.sample_stream
 
     def changing_stream(*args, **kwargs):
         for index, draw in enumerate(real_sample_stream(*args, **kwargs)):
@@ -784,7 +829,7 @@ def test_mix_source_changed_in_place_while_drawing_is_one_error(tmp_path, monkey
                 change(tmp_path / f"{source}.jsonl")
             yield draw
 
-    monkeypatch.setattr(cli, "sample_stream", changing_stream)
+    monkeypatch.setattr(mixing, "sample_stream", changing_stream)
     before = sorted(p.name for p in tmp_path.iterdir())
     argv = ["mix", "--stats", "stats.json", "-T", "10", "--sample", "60", "--sources", "nc=nc.jsonl,num=num.jsonl"]
     capsys.readouterr()

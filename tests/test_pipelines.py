@@ -125,6 +125,11 @@ def test_duplicate_stage_names_rejected():
         _spec(stage, stage)
 
 
+def test_a_stage_naming_a_dataset_twice_is_rejected_with_its_pipeline_and_stage():
+    with pytest.raises(ConfigError, match=r"^pipeline 'p' stage 's' lists a dataset twice: \['DROP', 'NUM', 'DROP'\]$"):
+        _spec({"name": "s", "datasets": ["DROP", "NUM", "DROP"]})
+
+
 def test_spec_file_round_trip(tmp_path):
     spec = _by_name()["multitask"]
     path = tmp_path / "pipeline.json"

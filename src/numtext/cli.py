@@ -220,6 +220,13 @@ def _ingest(path: str, read):
     return result
 
 
+def _write_tagged(path: str, records: list, to_example, meta: dict) -> None:
+    """Write ``to_example(record)`` for each record to ``path``, block by block
+    on the usable CPUs (see shard)."""
+    with atomic_output(path) as sink:
+        shard.write_blocks(lambda a, b: map(to_example, records[a:b]), len(records), sink, meta=meta)
+
+
 def cmd_ingest(args) -> int:
     if args.format == "drop":
         read, to_example = corpus.ingest_drop, corpus.make_drop_example
@@ -227,18 +234,16 @@ def cmd_ingest(args) -> int:
         read, to_example = corpus.ingest_squad, corpus.make_squad_example
     result = _ingest(args.input, read)
     meta = _meta({"format": args.format, "input": args.input}, records=len(result.records))
-    with atomic_output(args.out) as sink:
-        written = corpus.write_examples(map(to_example, result.records), sink, meta=meta)
-    print(f"wrote {written} examples ({len(result.errors)} skipped)", file=sys.stderr)
+    _write_tagged(args.out, result.records, to_example, meta)
+    print(f"wrote {len(result.records)} examples ({len(result.errors)} skipped)", file=sys.stderr)
     return 0
 
 
 def cmd_derive_class(args) -> int:
     result = _ingest(args.input, corpus.ingest_drop)
     meta = _meta({"input": args.input}, records=len(result.records))
-    with atomic_output(args.out) as sink:
-        written = corpus.write_examples(map(corpus.make_classification_example, result.records), sink, meta=meta)
-    print(f"wrote {written} classification examples", file=sys.stderr)
+    _write_tagged(args.out, result.records, corpus.make_classification_example, meta)
+    print(f"wrote {len(result.records)} classification examples", file=sys.stderr)
     return 0
 
 

@@ -13,6 +13,7 @@ is the one way to read one back.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from array import array
@@ -297,49 +298,53 @@ def is_json_number(value, kind: type | tuple = (int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _objects(value, where: str) -> list:
+class _WrongType(Exception):
+    """A value of the wrong JSON type; the message is the error text from the
+    place that raised on. A caller that knows an outer place puts it in front,
+    so a DROP file's locations are formatted only for the value that is wrong."""
+
+
+def _objects(value, name: str) -> list:
     """``value`` as a list of JSON objects (``null`` is an empty list); any
-    other shape raises ParseError naming ``where``."""
+    other shape raises _WrongType naming ``name`` or the entry."""
     if value is None:
         return []
-    if not isinstance(value, list):
-        raise ParseError(f"{where} is not a list")
+    if type(value) is not list:
+        raise _WrongType(f"{name} is not a list")
     for index, item in enumerate(value):
-        if not isinstance(item, dict):
-            raise ParseError(f"{where}[{index}] is not an object")
+        if type(item) is not dict:
+            raise _WrongType(f"{name}[{index}] is not an object")
     return value
 
 
-def _text(value, where: str, field: str, null: str | None = None) -> str:
+def _text(value, field: str, null: str | None = None) -> str:
     """``value`` if it is a string, ``null`` for JSON null where that is
-    given; any other value raises ParseError naming ``where`` and ``field``
-    (joined only then, as ingestion calls this for every field)."""
-    if isinstance(value, str):
+    given; any other value raises _WrongType naming ``field``."""
+    if type(value) is str:
         return value
     if value is None and null is not None:
         return null
-    raise ParseError(f"{where}{field} is not a string")
+    raise _WrongType(f"{field} is not a string")
 
 
-def _gold_from_json(raw, where: str) -> GoldAnswer:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where} is not an object")
-    date_raw = raw.get("date") or {}
-    spans = raw.get("spans", []) or []
-    if not isinstance(date_raw, dict):
-        raise ParseError(f"{where}: 'date' is not an object")
-    if not isinstance(spans, list):
-        raise ParseError(f"{where}: 'spans' is not a list")
-    # A null number or date part is empty, as an absent one is.
-    return GoldAnswer(
-        number=_text(raw.get("number"), where, ": 'number'", null=""),
-        spans=tuple(_text(span, where, ": a 'spans' entry") for span in spans),
-        date=DateParts(
-            day=_text(date_raw.get("day"), where, ": 'date.day'", null=""),
-            month=_text(date_raw.get("month"), where, ": 'date.month'", null=""),
-            year=_text(date_raw.get("year"), where, ": 'date.year'", null=""),
-        ),
-    )
+def _gold(raw, index: int) -> GoldAnswer:
+    """A qa pair's answer (``index`` -1) or its validated answer ``index``.
+    A null number or date part is empty, as an absent one is."""
+    try:
+        if type(raw) is not dict:
+            raise _WrongType(" is not an object")
+        date, spans = raw.get("date") or {}, raw.get("spans") or ()
+        if type(date) is not dict:
+            raise _WrongType(": 'date' is not an object")
+        if spans and type(spans) is not list:
+            raise _WrongType(": 'spans' is not a list")
+        number = _text(raw.get("number"), ": 'number'", "")
+        for span in spans:
+            _text(span, ": a 'spans' entry")
+        day, month = _text(date.get("day"), ": 'date.day'", ""), _text(date.get("month"), ": 'date.month'", "")
+        return GoldAnswer(number, tuple(spans), DateParts(day, month, _text(date.get("year"), ": 'date.year'", "")))
+    except _WrongType as wrong:
+        raise _WrongType(f".validated_answers[{index}]{wrong}" if index >= 0 else f".answer{wrong}") from None
 
 
 def ingest_drop(source) -> IngestResult:
@@ -349,30 +354,42 @@ def ingest_drop(source) -> IngestResult:
     empty ones dropped. A qa pair whose every answer is empty is skipped
     and tallied in ``errors`` rather than aborting the whole file. A value
     of the wrong JSON type raises ParseError naming its passage and index.
+    The cyclic garbage collector is paused meanwhile: parsing and reading
+    only add objects, so its passes over them would free nothing.
     """
-    data = load_json(source)
-    if not isinstance(data, dict):
-        raise ParseError("DROP file must be a JSON object keyed by passage id")
-    records: list[DropRecord] = []
-    errors: list[IngestIssue] = []
-    for passage_id, block in data.items():
-        if not isinstance(block, dict) or "passage" not in block:
-            raise ParseError(f"passage block {passage_id!r} missing 'passage'")
-        passage = _text(block["passage"], f"passage {passage_id!r}", ": 'passage'")
-        where = f"passage {passage_id!r}: qa_pairs"
-        for index, qa in enumerate(_objects(block.get("qa_pairs"), where)):
-            at = f"{where}[{index}]"
-            query_id = _text(qa.get("query_id"), at, ".query_id", null="") or f"{passage_id}.{index}"
-            question = _text(qa.get("question", ""), at, ".question")
-            golds = [_gold_from_json(qa.get("answer", {}) or {}, f"{at}.answer")]
-            validated = _objects(qa.get("validated_answers"), f"{at}.validated_answers")
-            golds.extend(_gold_from_json(v, f"{at}.validated_answers[{j}]") for j, v in enumerate(validated))
-            golds = tuple(g for g in golds if not g.is_empty())
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        data = load_json(source)
+        if type(data) is not dict:
+            raise ParseError("DROP file must be a JSON object keyed by passage id")
+        records: list[DropRecord] = []
+        errors: list[IngestIssue] = []
+        for passage_id, block in data.items():
+            if type(block) is not dict or "passage" not in block:
+                raise ParseError(f"passage block {passage_id!r} missing 'passage'")
             try:
-                records.append(DropRecord(passage=passage, question=question, answers=golds, query_id=query_id))
-            except ValidationError:  # DropRecord's own check: no gold answer is left
-                errors.append(IngestIssue(query_id, "every gold answer is empty"))
-    return IngestResult(records, errors)
+                passage = _text(block["passage"], "'passage'")
+                for index, qa in enumerate(_objects(block.get("qa_pairs"), "qa_pairs")):
+                    try:
+                        query_id = _text(qa.get("query_id"), ".query_id", "") or f"{passage_id}.{index}"
+                        question = _text(qa.get("question", ""), ".question")
+                        golds = [_gold(qa.get("answer") or {}, -1)]
+                        for j, raw in enumerate(_objects(qa.get("validated_answers"), ".validated_answers")):
+                            golds.append(_gold(raw, j))
+                    except _WrongType as wrong:
+                        raise _WrongType(f"qa_pairs[{index}]{wrong}") from None
+                    golds = tuple(gold for gold in golds if not gold.is_empty())
+                    if golds:
+                        records.append(DropRecord(passage, question, golds, query_id))
+                    else:
+                        errors.append(IngestIssue(query_id, "every gold answer is empty"))
+            except _WrongType as wrong:
+                raise ParseError(f"passage {passage_id!r}: {wrong}") from None
+        return IngestResult(records, errors)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def ingest_squad(source) -> IngestResult:
@@ -385,28 +402,24 @@ def ingest_squad(source) -> IngestResult:
         raise ParseError("SQuAD file must be a JSON object with a 'data' list")
     records: list[SquadRecord] = []
     errors: list[IngestIssue] = []
-    for a, article in enumerate(_objects(data["data"], "data")):
-        for p, paragraph in enumerate(_objects(article.get("paragraphs"), f"data[{a}].paragraphs")):
-            context = _text(paragraph.get("context", ""), f"data[{a}].paragraphs[{p}]", ".context")
-            where = f"data[{a}].paragraphs[{p}].qas"
-            for q, qa in enumerate(_objects(paragraph.get("qas"), where)):
-                at = f"{where}[{q}]"
-                qa_id = _text(qa.get("id", ""), at, ".id")
-                question = _text(qa.get("question", ""), at, ".question")
-                answers = _objects(qa.get("answers"), f"{at}.answers")
-                texts = [_text(answer.get("text", ""), at, ".answers: an entry's 'text'") for answer in answers]
-                texts = [t for t in texts if t.strip()]
-                if not texts:
-                    errors.append(IngestIssue(qa_id, "every answer is empty"))
-                    continue
-                records.append(
-                    SquadRecord(
-                        passage=context,
-                        question=question,
-                        answers=tuple(texts),
-                        qa_id=qa_id,
-                    )
-                )
+    try:
+        for a, article in enumerate(_objects(data["data"], "data")):
+            for p, paragraph in enumerate(_objects(article.get("paragraphs"), f"data[{a}].paragraphs")):
+                context = _text(paragraph.get("context", ""), f"data[{a}].paragraphs[{p}].context")
+                where = f"data[{a}].paragraphs[{p}].qas"
+                for q, qa in enumerate(_objects(paragraph.get("qas"), where)):
+                    at = f"{where}[{q}]"
+                    qa_id = _text(qa.get("id", ""), f"{at}.id")
+                    question = _text(qa.get("question", ""), f"{at}.question")
+                    answers, field = _objects(qa.get("answers"), f"{at}.answers"), f"{at}.answers: an entry's 'text'"
+                    texts = [_text(answer.get("text", ""), field) for answer in answers]
+                    texts = [t for t in texts if t.strip()]
+                    if texts:
+                        records.append(SquadRecord(context, question, tuple(texts), qa_id))
+                    else:
+                        errors.append(IngestIssue(qa_id, "every answer is empty"))
+    except _WrongType as wrong:
+        raise ParseError(str(wrong)) from None
     return IngestResult(records, errors)
 
 
@@ -533,7 +546,8 @@ def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
     written as they are. ``sink`` is a binary stream.
     When ``meta`` is given it is written first as a ``{"meta": ...}``
     record; readers skip it. Returns the number of records written, not
-    counting the meta record.
+    counting the meta record. A record holding a lone surrogate raises
+    ValidationError naming its ``source_id``.
     """
     count = 0
     if meta is not None:
@@ -542,7 +556,12 @@ def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
         if isinstance(record, bytes):
             sink.write(record)
         else:
-            sink.write(_encode_line(record.to_json()).encode("utf-8") + b"\n")
+            try:
+                line = _encode_line(record.to_json()).encode("utf-8")
+            except UnicodeEncodeError:  # JSON input can hold one ("\\ud800"), UTF-8 cannot
+                name = getattr(record, "source_id", "")
+                raise ValidationError(f"record {name!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+            sink.write(line + b"\n")
         count += 1
     return count
 

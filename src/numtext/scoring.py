@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import re
 import string
+from array import array
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnswerType, DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
 from .errors import ConfigError, ValidationError
+from .shard import blocks
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b", re.UNICODE)
 _DELETE_PUNCTUATION = str.maketrans("", "", string.punctuation)
@@ -246,6 +249,8 @@ def build_report(
     gold answer is not scored: ``ingest_drop`` skips it, so it is no record
     here. Prediction ids that match no record raise :class:`ValidationError`
     listing them. An empty ``span_delimiter`` raises :class:`ConfigError`.
+    Both are checked first; then the questions are scored in blocks on the
+    usable CPUs (see :mod:`numtext.shard`) and added up here in record order.
     """
     if not span_delimiter:
         raise ConfigError("the span delimiter must be non-empty")
@@ -255,15 +260,23 @@ def build_report(
     if unknown:
         raise ValidationError(f"predictions for unknown question ids: {unknown}")
 
+    def score_block(a: int, b: int) -> bytes:
+        pairs = array("d")  # em, f1 of each question: IEEE doubles hold both floats exactly
+        for record in records[a:b]:
+            predicted = predictions.get(record.query_id)
+            if predicted is None:
+                pairs.extend((0.0, 0.0))
+            else:
+                pair = score_record(record, predicted, span_delimiter)
+                pairs.extend((pair.em, pair.f1))
+        return pairs.tobytes()
+
     per_question = []
-    for record in records:
-        answer_type = derive_answer_type(record.answers[0])
-        predicted = predictions.get(record.query_id)
-        if predicted is None:
-            pair = PairScore(0.0, 0.0)
-        else:
-            pair = score_record(record, predicted, span_delimiter)
-        per_question.append(QuestionScore(record.query_id, answer_type, pair.em, pair.f1))
+    with closing(blocks(score_block, len(records))) as built:
+        for a, b, block in built:
+            pairs = array("d", score_block(a, b) if block is None else block)
+            for record, em, f1 in zip(records[a:b], pairs[::2], pairs[1::2]):
+                per_question.append(QuestionScore(record.query_id, derive_answer_type(record.answers[0]), em, f1))
 
     def _mean(values: list[float]) -> float:
         return sum(values) / len(values) if values else 0.0

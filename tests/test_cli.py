@@ -621,6 +621,10 @@ _BAD_INPUT_FILES = {
     "stats-two.json": '[{"name": "s", "length": 1}, {"name": "t", "length": 1}]',
     "record.jsonl": '{"input": "calculate: 1 + 1", "target": "2", "task": "calculate", "answer_type": "number", "source_id": ""}\n',
     "surrogate.jsonl": '{"input": "answer_me: q\\ud800?", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n',
+    "drop-lone-surrogate.json":
+        '{"p": {"passage": "x \\ud800 y", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
+    "squad-lone-surrogate.json":
+        '{"data": [{"paragraphs": [{"context": "c \\ud800", "qas": [{"id": "s1", "question": "q", "answers": [{"text": "c"}]}]}]}]}',
 }
 
 
@@ -727,6 +731,12 @@ _BAD_INPUT_FILES = {
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=surrogate.jsonl", "--out", "o.jsonl"],
             id="mix-lone-surrogate",
         ),
+        # JSON can hold a lone surrogate, UTF-8 cannot: the record that holds one is the error.
+        pytest.param(["ingest", "--format", "drop", "--in", "drop-lone-surrogate.json", "--out", "o.jsonl"],
+                     id="ingest-lone-surrogate"),
+        pytest.param(["ingest", "--format", "squad", "--in", "squad-lone-surrogate.json", "--out", "o.jsonl"],
+                     id="ingest-squad-lone-surrogate"),
+        pytest.param(["derive-class", "--in", "drop-lone-surrogate.json", "--out", "o.jsonl"], id="derive-class-lone-surrogate"),
         pytest.param(
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=record.jsonl,s=record.jsonl",
              "--out", "o.jsonl"],

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import itertools
 import json
@@ -245,6 +246,87 @@ def test_ingest_drop_tallies_empty_answers():
 def test_ingest_drop_wrong_json_type_names_its_place(qa, place):
     with pytest.raises(ParseError, match=re.escape(place)):
         ingest_drop(io.BytesIO(json.dumps({"p": {"passage": "x", "qa_pairs": [qa]}}).encode()))
+
+
+def _drop_qa_file(*qas, passage="x"):
+    return {"p": {"passage": passage, "qa_pairs": list(qas)}}
+
+
+# The whole ParseError text of each case, as ingest_drop wrote it before it
+# stopped building a location string for every value it reads.
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        ({"p": {"passage": 5, "qa_pairs": []}}, "passage 'p': 'passage' is not a string"),
+        ({"p": {"passage": None}}, "passage 'p': 'passage' is not a string"),
+        ({"p": {"qa_pairs": []}}, "passage block 'p' missing 'passage'"),
+        ({"p": [1]}, "passage block 'p' missing 'passage'"),
+        ([1], "DROP file must be a JSON object keyed by passage id"),
+        ({"p": {"passage": "x", "qa_pairs": 5}}, "passage 'p': qa_pairs is not a list"),
+        # Every qa pair of a passage is checked to be an object before any is read.
+        (_drop_qa_file({"question": 5}, 3), "passage 'p': qa_pairs[1] is not an object"),
+        (_drop_qa_file({"query_id": 5, "question": "q"}), "passage 'p': qa_pairs[0].query_id is not a string"),
+        (_drop_qa_file({"query_id": [], "question": 5}), "passage 'p': qa_pairs[0].query_id is not a string"),
+        (_drop_qa_file({"question": 5}), "passage 'p': qa_pairs[0].question is not a string"),
+        (_drop_qa_file({"question": None}), "passage 'p': qa_pairs[0].question is not a string"),
+        (_drop_qa_file({"question": "q", "answer": [1]}), "passage 'p': qa_pairs[0].answer is not an object"),
+        (_drop_qa_file({"question": "q", "answer": {"number": 5}}),
+         "passage 'p': qa_pairs[0].answer: 'number' is not a string"),
+        (_drop_qa_file({"question": "q", "answer": {"spans": ["a", 5]}}),
+         "passage 'p': qa_pairs[0].answer: a 'spans' entry is not a string"),
+        (_drop_qa_file({"question": "q", "answer": {"spans": {"a": 1}}}),
+         "passage 'p': qa_pairs[0].answer: 'spans' is not a list"),
+        (_drop_qa_file({"question": "q", "answer": {"date": [1]}}),
+         "passage 'p': qa_pairs[0].answer: 'date' is not an object"),
+        (_drop_qa_file({"question": "q", "answer": {"number": 5, "date": "x", "spans": 7}}),
+         "passage 'p': qa_pairs[0].answer: 'date' is not an object"),
+        (_drop_qa_file({"question": "q", "answer": {"date": {"day": 3}}}),
+         "passage 'p': qa_pairs[0].answer: 'date.day' is not a string"),
+        (_drop_qa_file({"question": "q", "answer": {"date": {"month": False}}}),
+         "passage 'p': qa_pairs[0].answer: 'date.month' is not a string"),
+        (_drop_qa_file({"question": "q", "answer": {"number": "1"}, "validated_answers": {"a": 1}}),
+         "passage 'p': qa_pairs[0].validated_answers is not a list"),
+        (_drop_qa_file({"question": "q", "answer": {"number": 5}, "validated_answers": 7}),
+         "passage 'p': qa_pairs[0].answer: 'number' is not a string"),
+        # Every validated answer is checked to be an object before any is read.
+        (_drop_qa_file({"question": "q", "answer": {"number": "1"}, "validated_answers": [{"number": 5}, "x"]}),
+         "passage 'p': qa_pairs[0].validated_answers[1] is not an object"),
+        (_drop_qa_file({"question": "q", "answer": {"number": "1"}, "validated_answers": [{}, {"spans": [None]}]}),
+         "passage 'p': qa_pairs[0].validated_answers[1]: a 'spans' entry is not a string"),
+        (_drop_qa_file({"question": "q", "answer": {"number": "1"}},
+                       {"question": "q", "answer": {"number": "2"}, "validated_answers": [{"date": {"month": 1}}]}),
+         "passage 'p': qa_pairs[1].validated_answers[0]: 'date.month' is not a string"),
+        ({"a": _drop_qa_file({"question": "q", "answer": {"number": "1"}})["p"],
+          "b'q": _drop_qa_file({"question": "q", "answer": {"date": {"year": 1}}})["p"]},
+         "passage \"b'q\": qa_pairs[0].answer: 'date.year' is not a string"),
+    ],
+    ids=[
+        "passage", "null-passage", "no-passage", "list-block", "list-file", "qa_pairs", "qa-pair-entry",
+        "query_id", "query_id-before-question", "question", "null-question", "answer", "number", "spans-entry",
+        "spans", "date", "date-before-number-and-spans", "date.day", "date.month", "validated_answers",
+        "answer-before-validated_answers", "validated_answers-entry", "validated_answers-entry-field",
+        "second-qa-pair", "second-passage",
+    ],
+)
+def test_ingest_drop_error_text_for_each_wrong_type(data, line):
+    with pytest.raises(ParseError) as info:
+        ingest_drop(io.BytesIO(json.dumps(data).encode()))
+    assert str(info.value) == line
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", [b'{"p": {"passage": "x", "qa_pairs": []}}', b'{"p": 5}'], ids=["read", "error"])
+def test_ingest_drop_leaves_the_garbage_collector_as_it_found_it(enabled, text):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            ingest_drop(io.BytesIO(text))
+        except ParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
-"""gen-num and gen-txt across forked workers: the same bytes as one process.
+"""Sharded commands across forked workers: the same bytes as one process.
+
+gen-num, gen-txt, ingest and derive-class write their records in blocks,
+and score scores its questions in blocks.
 
 Every test here starts at most two workers. The usable CPUs are pinned
 (two unless a test pins one), so the worker count does not depend on the
@@ -6,14 +9,19 @@ host, and ``os.fork`` is counted, so each test knows whether a worker
 really ran.
 """
 
+import json
 import os
 
 import pytest
 
-from numtext import numgen, shard
+from numtext import numgen, scoring, shard
 from numtext.cli import run
+from numtext.corpus import DropRecord, GoldAnswer
+from numtext.errors import ConfigError, ValidationError
 from numtext.numgen import NumGenConfig, generate_num
 from numtext.txtgen import TxtGenConfig, generate_txt
+
+from conftest import build_drop_file, drop_answer, drop_qa, no_fork
 
 #: Three blocks, the last one short: worker 2 owns block 1, this process blocks 0 and 2.
 COUNT = 2 * shard.BLOCK_SIZE + 37
@@ -131,3 +139,113 @@ def test_a_worker_that_fails_costs_time_not_the_run(tmp_path, monkeypatch, capfd
     assert capfd.readouterr() == ("", "")
     assert two.read_bytes() == one.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.jsonl", "two.jsonl"]
+
+
+def _query_id(index):
+    return f"q{index:05d}"
+
+
+def _write_qa_inputs(directory, question=lambda index: f"How many lots were in sale {index}?"):
+    """A DROP gold file, its predictions and a SQuAD file, each of COUNT questions."""
+    passages, predictions = {}, []
+    for index in range(COUNT):
+        kind = index % 4
+        if kind == 0:
+            answer, prediction = drop_answer(number=str(index)), str(index)
+        elif kind == 1:
+            answer, prediction = drop_answer(spans=[f"lot {index}"]), f"the lot {index + index % 3}"
+        elif kind == 2:
+            answer, prediction = drop_answer(spans=[f"team {index}", "reds"]), f"reds; team {index}; blues"
+        else:
+            answer, prediction = drop_answer(day="3", month="March", year=str(1700 + index)), f"March {1700 + index}"
+        qa = drop_qa(question(index), _query_id(index), answer, validated=[drop_answer(number=str(index))][: kind % 2])
+        passages.setdefault(f"p{index // 10}", (f"Sales {index // 10} listed lots, teams and dates.", []))[1].append(qa)
+        if index % 7:
+            predictions.append(json.dumps({"id": _query_id(index), "prediction": prediction}) + "\n")
+    (directory / "gold.json").write_text(json.dumps(build_drop_file(passages)))
+    (directory / "pred.jsonl").write_text("".join(predictions))
+    qas = [{"id": _query_id(i), "question": question(i), "answers": [{"text": f"lot {i}"}]} for i in range(COUNT)]
+    squad = {"data": [{"paragraphs": [{"context": "Every lot was sold.", "qas": qas}]}]}
+    (directory / "squad.json").write_text(json.dumps(squad))
+
+
+QA_COMMANDS = {
+    "ingest-drop": ["ingest", "--format", "drop", "--in", "gold.json"],
+    "ingest-squad": ["ingest", "--format", "squad", "--in", "squad.json"],
+    "derive-class": ["derive-class", "--in", "gold.json"],
+    "score": ["score", "--gold", "gold.json", "--pred", "pred.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", list(QA_COMMANDS))
+def test_two_workers_tag_and_score_the_bytes_of_one(tmp_path, monkeypatch, forks, command):
+    monkeypatch.chdir(tmp_path)
+    _write_qa_inputs(tmp_path)
+    _pin_cpus(monkeypatch, 1)
+    assert run(QA_COMMANDS[command] + ["--out", "one"]) == 0
+    assert forks == []
+    _pin_cpus(monkeypatch, 2)
+    assert run(QA_COMMANDS[command] + ["--out", "two"]) == 0
+    assert forks == [1]
+    assert (tmp_path / "two").read_bytes() == (tmp_path / "one").read_bytes()
+    if command == "score":
+        assert json.loads((tmp_path / "one").read_text())["overall"]["count"] == COUNT
+    else:
+        assert len((tmp_path / "one").read_bytes().splitlines()) == 1 + COUNT
+
+
+@pytest.mark.parametrize("fail", [_exit_3, _raise_runtime_error], ids=["exit", "raise"])
+def test_a_score_worker_that_fails_costs_time_not_the_run(tmp_path, monkeypatch, capfd, forks, fail):
+    # The worker fails on question 701 (block 1, which it owns); this process
+    # then scores that block and the rest itself, as one process would.
+    monkeypatch.chdir(tmp_path)
+    _write_qa_inputs(tmp_path)
+    argv = QA_COMMANDS["score"] + ["--out"]
+    _pin_cpus(monkeypatch, 1)
+    assert run(argv + ["one"]) == 0
+    parent, real_score_record = os.getpid(), scoring.score_record
+
+    def fail_in_the_worker(record, predicted, span_delimiter):
+        if record.query_id == _query_id(701) and os.getpid() != parent:
+            fail()
+        return real_score_record(record, predicted, span_delimiter)
+
+    monkeypatch.setattr(scoring, "score_record", fail_in_the_worker)
+    _pin_cpus(monkeypatch, 2)
+    capfd.readouterr()
+    assert run(argv + ["two"]) == 0
+    assert forks == [1]
+    assert capfd.readouterr() == ("", "")
+    assert (tmp_path / "two").read_bytes() == (tmp_path / "one").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ingest-drop", "derive-class"])
+def test_a_lone_surrogate_in_a_worker_block_is_the_one_process_error_line(tmp_path, monkeypatch, capsys, forks,
+                                                                          command):
+    # Question 700 is in block 1, which the worker owns.
+    monkeypatch.chdir(tmp_path)
+    _write_qa_inputs(tmp_path, question=lambda index: "How many\ud800?" if index == 700 else f"How many in {index}?")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    lines = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        assert run(QA_COMMANDS[command] + ["--out", "o.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines.append([line for line in err.splitlines() if line.startswith("error: ")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+    assert forks == [1]
+    assert lines == [[f"error: record '{_query_id(700)}' holds a lone surrogate, which UTF-8 cannot encode"]] * 2
+
+
+@pytest.mark.parametrize(
+    "predictions, delimiter, error",
+    [({"nope": "1"}, "; ", ValidationError), ({}, "", ConfigError)],
+    ids=["unknown-id", "empty-delimiter"],
+)
+def test_build_report_checks_its_input_before_any_fork(monkeypatch, predictions, delimiter, error):
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    records = [DropRecord("p", "q", (GoldAnswer(number="1"),), _query_id(i)) for i in range(COUNT)]
+    with pytest.raises(error):
+        scoring.build_report(records, predictions, span_delimiter=delimiter)

@@ -72,7 +72,7 @@ def inputs(tmp_path):
         pytest.param(["lr-table", "--epochs", "2", "--batches-per-epoch", "3", "--out", "lr.csv"], {"schedule"},
                      id="lr-table"),
         pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--out", "report.json"],
-                     {"corpus", "scoring"}, id="score"),
+                     {"corpus", "scoring", "shard"}, id="score"),
         pytest.param(["mix", "--stats", "stats.json", "-T", "2", "--sample", "8", "--sources",
                       "num=num.jsonl,txt=txt.jsonl", "--out", "mix.jsonl"],
                      set(LAYERS) - {"numgen", "txtgen", "scoring", "shard"}, id="mix"),

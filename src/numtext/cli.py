@@ -82,7 +82,9 @@ def _meta(config: dict, seed: int | None = None, **extra) -> dict:
     if seed is not None:
         meta["seed"] = seed
     canonical = json.dumps(config, sort_keys=True, ensure_ascii=False)
-    meta["config_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    # A path argv could not decode, or a JSON string, can hold a lone surrogate;
+    # text without one encodes to the same bytes either way.
+    meta["config_sha256"] = hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()[:16]
     meta.update(extra)
     return meta
 
@@ -340,9 +342,9 @@ def cmd_lr_table(args) -> int:
 def cmd_audit(args) -> int:
     examples = (example for *_, example in corpus.iter_examples(args.input))
     limits = corpus.LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = corpus.audit_truncation(examples, limits, corpus.count_tokens)
+    audit = corpus.audit_truncation(examples, limits)
     config = {"input": args.input, "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
-    return _write_json(args.out, {"meta": _meta(config), **audit.to_json()})
+    return _write_json(args.out, {"meta": _meta(config), **audit})
 
 
 def cmd_score(args) -> int:

@@ -4,9 +4,8 @@ Reads the public DROP and SQuAD v1.1 JSON layouts, derives the
 question-type classification task, formats prefix-tagged text-to-text
 examples (question placed before context so truncation eats the passage
 tail, never the question), maps a gold answer to its spans (the one rule
-for targets and scoring), audits length cutoffs under a pluggable token
-counter, and writes every JSONL record stream byte-stably through
-:func:`write_examples`.
+for targets and scoring), audits length cutoffs, and writes every JSONL
+record stream byte-stably through :func:`write_examples`.
 Every record line is one :class:`Example`, and :func:`example_from_json`
 is the one way to read one back.
 """
@@ -17,7 +16,7 @@ import gc
 import json
 import re
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -460,7 +459,7 @@ def _ascii_space_or_digit(match: re.Match) -> str:
 
 
 def count_tokens(text: str) -> int:
-    """Default token counter; always equals ``len(digit_tokenize(text))``.
+    """The truncation audit's token count; always equals ``len(digit_tokenize(text))``.
 
     Counts from the classes of the text's UTF-8 bytes without building the
     tokens: a token starts at each digit and at each other byte that
@@ -475,44 +474,28 @@ def count_tokens(text: str) -> int:
     return classes.count(b"D") + classes.count(b" x") + classes.count(b"Dx")
 
 
-@dataclass(frozen=True)
-class TruncationAudit:
-    total: int
-    encoder_over: int
-    decoder_over: int
+def audit_truncation(examples: Iterable[Example], limits: LengthLimits = LengthLimits()) -> dict:
+    """Count examples whose input or target would be cut off at the limits.
 
-    @property
-    def encoder_fraction(self) -> float:
-        return self.encoder_over / self.total if self.total else 0.0
-
-    @property
-    def decoder_fraction(self) -> float:
-        return self.decoder_over / self.total if self.total else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "encoder_over": self.encoder_over,
-            "decoder_over": self.decoder_over,
-            "encoder_fraction": self.encoder_fraction,
-            "decoder_fraction": self.decoder_fraction,
-        }
-
-
-def audit_truncation(
-    examples: Iterable[Example],
-    limits: LengthLimits = LengthLimits(),
-    counter: Callable[[str], int] = count_tokens,
-) -> TruncationAudit:
-    """Count examples whose input or target would be cut off at the limits."""
+    Returns the JSON that ``audit`` writes: ``{"total", "encoder_over",
+    "decoder_over", "encoder_fraction", "decoder_fraction"}``, where a
+    fraction is its count over ``total``, and 0.0 for no examples. Tokens
+    are counted by :func:`count_tokens`.
+    """
     total = encoder_over = decoder_over = 0
     for example in examples:
         total += 1
-        if counter(example.input) > limits.encoder_max:
+        if count_tokens(example.input) > limits.encoder_max:
             encoder_over += 1
-        if counter(example.target) > limits.decoder_max:
+        if count_tokens(example.target) > limits.decoder_max:
             decoder_over += 1
-    return TruncationAudit(total, encoder_over, decoder_over)
+    return {
+        "total": total,
+        "encoder_over": encoder_over,
+        "decoder_over": decoder_over,
+        "encoder_fraction": encoder_over / total if total else 0.0,
+        "decoder_fraction": decoder_over / total if total else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------

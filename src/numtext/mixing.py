@@ -16,6 +16,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, StreamError
@@ -101,31 +102,18 @@ def compute_plan(stats: Sequence[DatasetStat], temperature: float) -> MixturePla
     return MixturePlan(temperature, entries)
 
 
-class _EpochCursor:
-    """Walks one dataset in epoch-shuffled order: a full random permutation
+def _epochs(items: Sequence, rng: random.Random, name: str, allow_repeats: bool) -> Iterator:
+    """Walk one dataset in epoch-shuffled order: a full random permutation
     is consumed before any item repeats. The permutation is an 8-byte-per-item
-    array, so a cursor over offset-indexed records stays small."""
-
-    def __init__(self, items: Sequence, rng: random.Random, name: str, allow_repeats: bool):
-        self.items = items
-        self.rng = rng
-        self.name = name
-        self.allow_repeats = allow_repeats
-        self.order = array("q")
-        self.exhausted_once = False
-
-    def next(self):
-        if not self.order:
-            if not self.items:
-                raise StreamError(f"dataset {self.name!r} is empty")
-            if self.exhausted_once and not self.allow_repeats:
-                raise StreamError(f"dataset {self.name!r} exhausted with repeats disabled")
-            self.order = array("q", range(len(self.items)))
-            self.rng.shuffle(self.order)
-        index = self.order.pop()
-        if not self.order:
-            self.exhausted_once = True
-        return self.items[index]
+    array, so a walk over offset-indexed records stays small."""
+    if not items:
+        raise StreamError(f"dataset {name!r} is empty")
+    while True:
+        order = array("q", range(len(items)))
+        rng.shuffle(order)
+        yield from map(items.__getitem__, reversed(order))
+        if not allow_repeats:
+            raise StreamError(f"dataset {name!r} exhausted with repeats disabled")
 
 
 def sample_stream(
@@ -156,8 +144,8 @@ def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:
 
 def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:
     select_rng = random.Random(derive_seed(seed, "mix", "select"))
-    cursors = [
-        _EpochCursor(
+    walks = [
+        _epochs(
             sources[entry.name],
             random.Random(derive_seed(seed, "mix", "shuffle", entry.name)),
             entry.name,
@@ -165,13 +153,9 @@ def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:
         )
         for entry in plan.entries
     ]
-    cumulative: list[float] = []
-    running = 0.0
-    for entry in plan.entries:
-        running += entry.ratio
-        cumulative.append(running)
+    cumulative = list(accumulate(entry.ratio for entry in plan.entries))
 
     for _ in range(total):
         pick = bisect_right(cumulative, select_rng.random())
-        pick = min(pick, len(cursors) - 1)  # guard the p-sum rounding edge
-        yield cursors[pick].next()
+        pick = min(pick, len(walks) - 1)  # guard the p-sum rounding edge
+        yield next(walks[pick])

@@ -26,7 +26,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AnswerType, DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
+from .corpus import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
 from .errors import ConfigError, ValidationError
 from .shard import blocks
 
@@ -198,44 +198,14 @@ def score_record(
     return PairScore(em=best_em, f1=best_f1)
 
 
-@dataclass(slots=True)
-class QuestionScore:
-    query_id: str
-    answer_type: AnswerType
-    em: float
-    f1: float
-
-
-@dataclass(slots=True)
-class TypeAggregate:
-    count: int
-    em: float
-    f1: float
-
-
 @dataclass(frozen=True)
 class ScoreReport:
-    overall_em: float
-    overall_f1: float
-    per_type: dict[str, TypeAggregate]
-    per_question: tuple[QuestionScore, ...]
+    overall: dict
+    per_type: dict[str, dict]
+    per_question: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "overall": {
-                "count": len(self.per_question),
-                "em": self.overall_em,
-                "f1": self.overall_f1,
-            },
-            "per_type": {
-                name: {"count": agg.count, "em": agg.em, "f1": agg.f1}
-                for name, agg in sorted(self.per_type.items())
-            },
-            "per_question": [
-                {"id": q.query_id, "answer_type": q.answer_type.value, "em": q.em, "f1": q.f1}
-                for q in self.per_question
-            ],
-        }
+        return {"overall": self.overall, "per_type": self.per_type, "per_question": self.per_question}
 
 
 def build_report(
@@ -244,6 +214,13 @@ def build_report(
     span_delimiter: str = SPAN_DELIMITER,
 ) -> ScoreReport:
     """Macro-averaged EM/F1 overall and per answer type (type of first gold).
+
+    The report holds the JSON that ``score`` writes: ``overall`` is
+    ``{"count", "em", "f1"}``, ``per_type`` maps each answer type present,
+    in name order, to the same three keys, and ``per_question`` holds one
+    ``{"id", "answer_type", "em", "f1"}`` row per record, in record order.
+    Each mean is the sum over those rows in record order divided by their
+    count, and 0.0 for no rows.
 
     Records without a prediction score 0. A question with no non-empty
     gold answer is not scored: ``ingest_drop`` skips it, so it is no record
@@ -276,21 +253,17 @@ def build_report(
         for a, b, block in built:
             pairs = array("d", score_block(a, b) if block is None else block)
             for record, em, f1 in zip(records[a:b], pairs[::2], pairs[1::2]):
-                per_question.append(QuestionScore(record.query_id, derive_answer_type(record.answers[0]), em, f1))
+                kind = derive_answer_type(record.answers[0]).value
+                per_question.append({"id": record.query_id, "answer_type": kind, "em": em, "f1": f1})
 
-    def _mean(values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
+    def totals(rows: list[dict]) -> dict:
+        count = len(rows)
+        em = sum(row["em"] for row in rows) / count if count else 0.0
+        f1 = sum(row["f1"] for row in rows) / count if count else 0.0
+        return {"count": count, "em": em, "f1": f1}
 
-    per_type = {}
-    for kind in AnswerType:
-        scored = [q for q in per_question if q.answer_type is kind]
-        if scored:
-            per_type[kind.value] = TypeAggregate(
-                len(scored), _mean([q.em for q in scored]), _mean([q.f1 for q in scored])
-            )
-    return ScoreReport(
-        overall_em=_mean([q.em for q in per_question]),
-        overall_f1=_mean([q.f1 for q in per_question]),
-        per_type=per_type,
-        per_question=tuple(per_question),
-    )
+    by_type = {}
+    for row in per_question:
+        by_type.setdefault(row["answer_type"], []).append(row)
+    per_type = {kind: totals(by_type[kind]) for kind in sorted(by_type)}
+    return ScoreReport(totals(per_question), per_type, per_question)

@@ -210,6 +210,10 @@ class Vocabulary:
 def _strings(value, name: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ConfigError(f"vocabulary {name!r} must be a list of strings")
+    try:
+        "".join(value).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: JSON can hold one, UTF-8 cannot
+        raise ConfigError(f"vocabulary {name!r} holds a lone surrogate, which UTF-8 cannot encode") from None
     return tuple(value)
 
 

@@ -172,7 +172,7 @@ def test_c6_corpus():
             for i in range(100)
         ]
         audit = audit_truncation(examples, LengthLimits(512, 54))
-        assert audit.encoder_fraction == 0.04
+        assert audit["encoder_fraction"] == 0.04
 
         real_drop = os.environ.get("NUMTEXT_DROP_TRAIN", "data/drop_dataset_train.json")
         if Path(real_drop).exists():

@@ -310,6 +310,21 @@ def test_score_keeps_the_prediction_of_an_id_a_skipped_question_shares(tmp_path)
     assert _read_json_file(out)["overall"] == {"count": 1, "em": 1.0, "f1": 1.0}
 
 
+def test_score_with_no_question_left_to_score_writes_an_empty_report(tmp_path, capsys):
+    gold, out = tmp_path / "gold.json", tmp_path / "report.json"
+    gold.write_text(json.dumps(build_drop_file({"p": ("x", [drop_qa("Who?", "q1", drop_answer())])})), encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("", encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "skipped q1: every gold answer is empty\n"
+    payload = _read_json_file(out)
+    assert {key: payload[key] for key in ("overall", "per_type", "per_question")} == {
+        "overall": {"count": 0, "em": 0.0, "f1": 0.0},
+        "per_type": {},
+        "per_question": [],
+    }
+
+
 def test_score_rejects_a_prediction_id_given_twice(tmp_path, capsys):
     gold, out = _gold_with_a_skipped_question(tmp_path), tmp_path / "report.json"
     preds = tmp_path / "preds.jsonl"
@@ -603,6 +618,14 @@ _BAD_INPUT_FILES = {
     "vocab-no-containers.json": '{"entities": ["a", "b"]}',
     "vocab-malformed.json": '{"containers": [',
     "vocab-number-containers.json": '{"containers": 5, "entities": ["a", "b"]}',
+    # A vocabulary that is whole but for the lone surrogates in its container names.
+    "vocab-lone-surrogate.json": json.dumps({
+        "containers": ["Ann\ud800", "Bo\ud800"],
+        "entities": ["figs", "nuts"],
+        "sentence_templates": {verb: ["{container} met {qty} {entity}."] for verb in ("observe", "gain", "lose")}
+        | {"transfer": ["{container} gave {qty} {entity} to {target}."]},
+        "question_templates": {kind: ["How many {entity}?"] for kind in ("how_many", "how_many_more", "total")},
+    }),
     "gold.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
     "pred.jsonl": '{"id": "q1", "prediction": "1"}\n',
     "pred-number.jsonl": '5\n',
@@ -719,7 +742,7 @@ _BAD_INPUT_FILES = {
         ),
         *(
             pytest.param(["gen-txt", "--count", "3", "--vocab", f"vocab-{case}.json", "--out", "o.jsonl"], id=f"vocab-{case}")
-            for case in ("no-containers", "malformed", "number-containers")
+            for case in ("no-containers", "malformed", "number-containers", "lone-surrogate")
         ),
         *(
             pytest.param(["score", "--gold", "gold.json", "--pred", f"pred-{case}.jsonl"], id=f"pred-{case}")
@@ -805,6 +828,33 @@ def test_audit_counts_a_lone_surrogate(tmp_path):
     source.write_text(_BAD_INPUT_FILES["surrogate.jsonl"], encoding="utf-8")
     assert run(["audit", "--in", str(source), "--out", str(tmp_path / "audit.json")]) == 0
     assert json.loads((tmp_path / "audit.json").read_text(encoding="utf-8"))["total"] == 1
+
+
+def test_ingest_runs_on_a_path_that_is_not_utf8(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gold = "g\udcff.json"  # how argv decodes the file name b"g\xff.json"
+    Path(gold).write_text(_BAD_INPUT_FILES["gold.json"], encoding="utf-8")
+    assert run(["ingest", "--format", "drop", "--in", gold, "--out", "o.jsonl"]) == 0
+    assert len(read_examples(tmp_path / "o.jsonl")) == 1
+
+
+def test_pipeline_runs_on_a_spec_name_holding_a_lone_surrogate(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text('{"name": "x\\ud800", "stages": [{"name": "s", "datasets": ["a"]}]}', encoding="utf-8")
+    Path("stats.json").write_text(_BAD_INPUT_FILES["stats.json"], encoding="utf-8")
+    argv = ["pipeline", "--spec", "spec.json", "--stats", "stats.json", "--batch-size", "2", "--out", "plan.json"]
+    assert run(argv) == 0
+    assert _read_json_file(tmp_path / "plan.json")["pipeline"] == "x\ud800"
+
+
+@pytest.mark.parametrize("emit", ["examples", "raw"])
+def test_a_lone_surrogate_in_the_vocabulary_names_its_key(tmp_path, monkeypatch, capsys, emit):
+    monkeypatch.chdir(tmp_path)
+    Path("v.json").write_text(_BAD_INPUT_FILES["vocab-lone-surrogate.json"], encoding="utf-8")
+    assert run(["gen-txt", "--count", "3", "--vocab", "v.json", "--emit", emit, "--out", "o.jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        "error: vocabulary 'containers' holds a lone surrogate, which UTF-8 cannot encode\n"
+    )
 
 
 def _truncate(path):

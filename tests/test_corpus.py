@@ -428,30 +428,30 @@ def _example(input_words, target_words=1):
 
 def test_audit_nothing_exceeds():
     audit = audit_truncation([_example(4) for _ in range(10)], LengthLimits(512, 54))
-    assert audit.encoder_over == 0 and audit.encoder_fraction == 0.0
+    assert audit["encoder_over"] == 0 and audit["encoder_fraction"] == 0.0
 
 
 def test_audit_counts_long_inputs():
     examples = [_example(600) for _ in range(4)] + [_example(10) for _ in range(96)]
     audit = audit_truncation(examples, LengthLimits(512, 54))
-    assert audit.total == 100
-    assert audit.encoder_fraction == 0.04
+    assert audit["total"] == 100
+    assert audit["encoder_fraction"] == 0.04
 
 
 def test_audit_tiny_limits_cut_everything():
     audit = audit_truncation([_example(3, 2) for _ in range(5)], LengthLimits(1, 1))
-    assert audit.encoder_fraction == 1.0 and audit.decoder_fraction == 1.0
+    assert audit["encoder_fraction"] == 1.0 and audit["decoder_fraction"] == 1.0
 
 
 def test_audit_empty_corpus_has_zero_fractions():
     audit = audit_truncation([], LengthLimits(1, 1))
-    assert audit.encoder_fraction == 0.0 and audit.decoder_fraction == 0.0
+    assert audit["encoder_fraction"] == 0.0 and audit["decoder_fraction"] == 0.0
 
 
 def test_audit_fraction_monotone_in_limits():
     examples = [_example(n) for n in (2, 8, 32, 128)]
     fractions = [
-        audit_truncation(examples, LengthLimits(limit, 54)).encoder_fraction
+        audit_truncation(examples, LengthLimits(limit, 54))["encoder_fraction"]
         for limit in (1, 4, 16, 64, 256)
     ]
     assert fractions == sorted(fractions, reverse=True)

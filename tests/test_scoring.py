@@ -363,14 +363,14 @@ def test_report_all_correct():
     records = _four_question_records()
     predictions = {"n1": "8000", "n2": "42", "s1": "John Kasay", "s2": "Denver"}
     report = build_report(records, predictions)
-    assert report.overall_em == 1.0 and report.overall_f1 == 1.0
+    assert report.overall["em"] == 1.0 and report.overall["f1"] == 1.0
 
 
 def test_report_macro_mean():
     records = _four_question_records()
     predictions = {"n1": "8000", "n2": "wrong", "s1": "John Kasay", "s2": "nope"}
     report = build_report(records, predictions)
-    assert report.overall_em == 0.5 and report.overall_f1 == 0.5
+    assert report.overall["em"] == 0.5 and report.overall["f1"] == 0.5
 
 
 def test_report_per_type_breakdown():
@@ -379,23 +379,23 @@ def test_report_per_type_breakdown():
     report = build_report(records, predictions)
     number = report.per_type["number"]
     span = report.per_type["span"]
-    assert number.count == 2 and number.em == 0.5 and number.f1 == 0.5
-    assert span.count == 2 and span.em == 0.5  # "Kasay John" reorders tokens
-    assert abs(span.f1 - 1.0) < 1e-12  # but bag F1 ignores token order
+    assert number["count"] == 2 and number["em"] == 0.5 and number["f1"] == 0.5
+    assert span["count"] == 2 and span["em"] == 0.5  # "Kasay John" reorders tokens
+    assert abs(span["f1"] - 1.0) < 1e-12  # but bag F1 ignores token order
 
 
 def test_report_macro_equals_mean_of_per_question():
     records = _four_question_records()
     predictions = {"n1": "8000", "s1": "Kasay"}
     report = build_report(records, predictions)
-    mean_f1 = sum(q.f1 for q in report.per_question) / len(report.per_question)
-    assert abs(report.overall_f1 - mean_f1) < 1e-12
+    mean_f1 = sum(q["f1"] for q in report.per_question) / len(report.per_question)
+    assert abs(report.overall["f1"] - mean_f1) < 1e-12
 
 
 def test_report_unanswered_scores_zero():
     records = _four_question_records()
     report = build_report(records, {"n1": "8000"})
-    assert report.overall_em == 0.25
+    assert report.overall["em"] == 0.25
 
 
 def test_report_scores_each_gold_of_each_predicted_record(monkeypatch):

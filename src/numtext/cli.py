@@ -167,16 +167,18 @@ def cmd_gen_num(args) -> int:
     if args.count is None:
         raise ConfigError("--count is required")
     config = _command_config(args)
-    weights = {family: 1.0 for family in numgen.TemplateFamily}
-    if args.families:
-        weights = {}
-        for part in args.families.split(","):
-            name, _, weight = part.partition("=")
-            try:
-                weights[numgen.TemplateFamily(name.strip())] = float(weight) if weight else 1.0
-            except ValueError:
-                known = ", ".join(family.value for family in numgen.TemplateFamily)
-                raise ConfigError(f"bad --families entry {part!r}; families are {known}") from None
+    weights = {}
+    for part in (args.families or ",".join(numgen.FAMILIES)).split(","):
+        name, _, weight = part.partition("=")
+        name = name.strip()
+        if name in weights:
+            raise ConfigError(f"--families names {name!r} twice")
+        try:
+            if name not in numgen.FAMILIES:
+                raise ValueError(name)
+            weights[name] = float(weight) if weight else 1.0
+        except ValueError:
+            raise ConfigError(f"bad --families entry {part!r}; families are {', '.join(numgen.FAMILIES)}") from None
     gen_config = numgen.NumGenConfig(
         ranges=numgen.ValueRange(
             min_value=decimals.parse_decimal(args.min_value),
@@ -261,6 +263,9 @@ def _load_stats(path: str) -> list[mixing.DatasetStat]:
             if not (isinstance(name, str) and numbers):
                 raise TypeError
             scale, cap = float(scale), None if cap is None else float(cap)
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: JSON can hold one, UTF-8 cannot
+            raise ConfigError(f"stats row {index}: 'name' holds a lone surrogate, which UTF-8 cannot encode") from None
         except (KeyError, TypeError, OverflowError):
             raise ConfigError(
                 f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"

@@ -18,30 +18,19 @@ import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
 
 
-class TaskTag(str, Enum):
-    """Prefix tags naming the task of a text-to-text example."""
+#: Prefix tags naming the task of a text-to-text example.
+ANSWER_ME, CALCULATE, CLASSIFY_ME, SQUAD_CONTEXT = "answer_me", "calculate", "classify_me", "squad_context"
+TASKS = frozenset((ANSWER_ME, CALCULATE, CLASSIFY_ME, SQUAD_CONTEXT))
 
-    ANSWER_ME = "answer_me"
-    CALCULATE = "calculate"
-    CLASSIFY_ME = "classify_me"
-    SQUAD_CONTEXT = "squad_context"
-
-
-class AnswerType(str, Enum):
-    """DROP-style answer classes (plus ``none`` for untyped records)."""
-
-    NUMBER = "number"
-    DATE = "date"
-    SPAN = "span"
-    SPANS = "spans"
-    NONE = "none"
+#: DROP-style answer classes (plus ``none`` for untyped records).
+NUMBER, DATE, SPAN, SPANS, NONE = "number", "date", "span", "spans", "none"
+ANSWER_TYPES = frozenset((NUMBER, DATE, SPAN, SPANS, NONE))
 
 
 CONTEXT_MARKER = " context: "
@@ -49,53 +38,47 @@ CONTEXT_MARKER = " context: "
 #: JSONL field order; fixed so golden files are bit-exact.
 EXAMPLE_FIELDS = ("input", "target", "task", "answer_type", "source_id")
 _FIELD_SET = frozenset(EXAMPLE_FIELDS)
-_TASKS = frozenset(tag.value for tag in TaskTag)
-_ANSWER_TYPES = frozenset(kind.value for kind in AnswerType)
 
 
-def format_input(task: TaskTag | str, question: str, context: str = "") -> str:
+def format_input(task: str, question: str, context: str = "") -> str:
     """Build the prefix-tagged input text, question before context.
 
     Returns ``"<prefix>: <question> context: <context>"``; a calculate
     task with no context yields just ``"calculate: <question>"``.
     """
-    try:
-        tag = TaskTag(task)
-    except ValueError:
-        raise ValidationError(f"unknown task tag: {task!r}") from None
+    if task not in TASKS:
+        raise ValidationError(f"unknown task tag: {task!r}")
     question = question.strip()
     context = context.strip()
     if not question:
         raise ValidationError("question must be non-empty")
     if not context:
-        if tag is not TaskTag.CALCULATE:
-            raise ValidationError(f"context required for task {tag.value!r}")
-        return f"{tag.value}: {question}"
-    return f"{tag.value}: {question}{CONTEXT_MARKER}{context}"
+        if task != CALCULATE:
+            raise ValidationError(f"context required for task {task!r}")
+        return f"{task}: {question}"
+    return f"{task}: {question}{CONTEXT_MARKER}{context}"
 
 
 @dataclass(slots=True)
 class Example:
     """One JSONL record line as five strings; building one checks every record rule.
 
-    ``task`` and ``answer_type`` are :class:`TaskTag` and :class:`AnswerType`
-    values, ``input`` starts with the task's prefix and holds a non-blank
-    question, and ``target`` is non-empty.
+    ``task`` is in :data:`TASKS` and ``answer_type`` in :data:`ANSWER_TYPES`, ``input``
+    starts with the task's prefix and holds a non-blank question, and ``target`` is non-empty.
     """
 
     input: str
     target: str
     task: str
-    answer_type: str = "none"
+    answer_type: str = NONE
     source_id: str = ""
 
     def __post_init__(self):
         task = self.task
-        if task not in _TASKS:
-            raise ValidationError(f"{task!r} is not a valid TaskTag")
-        if self.answer_type not in _ANSWER_TYPES:
-            raise ValidationError(f"{self.answer_type!r} is not a valid AnswerType")
-        # Not an f-string: a TaskTag member formats as "TaskTag.X" there.
+        if task not in TASKS:
+            raise ValidationError(f"{task!r} is not a valid task")
+        if self.answer_type not in ANSWER_TYPES:
+            raise ValidationError(f"{self.answer_type!r} is not a valid answer type")
         prefix = task + ": "
         text = self.input
         if not text.startswith(prefix):
@@ -201,21 +184,21 @@ class IngestResult:
     errors: list[IngestIssue]
 
 
-def derive_answer_type(answer: GoldAnswer) -> AnswerType:
+def derive_answer_type(answer: GoldAnswer) -> str:
     """Classify a gold answer as number / date / span / spans.
 
     Priority (number > date > spans) only matters for malformed answers
     where more than one field is populated; valid answers have exactly one.
     """
     if answer.number.strip():
-        return AnswerType.NUMBER
+        return NUMBER
     if answer.date.populated():
-        return AnswerType.DATE
+        return DATE
     spans = [s for s in answer.spans if s.strip()]
     if len(spans) == 1:
-        return AnswerType.SPAN
+        return SPAN
     if len(spans) >= 2:
-        return AnswerType.SPANS
+        return SPANS
     raise ValidationError("cannot type a fully empty gold answer")
 
 
@@ -226,9 +209,9 @@ SPAN_DELIMITER = "; "
 def gold_answer_spans(answer: GoldAnswer) -> tuple[str, ...]:
     """A gold answer as its stripped span strings (dates render as 'DD month YYYY')."""
     kind = derive_answer_type(answer)
-    if kind is AnswerType.NUMBER:
+    if kind == NUMBER:
         return (answer.number.strip(),)
-    if kind is AnswerType.DATE:
+    if kind == DATE:
         return (answer.date.to_text(),)
     return tuple(s.strip() for s in answer.spans if s.strip())
 
@@ -242,10 +225,10 @@ def make_classification_example(record: DropRecord) -> Example:
     """Build the question-type classification example for one DROP record."""
     kind = derive_answer_type(record.answers[0])
     return Example(
-        input=format_input(TaskTag.CLASSIFY_ME, record.question, record.passage),
-        target=kind.value,
-        task=TaskTag.CLASSIFY_ME.value,
-        answer_type=kind.value,
+        input=format_input(CLASSIFY_ME, record.question, record.passage),
+        target=kind,
+        task=CLASSIFY_ME,
+        answer_type=kind,
         source_id=record.query_id,
     )
 
@@ -254,10 +237,10 @@ def make_drop_example(record: DropRecord) -> Example:
     """Build the answer_me example for one DROP record (first gold as target)."""
     kind = derive_answer_type(record.answers[0])
     return Example(
-        input=format_input(TaskTag.ANSWER_ME, record.question, record.passage),
+        input=format_input(ANSWER_ME, record.question, record.passage),
         target=gold_target(record.answers[0]),
-        task=TaskTag.ANSWER_ME.value,
-        answer_type=kind.value,
+        task=ANSWER_ME,
+        answer_type=kind,
         source_id=record.query_id,
     )
 
@@ -265,10 +248,10 @@ def make_drop_example(record: DropRecord) -> Example:
 def make_squad_example(record: SquadRecord) -> Example:
     """Build the squad_context example for one SQuAD record."""
     return Example(
-        input=format_input(TaskTag.SQUAD_CONTEXT, record.question, record.passage),
+        input=format_input(SQUAD_CONTEXT, record.question, record.passage),
         target=record.answers[0],
-        task=TaskTag.SQUAD_CONTEXT.value,
-        answer_type=AnswerType.SPAN.value,
+        task=SQUAD_CONTEXT,
+        answer_type=SPAN,
         source_id=record.qa_id,
     )
 

@@ -18,22 +18,18 @@ import random
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from enum import Enum
 from typing import Iterator, Mapping
 
-from .corpus import AnswerType, Example, TaskTag, format_input
+from .corpus import CALCULATE, NUMBER, Example, format_input
 from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render, round_ratio_half_even
 from .errors import ConfigError, ParseError, SelfCheckError
 from .seeding import derive_seed
 
 
-class TemplateFamily(str, Enum):
-    COMBINATION = "combination"
-    MIN_MAX_AVG = "min_max_avg"
-    ADDITION_SUB = "addition_sub"
-    ARGMAX_LIKE = "argmax_like"
-    PERCENT = "percent"
-    DIFFERENCE = "difference"
+#: The template families, in the order the default weights draw them.
+FAMILIES = COMBINATION, MIN_MAX_AVG, ADDITION_SUB, ARGMAX_LIKE, PERCENT, DIFFERENCE = (
+    "combination", "min_max_avg", "addition_sub", "argmax_like", "percent", "difference"
+)
 
 
 #: Inclusive ranges drawn for each example: the terms of a combination
@@ -81,18 +77,19 @@ class ValueRange:
 @dataclass(frozen=True)
 class NumGenConfig:
     ranges: ValueRange = field(default_factory=ValueRange)
-    family_weights: Mapping[TemplateFamily, float] = field(
-        default_factory=lambda: {family: 1.0 for family in TemplateFamily}
-    )
+    family_weights: Mapping[str, float] = field(default_factory=lambda: dict.fromkeys(FAMILIES, 1.0))
 
     def __post_init__(self):
-        weights = {TemplateFamily(k): float(v) for k, v in self.family_weights.items()}
+        for name in self.family_weights:
+            if name not in FAMILIES:
+                raise ConfigError(f"unknown template family {name!r}; families are {', '.join(FAMILIES)}")
+        weights = {k: float(v) for k, v in self.family_weights.items()}
         if not weights or all(w <= 0 for w in weights.values()):
             raise ConfigError("at least one template family must have positive weight")
         if not all(0 <= w < math.inf for w in weights.values()):
             raise ConfigError("family weights must be finite and >= 0")
         object.__setattr__(self, "family_weights", weights)
-        if weights.get(TemplateFamily.ARGMAX_LIKE, 0.0) > 0:
+        if weights.get(ARGMAX_LIKE, 0.0) > 0:
             # argmax_like redraws until its values are distinct; the finest
             # grid holds every value any coarser one can draw.
             low, high = self.ranges.grids[-1]
@@ -107,14 +104,14 @@ class NumGenConfig:
 class NumExample:
     expression: str
     answer: Decimal
-    family: TemplateFamily
+    family: str
     rng_seed: int = 0
 
     def to_json(self) -> dict:
         return {
             "expression": self.expression,
             "answer": render(self.answer),
-            "family": self.family.value,
+            "family": self.family,
             "seed": self.rng_seed,
         }
 
@@ -258,7 +255,7 @@ def _draw_decimal(rng: random.Random, ranges: ValueRange) -> Decimal:
 
 @exact
 def instantiate(
-    family: TemplateFamily,
+    family: str,
     terms: int,
     rng: random.Random,
     ranges: ValueRange = ValueRange(),
@@ -269,7 +266,7 @@ def instantiate(
     ``terms`` counts the signed terms of an addition chain or the values of
     a list operator; percent and difference always take two values.
     """
-    if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
+    if family in (COMBINATION, ADDITION_SUB):
         signs = []
         numbers = []
         for _ in range(terms):
@@ -282,11 +279,11 @@ def instantiate(
             answer = answer + number if sign == "+" else answer - number
         return NumExample("".join(parts), answer, family, rng_seed)
 
-    if family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
-        ops = ("min", "max", "avg") if family is TemplateFamily.MIN_MAX_AVG else ("argmax", "argmin")
+    if family in (MIN_MAX_AVG, ARGMAX_LIKE):
+        ops = ("min", "max", "avg") if family == MIN_MAX_AVG else ("argmax", "argmin")
         op = rng.choice(ops)
         numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
-        if family is TemplateFamily.ARGMAX_LIKE:
+        if family == ARGMAX_LIKE:
             # Redraw until values are distinct so the position is unambiguous.
             while len(set(numbers)) != len(numbers):
                 numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
@@ -294,13 +291,13 @@ def instantiate(
         answer = _eval_list_op(op, numbers, 0, ranges.max_frac_digits)
         return NumExample(expression, answer, family, rng_seed)
 
-    if family is TemplateFamily.PERCENT:
+    if family == PERCENT:
         percent = Decimal(rng.randint(*PERCENT_RANGE))
         base = _draw_decimal(rng, ranges)
         expression = f"{render(percent)}% of {render(base)}"
         return NumExample(expression, (percent * base).scaleb(-2), family, rng_seed)
 
-    if family is TemplateFamily.DIFFERENCE:
+    if family == DIFFERENCE:
         a = _draw_decimal(rng, ranges)
         b = _draw_decimal(rng, ranges)
         expression = f"diff({render(a)}, {render(b)})"
@@ -334,12 +331,11 @@ def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumE
             child = derive_seed(seed, "num", index)
             rng = random.Random(child)
             family = rng.choices(families, weights=weights, k=1)[0]
-            if family in (TemplateFamily.COMBINATION, TemplateFamily.ADDITION_SUB):
-                terms = 2 if family is TemplateFamily.ADDITION_SUB else rng.randint(*COMBINATION_TERMS)
-            elif family in (TemplateFamily.MIN_MAX_AVG, TemplateFamily.ARGMAX_LIKE):
+            terms = 2  # addition_sub, percent and difference
+            if family == COMBINATION:
+                terms = rng.randint(*COMBINATION_TERMS)
+            elif family in (MIN_MAX_AVG, ARGMAX_LIKE):
                 terms = rng.randint(*LIST_TERMS)
-            else:
-                terms = 2
             example = instantiate(family, terms, rng, config.ranges, rng_seed=child)
             check = eval_expr(example.expression, config.ranges.max_frac_digits)
             if check != example.answer:
@@ -350,9 +346,9 @@ def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumE
 def num_to_example(example: NumExample) -> Example:
     """Wrap a NumExample as a calculate-task corpus record."""
     return Example(
-        input=format_input(TaskTag.CALCULATE, example.expression),
+        input=format_input(CALCULATE, example.expression),
         target=render(example.answer),
-        task=TaskTag.CALCULATE.value,
-        answer_type=AnswerType.NUMBER.value,
+        task=CALCULATE,
+        answer_type=NUMBER,
         source_id=f"num-{example.rng_seed:016x}",
     )

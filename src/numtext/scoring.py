@@ -253,7 +253,7 @@ def build_report(
         for a, b, block in built:
             pairs = array("d", score_block(a, b) if block is None else block)
             for record, em, f1 in zip(records[a:b], pairs[::2], pairs[1::2]):
-                kind = derive_answer_type(record.answers[0]).value
+                kind = derive_answer_type(record.answers[0])
                 per_question.append({"id": record.query_id, "answer_type": kind, "em": em, "f1": f1})
 
     def totals(rows: list[dict]) -> dict:

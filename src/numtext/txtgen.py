@@ -12,34 +12,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from enum import Enum
 from itertools import chain
 from typing import Iterator, Mapping
 
-from .corpus import AnswerType, Example, TaskTag, format_input
+from .corpus import ANSWER_ME, NUMBER, Example, format_input
 from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render
 from .errors import ConfigError, SimulationError, ValidationError
 from .seeding import derive_seed
 
 
-class VerbClass(str, Enum):
-    OBSERVE = "observe"
-    GAIN = "gain"
-    LOSE = "lose"
-    TRANSFER = "transfer"
-
-
-class QuestionKind(str, Enum):
-    HOW_MANY = "how_many"
-    HOW_MANY_MORE = "how_many_more"
-    TOTAL = "total"
+#: Event verbs and question kinds, in the order the generator draws them.
+VERBS = OBSERVE, GAIN, LOSE, TRANSFER = "observe", "gain", "lose", "transfer"
+QUESTION_KINDS = HOW_MANY, HOW_MANY_MORE, TOTAL = "how_many", "how_many_more", "total"
 
 
 @dataclass(frozen=True)
 class Event:
     """One state change: a container observes/gains/loses/transfers an entity."""
 
-    verb: VerbClass
+    verb: str
     container: str
     entity: str
     quantity: Decimal
@@ -48,15 +39,15 @@ class Event:
     def __post_init__(self):
         if self.quantity < 0:
             raise ValidationError("event quantity must be >= 0")
-        if self.verb is VerbClass.TRANSFER:
+        if self.verb == TRANSFER:
             if not self.target or self.target == self.container:
                 raise ValidationError("transfer needs a distinct target container")
         elif self.target is not None:
-            raise ValidationError(f"{self.verb.value} event takes no target")
+            raise ValidationError(f"{self.verb} event takes no target")
 
     def to_json(self) -> dict:
         row = {
-            "verb": self.verb.value,
+            "verb": self.verb,
             "container": self.container,
             "entity": self.entity,
             "quantity": render(self.quantity),
@@ -90,18 +81,18 @@ class WorldState:
         """Change this state by one event. An event that takes more than its
         container holds raises SimulationError and leaves the state as it was."""
         held = self.count(event.container, event.entity)
-        if event.verb is VerbClass.OBSERVE:
+        if event.verb == OBSERVE:
             self._set(event.container, event.entity, event.quantity)
-        elif event.verb is VerbClass.GAIN:
+        elif event.verb == GAIN:
             self._set(event.container, event.entity, held + event.quantity)
         else:
             if held < event.quantity:
-                action = "lose" if event.verb is VerbClass.LOSE else "transfer"
+                action = "lose" if event.verb == LOSE else "transfer"
                 raise SimulationError(
                     f"{event.container} holds {render(held)} {event.entity}, cannot {action} {render(event.quantity)}"
                 )
             self._set(event.container, event.entity, held - event.quantity)
-            if event.verb is VerbClass.TRANSFER:
+            if event.verb == TRANSFER:
                 self._set(event.target, event.entity, self.count(event.target, event.entity) + event.quantity)
 
 
@@ -109,13 +100,13 @@ class WorldState:
 class QuestionSpec:
     """What the question asks of the final state."""
 
-    kind: QuestionKind
+    kind: str
     entity: str
     container: str = ""
     other: str = ""
 
     def to_json(self) -> dict:
-        row = {"kind": self.kind.value, "entity": self.entity}
+        row = {"kind": self.kind, "entity": self.entity}
         if self.container:
             row["container"] = self.container
         if self.other:
@@ -126,11 +117,11 @@ class QuestionSpec:
 @exact
 def answer_question(state: WorldState, question: QuestionSpec) -> str:
     """Answer a question from the final state, rendered as decimal text."""
-    if question.kind is QuestionKind.HOW_MANY:
+    if question.kind == HOW_MANY:
         if question.container not in state.containers:
             raise ValidationError(f"container {question.container!r} never appeared")
         return render(state.count(question.container, question.entity))
-    if question.kind is QuestionKind.HOW_MANY_MORE:
+    if question.kind == HOW_MANY_MORE:
         for name in (question.container, question.other):
             if name not in state.containers:
                 raise ValidationError(f"container {name!r} never appeared")
@@ -168,20 +159,23 @@ class TxtExample:
 class Vocabulary:
     containers: tuple[str, ...]
     entities: tuple[str, ...]
-    sentence_templates: Mapping[VerbClass, tuple[str, ...]]
-    question_templates: Mapping[QuestionKind, tuple[str, ...]]
+    sentence_templates: Mapping[str, tuple[str, ...]]
+    question_templates: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
         if len(set(self.containers)) < 2:
             raise ConfigError("vocabulary needs at least 2 distinct container names")
+        if len(set(self.containers)) < len(self.containers):
+            name = next(name for i, name in enumerate(self.containers) if name in self.containers[:i])
+            raise ConfigError(f"vocabulary 'containers' names {name!r} twice")
         if len(set(self.entities)) < 2:
             raise ConfigError("vocabulary needs at least 2 distinct entity names")
-        for verb in VerbClass:
+        for verb in VERBS:
             if not self.sentence_templates.get(verb):
-                raise ConfigError(f"no sentence template for verb {verb.value!r}")
-        for kind in QuestionKind:
+                raise ConfigError(f"no sentence template for verb {verb!r}")
+        for kind in QUESTION_KINDS:
             if not self.question_templates.get(kind):
-                raise ConfigError(f"no question template for kind {kind.value!r}")
+                raise ConfigError(f"no question template for kind {kind!r}")
         # Each template must format with exactly the text fields the generator passes.
         for templates, fields in (
             (self.sentence_templates, ("container", "qty", "entity", "target")),
@@ -202,8 +196,8 @@ class Vocabulary:
         return cls(
             containers=_strings(obj.get("containers"), "containers"),
             entities=_strings(obj.get("entities"), "entities"),
-            sentence_templates=_templates(obj, "sentence_templates", VerbClass),
-            question_templates=_templates(obj, "question_templates", QuestionKind),
+            sentence_templates=_templates(obj, "sentence_templates", VERBS),
+            question_templates=_templates(obj, "question_templates", QUESTION_KINDS),
         )
 
 
@@ -217,15 +211,14 @@ def _strings(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _templates(obj: dict, key: str, kinds: type[Enum]) -> dict:
+def _templates(obj: dict, key: str, kinds: tuple[str, ...]) -> dict:
     table = obj.get(key)
     if not isinstance(table, dict):
-        raise ConfigError(f"vocabulary {key!r} must be an object keyed by {', '.join(k.value for k in kinds)}")
-    known = {kind.value: kind for kind in kinds}
-    unknown = sorted(set(table) - set(known))
+        raise ConfigError(f"vocabulary {key!r} must be an object keyed by {', '.join(kinds)}")
+    unknown = sorted(set(table) - set(kinds))
     if unknown:
         raise ConfigError(f"vocabulary {key!r} has unknown keys {unknown}")
-    return {known[name]: _strings(value, f"{key}.{name}") for name, value in table.items()}
+    return {name: _strings(value, f"{key}.{name}") for name, value in table.items()}
 
 
 DEFAULT_VOCAB = Vocabulary(
@@ -239,28 +232,28 @@ DEFAULT_VOCAB = Vocabulary(
         "crayons", "buttons", "ribbons", "acorns", "peaches", "tokens",
     ),
     sentence_templates={
-        VerbClass.OBSERVE: (
+        OBSERVE: (
             "{container} had {qty} {entity}.",
             "{container} started with {qty} {entity}.",
             "{container} kept {qty} {entity} in a box.",
             "At first, {container} held {qty} {entity}.",
             "{container} owned {qty} {entity}.",
         ),
-        VerbClass.GAIN: (
+        GAIN: (
             "{container} bought {qty} more {entity}.",
             "{container} found {qty} {entity}.",
             "{container} picked up {qty} {entity}.",
             "{container} received {qty} {entity} as a gift.",
             "Then {container} collected {qty} more {entity}.",
         ),
-        VerbClass.LOSE: (
+        LOSE: (
             "{container} lost {qty} {entity}.",
             "{container} gave away {qty} {entity}.",
             "{container} dropped {qty} {entity}.",
             "{container} used {qty} {entity}.",
             "{container} sold {qty} {entity}.",
         ),
-        VerbClass.TRANSFER: (
+        TRANSFER: (
             "{container} gave {qty} {entity} to {target}.",
             "{container} handed {qty} {entity} to {target}.",
             "{container} passed {qty} {entity} to {target}.",
@@ -269,15 +262,15 @@ DEFAULT_VOCAB = Vocabulary(
         ),
     },
     question_templates={
-        QuestionKind.HOW_MANY: (
+        HOW_MANY: (
             "How many {entity} does {container} have now?",
             "How many {entity} does {container} have in the end?",
         ),
-        QuestionKind.HOW_MANY_MORE: (
+        HOW_MANY_MORE: (
             "How many more {entity} does {container} have than {other}?",
             "How many more {entity} does {container} have compared to {other}?",
         ),
-        QuestionKind.TOTAL: (
+        TOTAL: (
             "How many {entity} are there in total?",
             "How many {entity} do they have altogether?",
         ),
@@ -329,7 +322,6 @@ def generate_txt(
 
 def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
     vocab = config.vocab
-    kinds = list(QuestionKind)
     unit = Decimal(f"1e-{config.frac_digits}")  # the smallest quantity a holder can lose
     for index in range(start, stop):
         # One exact context per example, left before the yield (see decimals).
@@ -345,19 +337,19 @@ def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
             state = WorldState()
             events: list[Event] = []
             for name in cast:
-                event = Event(VerbClass.OBSERVE, name, entity, _draw_quantity(rng, config))
+                event = Event(OBSERVE, name, entity, _draw_quantity(rng, config))
                 state.apply(event)
                 events.append(event)
             while len(events) < n_events:
                 actor = rng.choice(cast)
                 held = state.count(actor, entity)
-                choices = [VerbClass.GAIN]
+                choices = [GAIN]
                 if held >= unit:
-                    choices += [VerbClass.LOSE, VerbClass.TRANSFER]
+                    choices += [LOSE, TRANSFER]
                 verb = rng.choice(choices)
-                if verb is VerbClass.GAIN:
+                if verb == GAIN:
                     event = Event(verb, actor, entity, _draw_quantity(rng, config))
-                elif verb is VerbClass.LOSE:
+                elif verb == LOSE:
                     event = Event(verb, actor, entity, _draw_quantity(rng, config, upper=held))
                 else:
                     target = rng.choice([c for c in cast if c != actor])
@@ -365,10 +357,10 @@ def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
                 state.apply(event)
                 events.append(event)
 
-            kind = rng.choice(kinds)
-            if kind is QuestionKind.HOW_MANY:
+            kind = rng.choice(QUESTION_KINDS)
+            if kind == HOW_MANY:
                 spec = QuestionSpec(kind, entity, container=rng.choice(cast))
-            elif kind is QuestionKind.HOW_MANY_MORE:
+            elif kind == HOW_MANY_MORE:
                 first, second = rng.sample(cast, 2)
                 if state.count(first, entity) < state.count(second, entity):
                     first, second = second, first
@@ -402,9 +394,9 @@ def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
 def txt_to_example(example: TxtExample) -> Example:
     """Wrap a TxtExample as an answer_me corpus record."""
     return Example(
-        input=format_input(TaskTag.ANSWER_ME, example.question, example.context),
+        input=format_input(ANSWER_ME, example.question, example.context),
         target=example.answer,
-        task=TaskTag.ANSWER_ME.value,
-        answer_type=AnswerType.NUMBER.value,
+        task=ANSWER_ME,
+        answer_type=NUMBER,
         source_id=f"txt-{example.rng_seed:016x}",
     )

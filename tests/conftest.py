@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from numtext.corpus import CONTEXT_MARKER, TaskTag, iter_examples
+from numtext.corpus import CONTEXT_MARKER, iter_examples
 
 
 def read_examples(source):
@@ -56,7 +56,7 @@ def parse_input(text):
     """Inverse of format_input: (task, question, context or None)."""
     prefix, _, body = text.partition(": ")
     question, sep, context = body.partition(CONTEXT_MARKER)
-    return TaskTag(prefix), question, context if sep else None
+    return prefix, question, context if sep else None
 
 
 MING_RUI_PASSAGE = (

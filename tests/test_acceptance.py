@@ -16,13 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 
 
+from numtext import corpus, txtgen
 from numtext.cli import run
 from numtext.corpus import (
-    AnswerType,
     Example,
     GoldAnswer,
     LengthLimits,
-    TaskTag,
     audit_truncation,
     derive_answer_type,
     ingest_drop,
@@ -33,7 +32,7 @@ from numtext.numgen import NumGenConfig, eval_expr, generate_num
 from numtext.pipelines import builtin_pipelines, expand
 from numtext.schedule import LrConfig, LrSchedule
 from numtext.scoring import score_pair, score_record
-from numtext.txtgen import Event, VerbClass, WorldState, generate_txt
+from numtext.txtgen import Event, WorldState, generate_txt
 
 from conftest import typed_drop_file
 from oracles import bf_score, oracle_eval, resimulate
@@ -124,14 +123,14 @@ def test_c4_txt_generator():
         for _ in range(1_000):
             state = WorldState()
             for name in containers:
-                state.apply(Event(VerbClass.OBSERVE, name, "e", Decimal(rng.randint(0, 50))))
+                state.apply(Event(txtgen.OBSERVE, name, "e", Decimal(rng.randint(0, 50))))
             expected_total = state.total("e")
             for _ in range(rng.randint(1, 8)):
                 source = rng.choice(containers)
                 target = rng.choice([c for c in containers if c != source])
                 held = state.count(source, "e")
                 amount = Decimal(rng.randint(0, int(held)))
-                state.apply(Event(VerbClass.TRANSFER, source, "e", amount, target=target))
+                state.apply(Event(txtgen.TRANSFER, source, "e", amount, target=target))
                 assert state.total("e") == expected_total
 
 
@@ -160,14 +159,14 @@ def test_c6_corpus():
         data = typed_drop_file(counts)
         result = ingest_drop(io.BytesIO(json.dumps(data).encode()))
         assert len(result.records) == 100 and not result.errors
-        derived = Counter(derive_answer_type(r.answers[0]).value for r in result.records)
+        derived = Counter(derive_answer_type(r.answers[0]) for r in result.records)
         assert dict(derived) == counts
 
         examples = [
             Example(
                 input="answer_me: " + " ".join(["word"] * (600 if i < 4 else 10)),
                 target="ok",
-                task=TaskTag.ANSWER_ME,
+                task=corpus.ANSWER_ME,
             )
             for i in range(100)
         ]
@@ -177,7 +176,7 @@ def test_c6_corpus():
         real_drop = os.environ.get("NUMTEXT_DROP_TRAIN", "data/drop_dataset_train.json")
         if Path(real_drop).exists():
             real = ingest_drop(real_drop)
-            derived = Counter(derive_answer_type(r.answers[0]).value for r in real.records)
+            derived = Counter(derive_answer_type(r.answers[0]) for r in real.records)
             total = sum(derived.values())
             for kind, expected_pct in (("number", 61), ("span", 32), ("spans", 6), ("date", 2)):
                 observed_pct = 100 * derived[kind] / total

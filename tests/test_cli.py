@@ -9,9 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from numtext import mixing, numgen
+from numtext import corpus, mixing, numgen
 from numtext.cli import run
-from numtext.corpus import TaskTag
 from numtext.decimals import MAX_FRAC_DIGITS
 
 from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, read_examples, read_meta
@@ -50,7 +49,7 @@ def test_gen_num_is_byte_identical_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     examples = read_examples(first)
     assert len(examples) == 200
-    assert all(e.task == TaskTag.CALCULATE.value for e in examples)
+    assert all(e.task == corpus.CALCULATE for e in examples)
 
 
 def test_gen_num_meta_line_records_seed(tmp_path):
@@ -106,7 +105,7 @@ def test_gen_txt_round_trip_and_determinism(tmp_path):
     assert run(["gen-txt", "--count", "50", "--seed", "11", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     examples = read_examples(first)
-    assert all(e.task == TaskTag.ANSWER_ME.value for e in examples)
+    assert all(e.task == corpus.ANSWER_ME for e in examples)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -149,14 +148,14 @@ def test_ingest_squad_cli(tmp_path, squad_file):
     assert run(["ingest", "--format", "squad", "--in", str(squad_file), "--out", str(out)]) == 0
     examples = read_examples(out)
     assert len(examples) == 2
-    assert all(e.task == TaskTag.SQUAD_CONTEXT.value for e in examples)
+    assert all(e.task == corpus.SQUAD_CONTEXT for e in examples)
 
 
 def test_derive_class_cli(tmp_path, ming_rui_drop):
     out = tmp_path / "class.jsonl"
     assert run(["derive-class", "--in", str(ming_rui_drop), "--out", str(out)]) == 0
     examples = read_examples(out)
-    assert examples[0].task == TaskTag.CLASSIFY_ME.value
+    assert examples[0].task == corpus.CLASSIFY_ME
     assert examples[0].target == "number"
 
 
@@ -626,6 +625,14 @@ _BAD_INPUT_FILES = {
         | {"transfer": ["{container} gave {qty} {entity} to {target}."]},
         "question_templates": {kind: ["How many {entity}?"] for kind in ("how_many", "how_many_more", "total")},
     }),
+    # A vocabulary whose cast could hold one name twice and leave a transfer nobody to go to.
+    "vocab-container-twice.json": json.dumps({
+        "containers": ["Mary", "Mary", "John"],
+        "entities": ["figs", "nuts"],
+        "sentence_templates": {verb: ["{container} met {qty} {entity}."] for verb in ("observe", "gain", "lose")}
+        | {"transfer": ["{container} gave {qty} {entity} to {target}."]},
+        "question_templates": {kind: ["How many {entity}?"] for kind in ("how_many", "how_many_more", "total")},
+    }),
     "gold.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
     "pred.jsonl": '{"id": "q1", "prediction": "1"}\n',
     "pred-number.jsonl": '5\n',
@@ -642,6 +649,7 @@ _BAD_INPUT_FILES = {
     ),
     "stats-one.json": '[{"name": "s", "length": 1}]',
     "stats-two.json": '[{"name": "s", "length": 1}, {"name": "t", "length": 1}]',
+    "stats-lone-surrogate-name.json": json.dumps([{"name": "n\udcff", "length": 1}]),
     "record.jsonl": '{"input": "calculate: 1 + 1", "target": "2", "task": "calculate", "answer_type": "number", "source_id": ""}\n',
     "surrogate.jsonl": '{"input": "answer_me: q\\ud800?", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n',
     "drop-lone-surrogate.json":
@@ -656,6 +664,10 @@ _BAD_INPUT_FILES = {
     [
         pytest.param(["gen-num", "--count", "3", "--families", "nosuch", "--out", "o.jsonl"], id="unknown-family"),
         pytest.param(["gen-num", "--count", "3", "--families", "combination=nan", "--out", "o.jsonl"], id="nan-weight"),
+        pytest.param(
+            ["gen-num", "--count", "3", "--families", "combination=1,combination=0,percent", "--out", "o.jsonl"],
+            id="repeated-family",
+        ),
         pytest.param(
             ["gen-num", "--count", "3", "--families", "argmax_like", "--min-value", "0", "--max-value", "1",
              "--max-frac-digits", "0", "--out", "o.jsonl"],
@@ -744,6 +756,8 @@ _BAD_INPUT_FILES = {
             pytest.param(["gen-txt", "--count", "3", "--vocab", f"vocab-{case}.json", "--out", "o.jsonl"], id=f"vocab-{case}")
             for case in ("no-containers", "malformed", "number-containers", "lone-surrogate")
         ),
+        pytest.param(["gen-txt", "--count", "10", "--vocab", "vocab-container-twice.json", "--out", "o.jsonl"],
+                     id="vocab-container-twice"),
         *(
             pytest.param(["score", "--gold", "gold.json", "--pred", f"pred-{case}.jsonl"], id=f"pred-{case}")
             for case in ("number", "null", "list", "null-prediction", "number-prediction", "list-prediction")
@@ -753,6 +767,12 @@ _BAD_INPUT_FILES = {
         pytest.param(
             ["mix", "--stats", "stats-one.json", "--sample", "2", "--sources", "s=surrogate.jsonl", "--out", "o.jsonl"],
             id="mix-lone-surrogate",
+        ),
+        # A --sources name argv could not decode matches a stats name holding its lone surrogate.
+        pytest.param(
+            ["mix", "--stats", "stats-lone-surrogate-name.json", "--sample", "2", "--sources", "n\udcff=record.jsonl",
+             "--out", "o.jsonl"],
+            id="mix-stats-lone-surrogate-name",
         ),
         # JSON can hold a lone surrogate, UTF-8 cannot: the record that holds one is the error.
         pytest.param(["ingest", "--format", "drop", "--in", "drop-lone-surrogate.json", "--out", "o.jsonl"],

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from numtext import corpus
 from numtext.corpus import (
-    AnswerType,
     DateParts,
     DropRecord,
     Example,
@@ -19,7 +18,6 @@ from numtext.corpus import (
     LengthLimits,
     SourceLine,
     SquadRecord,
-    TaskTag,
     audit_truncation,
     count_tokens,
     derive_answer_type,
@@ -57,7 +55,7 @@ from oracles import oracle_tokenize
 # ---------------------------------------------------------------------------
 
 def test_format_input_question_before_context():
-    text = format_input(TaskTag.ANSWER_ME, MING_RUI_QUESTION, MING_RUI_PASSAGE)
+    text = format_input(corpus.ANSWER_ME, MING_RUI_QUESTION, MING_RUI_PASSAGE)
     assert text == f"answer_me: {MING_RUI_QUESTION} context: {MING_RUI_PASSAGE}"
     assert text.index(MING_RUI_QUESTION) < text.index("context: ")
 
@@ -70,7 +68,7 @@ def test_format_input_calculate_without_context():
 
 def test_format_input_rejects_empty_question():
     with pytest.raises(ValidationError):
-        format_input(TaskTag.ANSWER_ME, "", "x")
+        format_input(corpus.ANSWER_ME, "", "x")
 
 
 def test_format_input_rejects_unknown_task():
@@ -78,19 +76,24 @@ def test_format_input_rejects_unknown_task():
         format_input("translate", "q", "c")
 
 
+def test_format_input_names_the_unknown_task():
+    with pytest.raises(ValidationError, match="unknown task tag: 'nosuch'"):
+        format_input("nosuch", "q", "c")
+
+
 def test_format_input_requires_context_for_non_calculate():
     with pytest.raises(ValidationError):
-        format_input(TaskTag.ANSWER_ME, "q", "")
+        format_input(corpus.ANSWER_ME, "q", "")
 
 
-@pytest.mark.parametrize("task", list(TaskTag))
+@pytest.mark.parametrize("task", sorted(corpus.TASKS))
 def test_format_input_reparses(task):
-    context = "" if task is TaskTag.CALCULATE else "some context text"
+    context = "" if task == corpus.CALCULATE else "some context text"
     text = format_input(task, "what is 1 + 1?", context)
     parsed_task, question, parsed_context = parse_input(text)
-    assert parsed_task is task
+    assert parsed_task == task
     assert question == "what is 1 + 1?"
-    assert parsed_context == (None if task is TaskTag.CALCULATE else context)
+    assert parsed_context == (None if task == corpus.CALCULATE else context)
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +101,24 @@ def test_format_input_reparses(task):
 # ---------------------------------------------------------------------------
 
 def test_derive_answer_type_number():
-    assert derive_answer_type(GoldAnswer(number="4300000")) is AnswerType.NUMBER
+    assert derive_answer_type(GoldAnswer(number="4300000")) == corpus.NUMBER
 
 
 def test_derive_answer_type_single_span():
-    assert derive_answer_type(GoldAnswer(spans=("John Kasay",))) is AnswerType.SPAN
+    assert derive_answer_type(GoldAnswer(spans=("John Kasay",))) == corpus.SPAN
 
 
 def test_derive_answer_type_two_spans():
-    assert derive_answer_type(GoldAnswer(spans=("a", "b"))) is AnswerType.SPANS
+    assert derive_answer_type(GoldAnswer(spans=("a", "b"))) == corpus.SPANS
 
 
 def test_derive_answer_type_date():
-    assert derive_answer_type(GoldAnswer(date=DateParts(month="March"))) is AnswerType.DATE
+    assert derive_answer_type(GoldAnswer(date=DateParts(month="March"))) == corpus.DATE
 
 
 def test_derive_answer_type_priority_on_malformed():
     both = GoldAnswer(number="3", spans=("x",), date=DateParts(year="1900"))
-    assert derive_answer_type(both) is AnswerType.NUMBER
+    assert derive_answer_type(both) == corpus.NUMBER
 
 
 def test_derive_answer_type_rejects_empty():
@@ -126,7 +129,7 @@ def test_derive_answer_type_rejects_empty():
 def test_classification_example_from_number_record(ming_rui_drop):
     record = ingest_drop(ming_rui_drop).records[0]
     example = make_classification_example(record)
-    assert example.task == TaskTag.CLASSIFY_ME.value
+    assert example.task == corpus.CLASSIFY_ME
     assert example.target == "number"
     assert example.input.startswith(f"classify_me: {MING_RUI_QUESTION} context: ")
 
@@ -149,7 +152,7 @@ def test_make_drop_example_serializes_date_target():
     record = ingest_drop(io.BytesIO(json.dumps(data).encode())).records[0]
     example = make_drop_example(record)
     assert example.target == "3 March 1768"
-    assert example.answer_type == AnswerType.DATE.value
+    assert example.answer_type == corpus.DATE
 
 
 def test_make_drop_example_joins_spans():
@@ -351,7 +354,7 @@ def test_ingest_squad(squad_file):
     record = result.records[0]
     assert record.answers == ("John Kasay", "Kasay")
     example = make_squad_example(record)
-    assert example.task == TaskTag.SQUAD_CONTEXT.value
+    assert example.task == corpus.SQUAD_CONTEXT
     assert example.input.startswith("squad_context: Which kicker tied the game? context: ")
     assert example.target == "John Kasay"
 
@@ -422,7 +425,7 @@ def _example(input_words, target_words=1):
     return Example(
         input="answer_me: " + " ".join(["word"] * input_words),
         target=" ".join(["tok"] * target_words),
-        task=TaskTag.ANSWER_ME,
+        task=corpus.ANSWER_ME,
     )
 
 
@@ -471,8 +474,8 @@ def _some_examples(n):
         Example(
             input=f"answer_me: q{i}? context: passage {i}",
             target=f"answer {i}",
-            task=TaskTag.ANSWER_ME,
-            answer_type=AnswerType.NUMBER,
+            task=corpus.ANSWER_ME,
+            answer_type=corpus.NUMBER,
             source_id=f"ex-{i}",
         )
         for i in range(n)
@@ -656,8 +659,8 @@ _GOOD_ROW = {"input": "answer_me: q? context: c", "target": "t", "task": "answer
         ({**_GOOD_ROW, "extra": ""}, "exactly the fields"),
         ({key: _GOOD_ROW[key] for key in list(_GOOD_ROW)[:4]}, "exactly the fields"),
         ({**_GOOD_ROW, "source_id": 7}, "must be strings"),
-        ({**_GOOD_ROW, "task": "nope"}, "not a valid TaskTag"),
-        ({**_GOOD_ROW, "answer_type": "nope"}, "not a valid AnswerType"),
+        ({**_GOOD_ROW, "task": "nope"}, "not a valid task"),
+        ({**_GOOD_ROW, "answer_type": "nope"}, "not a valid answer type"),
         ({**_GOOD_ROW, "input": "calculate: q? context: c"}, "prefix"),
         ({**_GOOD_ROW, "input": "answer_me:  \t context: c"}, "question is empty"),
         ({**_GOOD_ROW, "input": "answer_me: "}, "question is empty"),

@@ -11,7 +11,6 @@ from numtext.decimals import EXACT, exact, parse_decimal, render
 from numtext.errors import ConfigError, ParseError
 from numtext.numgen import (
     NumGenConfig,
-    TemplateFamily,
     ValueRange,
     eval_expr,
     generate_num,
@@ -80,7 +79,7 @@ def test_eval_rejects_unsupported_operator():
 # ---------------------------------------------------------------------------
 
 def test_combination_template_can_yield_paper_shape():
-    example = instantiate(TemplateFamily.COMBINATION, 4, random.Random(3))
+    example = instantiate(numgen.COMBINATION, 4, random.Random(3))
     # shape: four decimal terms joined by " + " / " - ", maybe a leading '-'
     terms = example.expression.replace(" - ", " + ").split(" + ")
     assert len(terms) == 4
@@ -89,8 +88,8 @@ def test_combination_template_can_yield_paper_shape():
 
 def test_instantiate_is_deterministic():
     ranges = ValueRange(max_frac_digits=2)
-    a = instantiate(TemplateFamily.COMBINATION, 3, random.Random(11), ranges)
-    b = instantiate(TemplateFamily.COMBINATION, 3, random.Random(11), ranges)
+    a = instantiate(numgen.COMBINATION, 3, random.Random(11), ranges)
+    b = instantiate(numgen.COMBINATION, 3, random.Random(11), ranges)
     assert a == b
 
 
@@ -103,7 +102,7 @@ def test_coarse_grids_without_a_value_redraw_the_scale():
     # No integer lies in [0.1, 0.9]: scale 0 is redrawn, and a range whose
     # finest grid is empty too is refused before anything is drawn.
     ranges = ValueRange(Decimal("0.1"), Decimal("0.9"), max_frac_digits=2)
-    families = {TemplateFamily.DIFFERENCE: 1.0, TemplateFamily.MIN_MAX_AVG: 1.0}  # every literal is a drawn value
+    families = {numgen.DIFFERENCE: 1.0, numgen.MIN_MAX_AVG: 1.0}  # every literal is a drawn value
     config = NumGenConfig(ranges=ranges, family_weights=families)
     for example in generate_num(300, config, seed=1):
         drawn = [Decimal(literal) for literal in re.findall(r"\d+(?:\.\d+)?", example.expression)]
@@ -121,13 +120,18 @@ def test_negative_magnitude_rejected():
 def test_argmax_like_needs_enough_distinct_values_on_the_grid():
     # argmax_like redraws until its up to LIST_TERMS[1] values are distinct:
     # a grid of 2 values must be refused before anything is drawn.
-    argmax_only = {TemplateFamily.ARGMAX_LIKE: 1.0}
+    argmax_only = {numgen.ARGMAX_LIKE: 1.0}
     with pytest.raises(ConfigError, match="distinct values"):
         NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=argmax_only)
     NumGenConfig(ranges=ValueRange(0, 3, max_frac_digits=0), family_weights=argmax_only)
     NumGenConfig(ranges=ValueRange(0, Decimal("0.3"), max_frac_digits=1), family_weights=argmax_only)
-    small_but_unused = {TemplateFamily.ARGMAX_LIKE: 0.0, TemplateFamily.DIFFERENCE: 1.0}
+    small_but_unused = {numgen.ARGMAX_LIKE: 0.0, numgen.DIFFERENCE: 1.0}
     NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=small_but_unused)
+
+
+def test_unknown_family_is_config_error():
+    with pytest.raises(ConfigError, match="unknown template family 'nosuch'; families are combination, "):
+        NumGenConfig(family_weights={"nosuch": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +185,14 @@ def test_exactness_survives_magnitudes_past_200_digits(max_frac_digits):
 
 
 def test_family_weights_respected():
-    config = NumGenConfig(family_weights={TemplateFamily.MIN_MAX_AVG: 1.0})
+    config = NumGenConfig(family_weights={numgen.MIN_MAX_AVG: 1.0})
     families = {e.family for e in generate_num(50, config, seed=5)}
-    assert families == {TemplateFamily.MIN_MAX_AVG}
+    assert families == {numgen.MIN_MAX_AVG}
 
 
 def test_sign_coverage_is_fair(monkeypatch):
     monkeypatch.setattr(numgen, "COMBINATION_TERMS", (3, 3))
-    config = NumGenConfig(family_weights={TemplateFamily.COMBINATION: 1.0})
+    config = NumGenConfig(family_weights={numgen.COMBINATION: 1.0})
     plus = [0, 0, 0]
     total = 0
     for example in generate_num(10_000, config, seed=21):

@@ -3,14 +3,13 @@ from decimal import Context, Decimal, Inexact, getcontext, localcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numtext import txtgen
 from numtext.errors import ConfigError, SimulationError, ValidationError
 from numtext.txtgen import (
     DEFAULT_VOCAB,
     Event,
-    QuestionKind,
     QuestionSpec,
     TxtGenConfig,
-    VerbClass,
     Vocabulary,
     WorldState,
     answer_question,
@@ -22,19 +21,19 @@ from oracles import resimulate
 
 
 def observe(container, entity, qty):
-    return Event(VerbClass.OBSERVE, container, entity, Decimal(qty))
+    return Event(txtgen.OBSERVE, container, entity, Decimal(qty))
 
 
 def gain(container, entity, qty):
-    return Event(VerbClass.GAIN, container, entity, Decimal(qty))
+    return Event(txtgen.GAIN, container, entity, Decimal(qty))
 
 
 def lose(container, entity, qty):
-    return Event(VerbClass.LOSE, container, entity, Decimal(qty))
+    return Event(txtgen.LOSE, container, entity, Decimal(qty))
 
 
 def transfer(container, target, entity, qty):
-    return Event(VerbClass.TRANSFER, container, entity, Decimal(qty), target=target)
+    return Event(txtgen.TRANSFER, container, entity, Decimal(qty), target=target)
 
 
 def simulate(events):
@@ -82,37 +81,37 @@ def test_underflow_raises():
 
 def test_event_validation():
     with pytest.raises(ValidationError):
-        Event(VerbClass.GAIN, "Mary", "apples", Decimal(-1))
+        Event(txtgen.GAIN, "Mary", "apples", Decimal(-1))
     with pytest.raises(ValidationError):
-        Event(VerbClass.TRANSFER, "Mary", "apples", Decimal(1), target="Mary")
+        Event(txtgen.TRANSFER, "Mary", "apples", Decimal(1), target="Mary")
     with pytest.raises(ValidationError):
-        Event(VerbClass.GAIN, "Mary", "apples", Decimal(1), target="John")
+        Event(txtgen.GAIN, "Mary", "apples", Decimal(1), target="John")
 
 
 def test_answer_how_many():
     state = simulate([observe("Mary", "apples", 5), lose("Mary", "apples", 2)])
-    assert answer_question(state, QuestionSpec(QuestionKind.HOW_MANY, "apples", container="Mary")) == "3"
+    assert answer_question(state, QuestionSpec(txtgen.HOW_MANY, "apples", container="Mary")) == "3"
 
 
 def test_answer_self_difference_is_zero():
     state = simulate([observe("A", "e", 4)])
-    assert answer_question(state, QuestionSpec(QuestionKind.HOW_MANY_MORE, "e", container="A", other="A")) == "0"
+    assert answer_question(state, QuestionSpec(txtgen.HOW_MANY_MORE, "e", container="A", other="A")) == "0"
 
 
 def test_answer_how_many_more():
     state = simulate([observe("A", "e", 5), observe("B", "e", 2)])
-    assert answer_question(state, QuestionSpec(QuestionKind.HOW_MANY_MORE, "e", container="A", other="B")) == "3"
+    assert answer_question(state, QuestionSpec(txtgen.HOW_MANY_MORE, "e", container="A", other="B")) == "3"
 
 
 def test_answer_total():
     state = simulate([observe("A", "e", 5), observe("B", "e", 2)])
-    assert answer_question(state, QuestionSpec(QuestionKind.TOTAL, "e")) == "7"
+    assert answer_question(state, QuestionSpec(txtgen.TOTAL, "e")) == "7"
 
 
 def test_answer_unreferenced_container_rejected():
     state = simulate([observe("A", "e", 5)])
     with pytest.raises(ValidationError):
-        answer_question(state, QuestionSpec(QuestionKind.HOW_MANY, "e", container="Nobody"))
+        answer_question(state, QuestionSpec(txtgen.HOW_MANY, "e", container="Nobody"))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +241,8 @@ def test_vocabulary_from_json_rejects_missing_and_ill_typed_fields():
     good = {
         "containers": ["A", "B"],
         "entities": ["x", "y"],
-        "sentence_templates": {verb.value: list(DEFAULT_VOCAB.sentence_templates[verb]) for verb in VerbClass},
-        "question_templates": {kind.value: list(DEFAULT_VOCAB.question_templates[kind]) for kind in QuestionKind},
+        "sentence_templates": {verb: list(DEFAULT_VOCAB.sentence_templates[verb]) for verb in txtgen.VERBS},
+        "question_templates": {kind: list(DEFAULT_VOCAB.question_templates[kind]) for kind in txtgen.QUESTION_KINDS},
     }
     assert Vocabulary.from_json(good).containers == ("A", "B")
     bad = [
@@ -251,6 +250,7 @@ def test_vocabulary_from_json_rejects_missing_and_ill_typed_fields():
         {key: value for key, value in good.items() if key != "containers"},
         {**good, "entities": "xy"},
         {**good, "containers": ["A", 5]},
+        {**good, "containers": ["Mary", "Mary", "John"]},
         {**good, "sentence_templates": ["x"]},
         {**good, "sentence_templates": {**good["sentence_templates"], "juggle": ["{container}"]}},
         {**good, "question_templates": {**good["question_templates"], "total": "How many?"}},

@@ -11,7 +11,6 @@ error), 2 (I/O error).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import io
 import json
@@ -23,7 +22,7 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from . import __version__
+from . import __version__, sha256
 from .errors import ConfigError, ToolkitError, ValidationError
 
 
@@ -84,7 +83,7 @@ def _meta(config: dict, seed: int | None = None, **extra) -> dict:
     canonical = json.dumps(config, sort_keys=True, ensure_ascii=False)
     # A path argv could not decode, or a JSON string, can hold a lone surrogate;
     # text without one encodes to the same bytes either way.
-    meta["config_sha256"] = hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+    meta["config_sha256"] = sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()[:16]
     meta.update(extra)
     return meta
 
@@ -199,7 +198,7 @@ def cmd_gen_txt(args) -> int:
         # The vocabulary's content, not its path, goes into the config hash.
         data = Path(args.vocab).read_bytes()
         vocab = txtgen.Vocabulary.from_json(corpus.load_json(io.BytesIO(data)))
-        extra["vocab_sha256"] = hashlib.sha256(data).hexdigest()
+        extra["vocab_sha256"] = sha256(data).hexdigest()
     recorded = args.config_values.get("vocab_sha256")
     if recorded is not None and recorded != extra.get("vocab_sha256"):
         problem = "--vocab is not that vocabulary" if args.vocab else "give that vocabulary with --vocab"

@@ -17,9 +17,9 @@ import json
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -59,7 +59,6 @@ def format_input(task: str, question: str, context: str = "") -> str:
     return f"{task}: {question}{CONTEXT_MARKER}{context}"
 
 
-@dataclass(slots=True)
 class Example:
     """One JSONL record line as five strings; building one checks every record rule.
 
@@ -67,28 +66,33 @@ class Example:
     starts with the task's prefix and holds a non-blank question, and ``target`` is non-empty.
     """
 
-    input: str
-    target: str
-    task: str
-    answer_type: str = NONE
-    source_id: str = ""
+    __slots__ = EXAMPLE_FIELDS
 
-    def __post_init__(self):
-        task = self.task
+    def __init__(self, input: str, target: str, task: str, answer_type: str = NONE, source_id: str = ""):
         if task not in TASKS:
             raise ValidationError(f"{task!r} is not a valid task")
-        if self.answer_type not in ANSWER_TYPES:
-            raise ValidationError(f"{self.answer_type!r} is not a valid answer type")
+        if answer_type not in ANSWER_TYPES:
+            raise ValidationError(f"{answer_type!r} is not a valid answer type")
         prefix = task + ": "
-        text = self.input
-        if not text.startswith(prefix):
-            raise ValidationError(f"input must start with {task!r} prefix: {text[:40]!r}")
-        end = text.find(CONTEXT_MARKER, len(prefix))
-        question = text[len(prefix) : end] if end >= 0 else text[len(prefix) :]
+        if not input.startswith(prefix):
+            raise ValidationError(f"input must start with {task!r} prefix: {input[:40]!r}")
+        end = input.find(CONTEXT_MARKER, len(prefix))
+        question = input[len(prefix) : end] if end >= 0 else input[len(prefix) :]
         if not question.strip():
             raise ValidationError("input question is empty")
-        if not self.target:
+        if not target:
             raise ValidationError("target must be non-empty")
+        self.input = input
+        self.target = target
+        self.task = task
+        self.answer_type = answer_type
+        self.source_id = source_id
+
+    def __eq__(self, other):
+        return _fields(self) == _fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Example{_fields(self)!r}"
 
     def to_json(self) -> dict:
         return {
@@ -100,11 +104,20 @@ class Example:
         }
 
 
-@dataclass(slots=True)
+#: An example's five fields as a tuple, in :data:`EXAMPLE_FIELDS` order.
+_fields = attrgetter(*EXAMPLE_FIELDS)
+
+
 class DateParts:
-    day: str = ""
-    month: str = ""
-    year: str = ""
+    __slots__ = ("day", "month", "year")
+
+    def __init__(self, day: str = "", month: str = "", year: str = ""):
+        self.day = day
+        self.month = month
+        self.year = year
+
+    def __eq__(self, other):
+        return _date_fields(self) == _date_fields(other) if other.__class__ is self.__class__ else NotImplemented
 
     def populated(self) -> bool:
         return bool(self.day.strip() or self.month.strip() or self.year.strip())
@@ -114,13 +127,21 @@ class DateParts:
         return " ".join(p for p in (self.day.strip(), self.month.strip(), self.year.strip()) if p)
 
 
-@dataclass(slots=True)
+_date_fields = attrgetter(*DateParts.__slots__)
+
+
 class GoldAnswer:
     """One gold answer: a number, a list of spans, or a date."""
 
-    number: str = ""
-    spans: tuple[str, ...] = ()
-    date: DateParts = field(default_factory=DateParts)
+    __slots__ = ("number", "spans", "date")
+
+    def __init__(self, number: str = "", spans: tuple[str, ...] = (), date: DateParts | None = None):
+        self.number = number
+        self.spans = spans
+        self.date = DateParts() if date is None else date
+
+    def __eq__(self, other):
+        return _gold_fields(self) == _gold_fields(other) if other.__class__ is self.__class__ else NotImplemented
 
     def is_empty(self) -> bool:
         return not (
@@ -130,56 +151,63 @@ class GoldAnswer:
         )
 
 
-@dataclass(slots=True)
+_gold_fields = attrgetter(*GoldAnswer.__slots__)
+
+
 class DropRecord:
     """One DROP question with its passage and all gold answers."""
 
-    passage: str
-    question: str
-    answers: tuple[GoldAnswer, ...]
-    query_id: str
+    __slots__ = ("passage", "question", "answers", "query_id")
 
-    def __post_init__(self):
-        if not self.answers or all(a.is_empty() for a in self.answers):
-            raise ValidationError(f"record {self.query_id!r} has no non-empty gold answer")
+    def __init__(self, passage: str, question: str, answers: tuple[GoldAnswer, ...], query_id: str):
+        if not answers or all(a.is_empty() for a in answers):
+            raise ValidationError(f"record {query_id!r} has no non-empty gold answer")
+        self.passage = passage
+        self.question = question
+        self.answers = answers
+        self.query_id = query_id
+
+    def __eq__(self, other):
+        return _drop_fields(self) == _drop_fields(other) if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True)
+_drop_fields = attrgetter(*DropRecord.__slots__)
+
+
 class SquadRecord:
     """One SQuAD v1.1 question with its passage and answer texts."""
 
-    passage: str
-    question: str
-    answers: tuple[str, ...]
-    qa_id: str
+    def __init__(self, passage: str, question: str, answers: tuple[str, ...], qa_id: str):
+        if not answers:
+            raise ValidationError(f"record {qa_id!r} has no answers")
+        self.passage = passage
+        self.question = question
+        self.answers = answers
+        self.qa_id = qa_id
 
-    def __post_init__(self):
-        if not self.answers:
-            raise ValidationError(f"record {self.qa_id!r} has no answers")
 
-
-@dataclass(frozen=True)
 class LengthLimits:
     """Encoder/decoder token budgets used by the truncation audit."""
 
-    encoder_max: int = 512
-    decoder_max: int = 54
+    # The defaults, as class attributes too: the command line reads its flag defaults here.
+    encoder_max = 512
+    decoder_max = 54
 
-    def __post_init__(self):
-        if self.encoder_max < 1 or self.decoder_max < 1:
+    def __init__(self, encoder_max: int = encoder_max, decoder_max: int = decoder_max):
+        if encoder_max < 1 or decoder_max < 1:
             raise ValidationError("length limits must be >= 1")
+        self.encoder_max = encoder_max
+        self.decoder_max = decoder_max
 
 
-@dataclass(frozen=True)
-class IngestIssue:
+class IngestIssue(NamedTuple):
     """A skipped record: which question and why."""
 
     question_id: str
     message: str
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     records: list
     errors: list[IngestIssue]
 
@@ -577,8 +605,6 @@ def iter_examples(source) -> Iterator[tuple[int, int, str, Example]]:
         yield offset, lineno, text, example
 
 
-#: An example's five fields as a tuple, in :data:`EXAMPLE_FIELDS` order.
-_fields = attrgetter(*EXAMPLE_FIELDS)
 #: The line :func:`write_examples` writes for a record whose strings need
 #: no JSON escape; a line without a backslash that equals it is canonical.
 _CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'

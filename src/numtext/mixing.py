@@ -15,30 +15,27 @@ import random
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, StreamError
 from .seeding import derive_seed
 
 
-@dataclass(frozen=True)
 class DatasetStat:
     """Size and weighting knobs for one dataset in the mix."""
 
-    name: str
-    length: int
-    scale: float = 1.0
-    cap: float | None = None
-
-    def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise ConfigError(f"dataset {self.name!r}: scale must be a finite number > 0")
-        if not 1 <= self.length <= sys.float_info.max / self.scale:
-            raise ConfigError(f"dataset {self.name!r}: length must be >= 1 and length * scale finite")
-        if self.cap is not None and not 0 < self.cap < math.inf:
-            raise ConfigError(f"dataset {self.name!r}: cap must be a finite number > 0")
+    def __init__(self, name: str, length: int, scale: float = 1.0, cap: float | None = None):
+        if not 0 < scale < math.inf:
+            raise ConfigError(f"dataset {name!r}: scale must be a finite number > 0")
+        if not 1 <= length <= sys.float_info.max / scale:
+            raise ConfigError(f"dataset {name!r}: length must be >= 1 and length * scale finite")
+        if cap is not None and not 0 < cap < math.inf:
+            raise ConfigError(f"dataset {name!r}: cap must be a finite number > 0")
+        self.name = name
+        self.length = length
+        self.scale = scale
+        self.cap = cap
 
     @property
     def capped_size(self) -> float:
@@ -46,8 +43,7 @@ class DatasetStat:
         return min(size, self.cap) if self.cap is not None else size
 
 
-@dataclass(frozen=True)
-class MixEntry:
+class MixEntry(NamedTuple):
     name: str
     length: int
     scale: float
@@ -66,8 +62,7 @@ class MixEntry:
         }
 
 
-@dataclass(frozen=True)
-class MixturePlan:
+class MixturePlan(NamedTuple):
     temperature: float
     entries: tuple[MixEntry, ...]
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .corpus import CALCULATE, NUMBER, Example, format_input
 from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render, round_ratio_half_even
@@ -39,7 +38,6 @@ LIST_TERMS = (3, 4)
 PERCENT_RANGE = (1, 100)
 
 
-@dataclass(frozen=True)
 class ValueRange:
     """Magnitude range and decimal grid for drawn numbers.
 
@@ -47,52 +45,58 @@ class ValueRange:
     inside the range, for each scale s up to ``max_frac_digits``.
     """
 
-    min_value: Decimal = Decimal(0)
-    max_value: Decimal = Decimal(20000)
-    max_frac_digits: int = 2
-    grids: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # The defaults, as class attributes too: the command line reads its flag defaults here.
+    min_value = Decimal(0)
+    max_value = Decimal(20000)
+    max_frac_digits = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_value", Decimal(self.min_value))
-        object.__setattr__(self, "max_value", Decimal(self.max_value))
-        if self.min_value < 0:
+    def __init__(
+        self,
+        min_value: Decimal = min_value,
+        max_value: Decimal = max_value,
+        max_frac_digits: int = max_frac_digits,
+    ):
+        self.min_value = min_value = Decimal(min_value)
+        self.max_value = max_value = Decimal(max_value)
+        self.max_frac_digits = max_frac_digits
+        if min_value < 0:
             raise ConfigError("min_value is a magnitude and must be >= 0")
-        if self.max_value <= self.min_value:
+        if max_value <= min_value:
             raise ConfigError("empty value range")
-        if not 0 <= self.max_frac_digits <= MAX_FRAC_DIGITS:
+        if not 0 <= max_frac_digits <= MAX_FRAC_DIGITS:
             raise ConfigError(f"max_frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
         # Ceiling and floor of the exact rational bounds, in int arithmetic.
-        min_num, min_den = self.min_value.as_integer_ratio()
-        max_num, max_den = self.max_value.as_integer_ratio()
-        grids = tuple(
+        min_num, min_den = min_value.as_integer_ratio()
+        max_num, max_den = max_value.as_integer_ratio()
+        self.grids = tuple(
             (-(-min_num * 10**scale // min_den), max_num * 10**scale // max_den)
-            for scale in range(self.max_frac_digits + 1)
+            for scale in range(max_frac_digits + 1)
         )
-        object.__setattr__(self, "grids", grids)
-        low, high = grids[-1]
+        low, high = self.grids[-1]
         if low > high:
-            raise ConfigError(f"no number with at most {self.max_frac_digits} fractional digits is in the value range")
+            raise ConfigError(f"no number with at most {max_frac_digits} fractional digits is in the value range")
 
 
-@dataclass(frozen=True)
 class NumGenConfig:
-    ranges: ValueRange = field(default_factory=ValueRange)
-    family_weights: Mapping[str, float] = field(default_factory=lambda: dict.fromkeys(FAMILIES, 1.0))
-
-    def __post_init__(self):
-        for name in self.family_weights:
+    def __init__(
+        self,
+        ranges: ValueRange = ValueRange(),
+        family_weights: Mapping[str, float] = dict.fromkeys(FAMILIES, 1.0),  # only read: a copy is kept
+    ):
+        for name in family_weights:
             if name not in FAMILIES:
                 raise ConfigError(f"unknown template family {name!r}; families are {', '.join(FAMILIES)}")
-        weights = {k: float(v) for k, v in self.family_weights.items()}
+        weights = {k: float(v) for k, v in family_weights.items()}
         if not weights or all(w <= 0 for w in weights.values()):
             raise ConfigError("at least one template family must have positive weight")
         if not all(0 <= w < math.inf for w in weights.values()):
             raise ConfigError("family weights must be finite and >= 0")
-        object.__setattr__(self, "family_weights", weights)
+        self.ranges = ranges
+        self.family_weights = weights
         if weights.get(ARGMAX_LIKE, 0.0) > 0:
             # argmax_like redraws until its values are distinct; the finest
             # grid holds every value any coarser one can draw.
-            low, high = self.ranges.grids[-1]
+            low, high = ranges.grids[-1]
             if high - low + 1 < LIST_TERMS[1]:
                 raise ConfigError(
                     f"argmax_like needs {LIST_TERMS[1]} distinct values, "
@@ -100,8 +104,7 @@ class NumGenConfig:
                 )
 
 
-@dataclass(frozen=True)
-class NumExample:
+class NumExample(NamedTuple):
     expression: str
     answer: Decimal
     family: str

@@ -10,29 +10,40 @@ within an epoch and continuous at the seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
 
 
-@dataclass(frozen=True)
 class LrConfig:
-    total_epochs: int
-    batches_per_epoch: int
-    warmup_start: float = 1e-8
-    warmup_end: float = 1e-4
-    decay_rate: float = 1e-3
-    warmup_fraction: float = 0.10
+    # The defaults, as class attributes too: the command line reads its flag defaults here.
+    warmup_start = 1e-8
+    warmup_end = 1e-4
+    decay_rate = 1e-3
+    warmup_fraction = 0.10
 
-    def __post_init__(self):
-        if self.total_epochs < 1 or self.batches_per_epoch < 1:
+    def __init__(
+        self,
+        total_epochs: int,
+        batches_per_epoch: int,
+        warmup_start: float = warmup_start,
+        warmup_end: float = warmup_end,
+        decay_rate: float = decay_rate,
+        warmup_fraction: float = warmup_fraction,
+    ):
+        if total_epochs < 1 or batches_per_epoch < 1:
             raise ConfigError("epoch and batch counts must be >= 1")
-        if not 0 < self.warmup_start <= self.warmup_end < math.inf:
+        if not 0 < warmup_start <= warmup_end < math.inf:
             raise ConfigError("need 0 < warmup_start <= warmup_end < inf")
-        if not 0 <= self.decay_rate < math.inf:
+        if not 0 <= decay_rate < math.inf:
             raise ConfigError("decay_rate must be a finite number >= 0")
-        if not 0 < self.warmup_fraction < 1:
+        if not 0 < warmup_fraction < 1:
             raise ConfigError("warmup_fraction must be in (0, 1)")
+        self.total_epochs = total_epochs
+        self.batches_per_epoch = batches_per_epoch
+        self.warmup_start = warmup_start
+        self.warmup_end = warmup_end
+        self.decay_rate = decay_rate
+        self.warmup_fraction = warmup_fraction
 
 
 class LrSchedule:

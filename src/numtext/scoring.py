@@ -23,8 +23,7 @@ import re
 import string
 from array import array
 from contextlib import closing
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
 from .errors import ConfigError, ValidationError
@@ -163,10 +162,15 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
     return sum(scores[row][col] for row, col in enumerate(columns)) / size
 
 
-@dataclass(slots=True)
 class PairScore:
-    em: float
-    f1: float
+    __slots__ = ("em", "f1")
+
+    def __init__(self, em: float, f1: float):
+        self.em = em
+        self.f1 = f1
+
+    def __eq__(self, other):
+        return (self.em, self.f1) == (other.em, other.f1) if other.__class__ is self.__class__ else NotImplemented
 
 
 def score_pair(
@@ -198,14 +202,13 @@ def score_record(
     return PairScore(em=best_em, f1=best_f1)
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     overall: dict
     per_type: dict[str, dict]
     per_question: list[dict]
 
     def to_json(self) -> dict:
-        return {"overall": self.overall, "per_type": self.per_type, "per_question": self.per_question}
+        return self._asdict()
 
 
 def build_report(

@@ -7,7 +7,7 @@ and per-example streams are independent and reproducible regardless of
 scheduling.
 """
 
-import hashlib
+from . import sha256
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -18,5 +18,5 @@ def derive_seed(seed: int, *labels) -> int:
     platforms, and Python versions.
     """
     text = ":".join([str(int(seed)), *[str(part) for part in labels]])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

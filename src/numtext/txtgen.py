@@ -10,10 +10,10 @@ are non-negative integers unless fractional digits are enabled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from itertools import chain
-from typing import Iterator, Mapping
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple
 
 from .corpus import ANSWER_ME, NUMBER, Example, format_input
 from .decimals import EXACT, MAX_FRAC_DIGITS, exact, render
@@ -26,24 +26,30 @@ VERBS = OBSERVE, GAIN, LOSE, TRANSFER = "observe", "gain", "lose", "transfer"
 QUESTION_KINDS = HOW_MANY, HOW_MANY_MORE, TOTAL = "how_many", "how_many_more", "total"
 
 
-@dataclass(frozen=True)
 class Event:
     """One state change: a container observes/gains/loses/transfers an entity."""
 
-    verb: str
-    container: str
-    entity: str
-    quantity: Decimal
-    target: str | None = None
+    __slots__ = ("verb", "container", "entity", "quantity", "target")
 
-    def __post_init__(self):
-        if self.quantity < 0:
+    def __init__(self, verb: str, container: str, entity: str, quantity: Decimal, target: str | None = None):
+        if quantity < 0:
             raise ValidationError("event quantity must be >= 0")
-        if self.verb == TRANSFER:
-            if not self.target or self.target == self.container:
+        if verb == TRANSFER:
+            if not target or target == container:
                 raise ValidationError("transfer needs a distinct target container")
-        elif self.target is not None:
-            raise ValidationError(f"{self.verb} event takes no target")
+        elif target is not None:
+            raise ValidationError(f"{verb} event takes no target")
+        self.verb = verb
+        self.container = container
+        self.entity = entity
+        self.quantity = quantity
+        self.target = target
+
+    def __eq__(self, other):
+        return _event_fields(self) == _event_fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Event{_event_fields(self)!r}"
 
     def to_json(self) -> dict:
         row = {
@@ -57,11 +63,14 @@ class Event:
         return row
 
 
-@dataclass
+_event_fields = attrgetter(*Event.__slots__)
+
+
 class WorldState:
     """Counts per (container, entity); absent cells read as zero."""
 
-    containers: dict[str, dict[str, Decimal]] = field(default_factory=dict)
+    def __init__(self, containers: dict[str, dict[str, Decimal]] | None = None):
+        self.containers = {} if containers is None else containers
 
     def count(self, container: str, entity: str) -> Decimal:
         return self.containers.get(container, {}).get(entity, Decimal(0))
@@ -96,8 +105,7 @@ class WorldState:
                 self._set(event.target, event.entity, self.count(event.target, event.entity) + event.quantity)
 
 
-@dataclass(frozen=True)
-class QuestionSpec:
+class QuestionSpec(NamedTuple):
     """What the question asks of the final state."""
 
     kind: str
@@ -131,8 +139,7 @@ def answer_question(state: WorldState, question: QuestionSpec) -> str:
     return render(state.total(question.entity))
 
 
-@dataclass(frozen=True)
-class TxtExample:
+class TxtExample(NamedTuple):
     context: str
     question: str
     answer: str
@@ -155,31 +162,31 @@ class TxtExample:
 # Vocabulary and rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Vocabulary:
-    containers: tuple[str, ...]
-    entities: tuple[str, ...]
-    sentence_templates: Mapping[str, tuple[str, ...]]
-    question_templates: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self):
-        if len(set(self.containers)) < 2:
+    def __init__(
+        self,
+        containers: tuple[str, ...],
+        entities: tuple[str, ...],
+        sentence_templates: Mapping[str, tuple[str, ...]],
+        question_templates: Mapping[str, tuple[str, ...]],
+    ):
+        if len(set(containers)) < 2:
             raise ConfigError("vocabulary needs at least 2 distinct container names")
-        if len(set(self.containers)) < len(self.containers):
-            name = next(name for i, name in enumerate(self.containers) if name in self.containers[:i])
+        if len(set(containers)) < len(containers):
+            name = next(name for i, name in enumerate(containers) if name in containers[:i])
             raise ConfigError(f"vocabulary 'containers' names {name!r} twice")
-        if len(set(self.entities)) < 2:
+        if len(set(entities)) < 2:
             raise ConfigError("vocabulary needs at least 2 distinct entity names")
         for verb in VERBS:
-            if not self.sentence_templates.get(verb):
+            if not sentence_templates.get(verb):
                 raise ConfigError(f"no sentence template for verb {verb!r}")
         for kind in QUESTION_KINDS:
-            if not self.question_templates.get(kind):
+            if not question_templates.get(kind):
                 raise ConfigError(f"no question template for kind {kind!r}")
         # Each template must format with exactly the text fields the generator passes.
         for templates, fields in (
-            (self.sentence_templates, ("container", "qty", "entity", "target")),
-            (self.question_templates, ("entity", "container", "other")),
+            (sentence_templates, ("container", "qty", "entity", "target")),
+            (question_templates, ("entity", "container", "other")),
         ):
             for template in chain(*templates.values()):
                 try:
@@ -187,6 +194,10 @@ class Vocabulary:
                 except (LookupError, ValueError, AttributeError, TypeError):
                     named = ", ".join("{" + name + "}" for name in fields)
                     raise ConfigError(f"bad template {template!r}; its fields are {named}") from None
+        self.containers = containers
+        self.entities = entities
+        self.sentence_templates = sentence_templates
+        self.question_templates = question_templates
 
     @classmethod
     def from_json(cls, obj) -> "Vocabulary":
@@ -278,21 +289,32 @@ DEFAULT_VOCAB = Vocabulary(
 )
 
 
-@dataclass(frozen=True)
 class TxtGenConfig:
-    vocab: Vocabulary = DEFAULT_VOCAB
-    min_events: int = 2
-    max_events: int = 6
-    max_quantity: int = 20
-    frac_digits: int = 0  # countable entities by default; >0 opts into fractions
+    # The defaults, as class attributes too: the command line reads its flag defaults here.
+    min_events = 2
+    max_events = 6
+    max_quantity = 20
+    frac_digits = 0  # countable entities by default; >0 opts into fractions
 
-    def __post_init__(self):
-        if not (2 <= self.min_events <= self.max_events):
+    def __init__(
+        self,
+        vocab: Vocabulary = DEFAULT_VOCAB,
+        min_events: int = min_events,
+        max_events: int = max_events,
+        max_quantity: int = max_quantity,
+        frac_digits: int = frac_digits,
+    ):
+        if not (2 <= min_events <= max_events):
             raise ConfigError("need 2 <= min_events <= max_events")
-        if self.max_quantity < 1:
+        if max_quantity < 1:
             raise ConfigError("max_quantity must be >= 1")
-        if not 0 <= self.frac_digits <= MAX_FRAC_DIGITS:
+        if not 0 <= frac_digits <= MAX_FRAC_DIGITS:
             raise ConfigError(f"frac_digits must be between 0 and {MAX_FRAC_DIGITS}")
+        self.vocab = vocab
+        self.min_events = min_events
+        self.max_events = max_events
+        self.max_quantity = max_quantity
+        self.frac_digits = frac_digits
 
 
 def _draw_quantity(rng: random.Random, config: TxtGenConfig, upper: Decimal | None = None) -> Decimal:

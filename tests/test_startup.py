@@ -1,11 +1,13 @@
-"""A command runs only the layers it uses, and ``import numtext.cli`` still
-binds every layer, as the benchmark's tracer and checks expect.
+"""A command runs only the layers it uses and starts without OpenSSL or
+``dataclasses``, and ``import numtext.cli`` still binds every layer, as the
+benchmark's tracer and checks expect.
 
 Each case runs in a fresh interpreter. ``cli`` binds each layer lazily: the
 module's class becomes ``types.ModuleType`` when its code first runs, and
 ``type()`` does not run it, so the class tells which layers ran.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -99,3 +101,43 @@ print(json.dumps(found))
 """ % (tuple(LAYERS), LAYERS)
     found = json.loads(_python(probe, cwd=tmp_path))
     assert found == {"bound": list(LAYERS), "ran on import": [], "functions": list(LAYERS), "ran by vars": list(LAYERS)}
+
+
+#: Modules that no command needs: ``hashlib`` loads OpenSSL (through ``_hashlib``),
+#: and ``dataclasses`` loads ``inspect`` and, through it, ``ast``, ``dis`` and ``tokenize``.
+#: Where the interpreter has no ``_sha256`` (Python 3.12 renamed it), SHA-256 comes from ``hashlib``.
+HEAVY = ("dataclasses", "inspect") + (("hashlib", "_hashlib") if importlib.util.find_spec("_sha256") else ())
+
+_RUN_AND_LIST_HEAVY_MODULES_ADDED = """
+import sys
+before = set(sys.modules)
+import numtext.cli
+code = numtext.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(set(%r) & set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--version"], id="version"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["gen-num", "--count", "20", "--seed", "3", "--out", "n.jsonl"], id="gen-num"),
+        pytest.param(["gen-txt", "--count", "20", "--seed", "3", "--out", "t.jsonl"], id="gen-txt"),
+        pytest.param(["ingest", "--format", "drop", "--in", "gold.json", "--out", "drop.jsonl"], id="ingest"),
+        pytest.param(["derive-class", "--in", "gold.json", "--out", "class.jsonl"], id="derive-class"),
+        pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--out", "score.json"], id="score"),
+        pytest.param(["mix", "--stats", "stats.json", "-T", "10", "--sample", "8", "--sources",
+                      "num=num.jsonl,txt=txt.jsonl", "--seed", "3", "--out", "mix.jsonl"], id="mix-sample"),
+        pytest.param(["audit", "--in", "num.jsonl", "--out", "audit.json"], id="audit"),
+        pytest.param(["lr-table", "--epochs", "10", "--batches-per-epoch", "30", "--out", "lr.csv"], id="lr-table"),
+        pytest.param(["pipeline", "--name", "multitask", "--stats", "pipeline-stats.json", "--batch-size", "32",
+                      "--seed", "3", "--out", "pipeline.json"], id="pipeline"),
+    ],
+)
+def test_a_command_starts_without_openssl_or_dataclasses(inputs, argv):
+    stats = [{"name": name, "length": 100} for name in ("DROP", "DROP-class", "TXT", "NUM", "SQuAD")]
+    (inputs / "pipeline-stats.json").write_text(json.dumps(stats))
+    code, added = json.loads(_python(_RUN_AND_LIST_HEAVY_MODULES_ADDED % (HEAVY,), *argv, cwd=inputs))
+    assert code == 0
+    assert added == []

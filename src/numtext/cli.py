@@ -250,41 +250,17 @@ def cmd_derive_class(args) -> int:
     return 0
 
 
-def _load_stats(path: str) -> list[mixing.DatasetStat]:
-    rows = corpus.load_json(path)
-    if not isinstance(rows, list):
-        raise ConfigError("stats file must hold a JSON list")
-    stats, is_number = [], corpus.is_json_number
-    for index, row in enumerate(rows):
-        try:
-            name, length, scale, cap = row["name"], row["length"], row.get("scale", 1.0), row.get("cap")
-            numbers = is_number(length, int) and is_number(scale) and (cap is None or is_number(cap))
-            if not (isinstance(name, str) and numbers):
-                raise TypeError
-            scale, cap = float(scale), None if cap is None else float(cap)
-            name.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate: JSON can hold one, UTF-8 cannot
-            raise ConfigError(f"stats row {index}: 'name' holds a lone surrogate, which UTF-8 cannot encode") from None
-        except (KeyError, TypeError, OverflowError):
-            raise ConfigError(
-                f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
-            ) from None
-        stats.append(mixing.DatasetStat(name=name, length=length, scale=scale, cap=cap))
-    return stats
-
-
 def _size_and_mtime(handle) -> tuple[int, int]:
     stat = os.fstat(handle.fileno())
     return stat.st_size, stat.st_mtime_ns
 
 
 def cmd_mix(args) -> int:
-    stats = _load_stats(args.stats)
-    plan = mixing.compute_plan(stats, args.temperature)
+    plan = mixing.compute_plan(mixing.check_stats(corpus.load_json(args.stats)), args.temperature)
     config = {"stats": args.stats, "temperature": args.temperature}
 
     if args.sample is None:
-        return _write_json(args.out, {"meta": _meta(config), **plan.to_json()})
+        return _write_json(args.out, {"meta": _meta(config), **plan._asdict()})
 
     if not args.sources or args.out is None:
         raise ConfigError("--sample needs --sources and --out")
@@ -310,10 +286,10 @@ def cmd_mix(args) -> int:
                 sources[name] = corpus.IndexedExamples(handle)
             except ToolkitError as exc:
                 raise type(exc)(f"source {path}: {exc}") from None
-        stream = mixing.sample_stream(plan, sources, args.sample, args.seed, allow_repeats=not args.no_repeats)
+        stream = mixing.sample_stream(plan, sources, args.sample, args.seed)
         with atomic_output(args.out) as sink:
             try:
-                corpus.write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan.to_json()))
+                corpus.write_examples(stream, sink, meta=_meta(config, seed=args.seed, plan=plan._asdict()))
             finally:
                 # Draws copy the lines at the indexed offsets, so a source
                 # changed in place since may have given other bytes; that
@@ -367,7 +343,7 @@ def cmd_score(args) -> int:
         predictions.pop(query_id, None)  # a question skipped for empty gold is not scored
     report = scoring.build_report(result.records, predictions, span_delimiter=args.delimiter)
     config = {"gold": args.gold, "pred": args.pred, "delimiter": args.delimiter}
-    return _write_json(args.out, {"meta": _meta(config), **report.to_json()})
+    return _write_json(args.out, {"meta": _meta(config), **report._asdict()})
 
 
 def cmd_pipeline(args) -> int:
@@ -381,8 +357,7 @@ def cmd_pipeline(args) -> int:
     spec = builtins[args.name] if args.name else pipelines.load_pipeline_spec(args.spec)
     if args.stats is None or args.batch_size is None:
         raise ConfigError("--stats and --batch-size are required")
-    stats = _load_stats(args.stats)
-    plan = pipelines.expand(spec, stats, args.batch_size, args.seed)
+    plan = pipelines.expand(spec, mixing.check_stats(corpus.load_json(args.stats)), args.batch_size, args.seed)
     config = {"pipeline": spec["name"], "stats": args.stats, "batch_size": args.batch_size, "seed": args.seed}
     return _write_json(args.out, {"meta": _meta(config, seed=args.seed), **plan})
 
@@ -450,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sample", type=int, help="draw this many examples")
     sub.add_argument("--sources", help="comma list of name=examples.jsonl")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--no-repeats", dest="no_repeats", action="store_true")
     sub.add_argument("--out")
 
     sub = add("lr-table", cmd_lr_table, "emit the learning-rate schedule as CSV")

@@ -18,86 +18,76 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
+from .corpus import is_json_number
 from .errors import ConfigError, StreamError
 from .seeding import derive_seed
 
 
-class DatasetStat:
-    """Size and weighting knobs for one dataset in the mix."""
-
-    def __init__(self, name: str, length: int, scale: float = 1.0, cap: float | None = None):
+def check_stats(rows) -> list[dict]:
+    """Check a decoded stats file and return new rows ``{"name", "length",
+    "scale", "cap"}``, ``scale`` a float (1.0 by default) and ``cap`` a
+    float or None; ``rows`` itself is left as it is. Each row is checked
+    for types, then values, in order; then the list as a whole. The first
+    broken rule raises ConfigError."""
+    if not isinstance(rows, list):
+        raise ConfigError("stats file must hold a JSON list")
+    stats = []
+    for index, row in enumerate(rows):
+        try:
+            name, length, scale, cap = row["name"], row["length"], row.get("scale", 1.0), row.get("cap")
+            numbers = is_json_number(length, int) and is_json_number(scale) and (cap is None or is_json_number(cap))
+            if not (isinstance(name, str) and numbers):
+                raise TypeError
+            scale, cap = float(scale), None if cap is None else float(cap)
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: JSON can hold one, UTF-8 cannot
+            raise ConfigError(f"stats row {index}: 'name' holds a lone surrogate, which UTF-8 cannot encode") from None
+        except (KeyError, TypeError, OverflowError):
+            raise ConfigError(
+                f"stats row {index} needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
+            ) from None
         if not 0 < scale < math.inf:
             raise ConfigError(f"dataset {name!r}: scale must be a finite number > 0")
         if not 1 <= length <= sys.float_info.max / scale:
             raise ConfigError(f"dataset {name!r}: length must be >= 1 and length * scale finite")
         if cap is not None and not 0 < cap < math.inf:
             raise ConfigError(f"dataset {name!r}: cap must be a finite number > 0")
-        self.name = name
-        self.length = length
-        self.scale = scale
-        self.cap = cap
-
-    @property
-    def capped_size(self) -> float:
-        size = self.length * self.scale
-        return min(size, self.cap) if self.cap is not None else size
-
-
-class MixEntry(NamedTuple):
-    name: str
-    length: int
-    scale: float
-    cap: float | None
-    rate: float  # relative to the largest capped size (largest dataset: 1.0)
-    ratio: float
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "length": self.length,
-            "scale": self.scale,
-            "cap": self.cap,
-            "r": self.rate,
-            "p": self.ratio,
-        }
+        stats.append({"name": name, "length": length, "scale": scale, "cap": cap})
+    if not stats:
+        raise ConfigError("need at least one dataset")
+    names = [row["name"] for row in stats]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate dataset names: {names}")
+    return stats
 
 
 class MixturePlan(NamedTuple):
-    temperature: float
-    entries: tuple[MixEntry, ...]
+    """A plan as ``mix`` writes it (``_asdict()``): each row of ``datasets``
+    is a :func:`check_stats` row plus its rate ``r`` relative to the largest
+    capped size (largest dataset: 1.0) and its sampling ratio ``p``."""
+
+    T: float
+    datasets: list[dict]
 
     @property
     def ratios(self) -> dict[str, float]:
-        return {entry.name: entry.ratio for entry in self.entries}
-
-    def to_json(self) -> dict:
-        return {"T": self.temperature, "datasets": [entry.to_json() for entry in self.entries]}
+        return {row["name"]: row["p"] for row in self.datasets}
 
 
-def compute_plan(stats: Sequence[DatasetStat], temperature: float) -> MixturePlan:
-    """Compute normalized sampling ratios for the given temperature."""
-    if not stats:
-        raise ConfigError("need at least one dataset")
+def compute_plan(stats: Sequence[dict], temperature: float) -> MixturePlan:
+    """Compute normalized sampling ratios of :func:`check_stats` rows for the given temperature."""
     if not 0 < temperature < math.inf:
         raise ConfigError("temperature must be a finite number > 0")
-    names = [stat.name for stat in stats]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate dataset names: {names}")
-
-    sizes = [stat.capped_size for stat in stats]
+    sizes = [min(row["length"] * row["scale"], math.inf if row["cap"] is None else row["cap"]) for row in stats]
     largest = max(sizes)
     rates = [(size / largest) ** (1.0 / temperature) for size in sizes]
     if any(rate == 0.0 for rate in rates):
         raise ConfigError("temperature too small: a mixing rate underflowed to zero")
     total = sum(rates)
-    entries = tuple(
-        MixEntry(stat.name, stat.length, stat.scale, stat.cap, rate, rate / total)
-        for stat, rate in zip(stats, rates)
-    )
-    return MixturePlan(temperature, entries)
+    return MixturePlan(temperature, [dict(row, r=rate, p=rate / total) for row, rate in zip(stats, rates)])
 
 
-def _epochs(items: Sequence, rng: random.Random, name: str, allow_repeats: bool) -> Iterator:
+def _epochs(items: Sequence, rng: random.Random, name: str) -> Iterator:
     """Walk one dataset in epoch-shuffled order: a full random permutation
     is consumed before any item repeats. The permutation is an 8-byte-per-item
     array, so a walk over offset-indexed records stays small."""
@@ -107,17 +97,9 @@ def _epochs(items: Sequence, rng: random.Random, name: str, allow_repeats: bool)
         order = array("q", range(len(items)))
         rng.shuffle(order)
         yield from map(items.__getitem__, reversed(order))
-        if not allow_repeats:
-            raise StreamError(f"dataset {name!r} exhausted with repeats disabled")
 
 
-def sample_stream(
-    plan: MixturePlan,
-    sources: Mapping[str, Sequence],
-    total: int,
-    seed: int = 0,
-    allow_repeats: bool = True,
-) -> Iterator:
+def sample_stream(plan: MixturePlan, sources: Mapping[str, Sequence], total: int, seed: int = 0) -> Iterator:
     """Draw ``total`` examples, dataset chosen i.i.d. from the plan's ratios.
 
     Deterministic per seed: dataset selection uses one derived stream and
@@ -125,30 +107,25 @@ def sample_stream(
     the sources were produced.
     """
     check_sample(plan, sources, total)
-    return _sample_stream(plan, sources, total, seed, allow_repeats)
+    return _sample_stream(plan, sources, total, seed)
 
 
 def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:
     """Raise ConfigError unless ``total`` >= 1 and ``names`` holds every dataset of ``plan``."""
     if total < 1:
         raise ConfigError("total must be >= 1")
-    missing = [entry.name for entry in plan.entries if entry.name not in names]
+    missing = [row["name"] for row in plan.datasets if row["name"] not in names]
     if missing:
         raise ConfigError(f"no source for datasets: {missing}")
 
 
-def _sample_stream(plan, sources, total, seed, allow_repeats) -> Iterator:
+def _sample_stream(plan, sources, total, seed) -> Iterator:
     select_rng = random.Random(derive_seed(seed, "mix", "select"))
     walks = [
-        _epochs(
-            sources[entry.name],
-            random.Random(derive_seed(seed, "mix", "shuffle", entry.name)),
-            entry.name,
-            allow_repeats,
-        )
-        for entry in plan.entries
+        _epochs(sources[row["name"]], random.Random(derive_seed(seed, "mix", "shuffle", row["name"])), row["name"])
+        for row in plan.datasets
     ]
-    cumulative = list(accumulate(entry.ratio for entry in plan.entries))
+    cumulative = list(accumulate(row["p"] for row in plan.datasets))
 
     for _ in range(total):
         pick = bisect_right(cumulative, select_rng.random())

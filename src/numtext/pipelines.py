@@ -18,11 +18,11 @@ the user's job.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import is_json_number, load_json
 from .errors import ConfigError, ValidationError
-from .mixing import DatasetStat, compute_plan
+from .mixing import compute_plan
 
 #: Step-count modes: an epoch covers every example of the stage, or is one
 #: pass of the :data:`DROP` dataset (NT5's multitask exception).
@@ -132,49 +132,41 @@ def _check_stage(pipeline: str, index: int, raw) -> dict:
     return {"name": name, "datasets": datasets, "validation": validation, "temperature": temperature, "mode": mode}
 
 
-def steps_per_epoch(stats: Sequence[DatasetStat], batch_size: int, mode: str = COVER_ALL) -> int:
-    """Steps for one epoch: cover every example, or one pass of the
-    :data:`DROP` dataset in :data:`DROP_EXCEPTION` mode."""
+def steps_per_epoch(stats: Sequence[dict], batch_size: int, mode: str = COVER_ALL) -> int:
+    """Steps for one epoch of :func:`~numtext.mixing.check_stats` rows: cover
+    every example, or one pass of the :data:`DROP` dataset in
+    :data:`DROP_EXCEPTION` mode."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
     if mode == COVER_ALL:
-        return -(-sum(stat.length for stat in stats) // batch_size)
-    for stat in stats:
-        if stat.name == DROP:
-            return -(-stat.length // batch_size)
+        return -(-sum(row["length"] for row in stats) // batch_size)
+    for row in stats:
+        if row["name"] == DROP:
+            return -(-row["length"] // batch_size)
     raise ConfigError(f"reference dataset {DROP!r} not in stats")
 
 
-def expand(
-    spec: dict,
-    stats: Mapping[str, DatasetStat] | Sequence[DatasetStat],
-    batch_size: int,
-    seed: int = 0,
-) -> dict:
-    """Expand a :func:`check_spec` result into the plan JSON: ``{"pipeline",
-    "seed", "batch_size", "stages": [{"stage", "plan", "steps", "shards"}]}``.
+def expand(spec: dict, stats: Sequence[dict], batch_size: int, seed: int = 0) -> dict:
+    """Expand a :func:`check_spec` result over :func:`~numtext.mixing.check_stats`
+    rows into the plan JSON: ``{"pipeline", "seed", "batch_size", "stages":
+    [{"stage", "plan", "steps", "shards"}]}``.
 
     Pure and random-free: ``seed`` is only copied into the plan, for the
-    sampling run that uses it, so it changes no stage, step or shard. A
-    sequence of stats that names one dataset twice is a ConfigError. The
+    sampling run that uses it, so it changes no stage, step or shard. The
     plan shares no object with ``spec``.
     """
-    if not isinstance(stats, Mapping):
-        names = [stat.name for stat in stats]
-        stats = {stat.name: stat for stat in stats}
-        if len(stats) != len(names):
-            raise ConfigError(f"duplicate dataset names: {names}")
+    by_name = {row["name"]: row for row in stats}
     stages = []
     for index, stage in enumerate(spec["stages"]):
-        missing = [name for name in stage["datasets"] if name not in stats]
+        missing = [name for name in stage["datasets"] if name not in by_name]
         if missing:
             raise ValidationError(f"stage {stage['name']!r} references unknown datasets: {missing}")
-        stage_stats = [stats[name] for name in stage["datasets"]]
+        stage_stats = [by_name[name] for name in stage["datasets"]]
         stages.append({
             "stage": dict(stage, datasets=list(stage["datasets"]), validation=list(stage["validation"])),
-            "plan": compute_plan(stage_stats, stage["temperature"]).to_json(),
+            "plan": compute_plan(stage_stats, stage["temperature"])._asdict(),
             "steps": steps_per_epoch(stage_stats, batch_size, stage["mode"]),
             "shards": [f"{spec['name']}/{index:02d}-{stage['name']}.jsonl"],
         })

@@ -162,53 +162,38 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
     return sum(scores[row][col] for row, col in enumerate(columns)) / size
 
 
-class PairScore:
-    __slots__ = ("em", "f1")
-
-    def __init__(self, em: float, f1: float):
-        self.em = em
-        self.f1 = f1
-
-    def __eq__(self, other):
-        return (self.em, self.f1) == (other.em, other.f1) if other.__class__ is self.__class__ else NotImplemented
-
-
 def score_pair(
     predicted: str,
     gold: GoldAnswer,
     span_delimiter: str = SPAN_DELIMITER,
-) -> PairScore:
-    """Score one predicted string against one gold answer."""
+) -> tuple[float, float]:
+    """EM and F1 of one predicted string against one gold answer."""
     gold_spans = gold_answer_spans(gold)
     pred_spans = split_prediction(predicted, span_delimiter)
     pred_strings, pred_bags = answer_bags(pred_spans)
     gold_strings, gold_bags = answer_bags(gold_spans)
     same = len(pred_strings) == len(gold_strings) and set(pred_strings) == set(gold_strings)
-    em = 1.0 if same else 0.0
-    return PairScore(em=em, f1=_align_bags(pred_bags, gold_bags))
+    return (1.0 if same else 0.0), _align_bags(pred_bags, gold_bags)
 
 
 def score_record(
     record: DropRecord,
     predicted: str,
     span_delimiter: str = SPAN_DELIMITER,
-) -> PairScore:
+) -> tuple[float, float]:
     """Best EM and best F1 over all of a record's gold answers, independently."""
     best_em = best_f1 = 0.0
     for gold in record.answers:
-        pair = score_pair(predicted, gold, span_delimiter)
-        best_em = max(best_em, pair.em)
-        best_f1 = max(best_f1, pair.f1)
-    return PairScore(em=best_em, f1=best_f1)
+        em, f1 = score_pair(predicted, gold, span_delimiter)
+        best_em = max(best_em, em)
+        best_f1 = max(best_f1, f1)
+    return best_em, best_f1
 
 
 class ScoreReport(NamedTuple):
     overall: dict
     per_type: dict[str, dict]
     per_question: list[dict]
-
-    def to_json(self) -> dict:
-        return self._asdict()
 
 
 def build_report(
@@ -244,11 +229,7 @@ def build_report(
         pairs = array("d")  # em, f1 of each question: IEEE doubles hold both floats exactly
         for record in records[a:b]:
             predicted = predictions.get(record.query_id)
-            if predicted is None:
-                pairs.extend((0.0, 0.0))
-            else:
-                pair = score_record(record, predicted, span_delimiter)
-                pairs.extend((pair.em, pair.f1))
+            pairs.extend((0.0, 0.0) if predicted is None else score_record(record, predicted, span_delimiter))
         return pairs.tobytes()
 
     per_question = []

@@ -27,7 +27,7 @@ from numtext.corpus import (
     ingest_drop,
 )
 from numtext.decimals import render
-from numtext.mixing import DatasetStat, compute_plan, sample_stream
+from numtext.mixing import check_stats, compute_plan, sample_stream
 from numtext.numgen import NumGenConfig, eval_expr, generate_num
 from numtext.pipelines import builtin_pipelines, expand
 from numtext.schedule import LrConfig, LrSchedule
@@ -38,11 +38,11 @@ from conftest import typed_drop_file
 from oracles import bf_score, oracle_eval, resimulate
 from test_scoring import FIXTURE, _gold_from_dict, _record
 
-PAPER_STATS = [
-    DatasetStat("NUM", 1_000_000),
-    DatasetStat("TXT", 2_000_000),
-    DatasetStat("DROP", 96_000),
-]
+PAPER_STATS = check_stats([
+    {"name": "NUM", "length": 1_000_000},
+    {"name": "TXT", "length": 2_000_000},
+    {"name": "DROP", "length": 96_000},
+])
 
 
 @contextmanager
@@ -71,23 +71,23 @@ def test_c1_lr_schedule():
 def test_c2_mixing():
     with criterion(2, "mixing ratios and sampler frequencies", 5.0):
         proportional = compute_plan(PAPER_STATS, 1.0)
-        total = sum(stat.length for stat in PAPER_STATS)
-        for stat, entry in zip(PAPER_STATS, proportional.entries):
-            assert abs(entry.ratio - stat.length / total) < 1e-12
+        total = sum(stat["length"] for stat in PAPER_STATS)
+        for stat, row in zip(PAPER_STATS, proportional.datasets):
+            assert abs(row["p"] - stat["length"] / total) < 1e-12
 
         uniform = compute_plan(PAPER_STATS, 1e9)
-        for entry in uniform.entries:
-            assert abs(entry.ratio - 1 / 3) < 1e-6
+        for row in uniform.datasets:
+            assert abs(row["p"] - 1 / 3) < 1e-6
 
         flattened = compute_plan(PAPER_STATS, 10.0)
         assert flattened.ratios["TXT"] < proportional.ratios["TXT"]
 
-        sources = {stat.name: list(range(2000)) for stat in PAPER_STATS}
+        sources = {stat["name"]: list(range(2000)) for stat in PAPER_STATS}
         draws = Counter()
         for _, name in _tagged_stream(flattened, sources, 100_000, seed=12):
             draws[name] += 1
-        for entry in flattened.entries:
-            assert abs(draws[entry.name] / 100_000 - entry.ratio) <= 0.01
+        for row in flattened.datasets:
+            assert abs(draws[row["name"]] / 100_000 - row["p"]) <= 0.01
 
 
 def _tagged_stream(plan, sources, total, seed):
@@ -140,17 +140,17 @@ def test_c5_evaluator():
         assert len(cases) >= 50
         for case in cases:
             golds = [_gold_from_dict(raw) for raw in case["golds"]]
-            got = score_record(_record(golds, case["id"]), case["prediction"])
-            assert abs(got.em - case["em"]) < 1e-4, case["id"]
-            assert abs(got.f1 - case["f1"]) < 1e-4, case["id"]
+            em, f1 = score_record(_record(golds, case["id"]), case["prediction"])
+            assert abs(em - case["em"]) < 1e-4, case["id"]
+            assert abs(f1 - case["f1"]) < 1e-4, case["id"]
             # the fixture itself must still agree with the brute-force scorer
             bf_em, bf_f1 = bf_score(case["prediction"], case["golds"])
             assert bf_em == case["em"] and abs(bf_f1 - case["f1"]) < 1e-12
 
-        partial = score_pair("Kasay", GoldAnswer(spans=("John Kasay",)))
-        assert partial.em == 0.0 and abs(partial.f1 - 2 / 3) < 1e-12
-        gated = score_pair("13 million", GoldAnswer(spans=("12 million",)))
-        assert gated.f1 == 0.0
+        em, f1 = score_pair("Kasay", GoldAnswer(spans=("John Kasay",)))
+        assert em == 0.0 and abs(f1 - 2 / 3) < 1e-12
+        _, gated_f1 = score_pair("13 million", GoldAnswer(spans=("12 million",)))
+        assert gated_f1 == 0.0
 
 
 def test_c6_corpus():
@@ -200,13 +200,13 @@ def test_c7_pipelines():
         ]
         assert by_name["validation-2"]["stages"][0]["validation"] == ["NUM"]
 
-        stats = {
-            "DROP": DatasetStat("DROP", 96_000),
-            "DROP-class": DatasetStat("DROP-class", 96_000),
-            "NUM": DatasetStat("NUM", 1_000_000),
-            "TXT": DatasetStat("TXT", 2_000_000),
-            "SQuAD": DatasetStat("SQuAD", 87_599),
-        }
+        stats = check_stats([
+            {"name": "DROP", "length": 96_000},
+            {"name": "DROP-class", "length": 96_000},
+            {"name": "NUM", "length": 1_000_000},
+            {"name": "TXT", "length": 2_000_000},
+            {"name": "SQuAD", "length": 87_599},
+        ])
         plan = expand(by_name["multitask"], stats, batch_size=32)
         assert plan["stages"][0]["steps"] == 3000
         for spec in specs:

@@ -12,6 +12,7 @@ import pytest
 from numtext import corpus, mixing, numgen
 from numtext.cli import run
 from numtext.decimals import MAX_FRAC_DIGITS
+from numtext.errors import ValidationError
 
 from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, read_examples, read_meta
 
@@ -823,24 +824,67 @@ def _assert_failed_cleanly(directory, target, before):
     assert not [p for p in directory.iterdir() if p.name.startswith(f".{target.name}.")]
 
 
-def test_mix_no_repeats_failing_mid_stream_leaves_no_output(tmp_path, capsys):
+def test_mix_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsys):
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps([{"name": "num", "length": 5}, {"name": "txt", "length": 5}]), encoding="utf-8")
     num, txt = tmp_path / "num.jsonl", tmp_path / "txt.jsonl"
     assert run(["gen-num", "--count", "5", "--seed", "1", "--out", str(num)]) == 0
     assert run(["gen-txt", "--count", "5", "--seed", "2", "--out", str(txt)]) == 0
-    argv = ["mix", "--stats", str(stats), "--sample", "40", "--sources", f"num={num},txt={txt}", "--no-repeats"]
+    real_getitem, draws = corpus.IndexedExamples.__getitem__, []
+
+    def failing_getitem(self, index):  # the 20th draw of a run fails
+        draws.append(index)
+        if len(draws) == 20:
+            raise ValidationError("draw 20 failed")
+        return real_getitem(self, index)
+
+    monkeypatch.setattr(corpus.IndexedExamples, "__getitem__", failing_getitem)
+    argv = ["mix", "--stats", str(stats), "--sample", "40", "--sources", f"num={num},txt={txt}"]
     out = tmp_path / "mix.jsonl"
     before = sorted(p.name for p in tmp_path.iterdir())
     assert run(argv + ["--out", str(out)]) == 1
-    assert "exhausted" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: draw 20 failed\n"
     _assert_failed_cleanly(tmp_path, out, before)
 
     out.write_bytes(b"previous contents\n")
     before = sorted(p.name for p in tmp_path.iterdir())
+    draws.clear()
     assert run(argv + ["--out", str(out)]) == 1
     assert out.read_bytes() == b"previous contents\n"
     _assert_failed_cleanly(tmp_path, out, before)
+
+
+_ROW_NEEDS = "needs a string 'name', an integer 'length' and numeric 'scale' and 'cap'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('{"name": "DROP", "length": 5}', "stats file must hold a JSON list", id="not-a-list"),
+        pytest.param('[{"length": 5}]', f"stats row 0 {_ROW_NEEDS}", id="no-name"),
+        pytest.param('[{"name": "DROP", "length": 2.9}]', f"stats row 0 {_ROW_NEEDS}", id="float-length"),
+        pytest.param('[{"name": "DROP", "length": true}]', f"stats row 0 {_ROW_NEEDS}", id="bool-length"),
+        pytest.param('[{"name": "DROP", "length": 5}, {"name": "NUM", "length": 5, "scale": "2"}]',
+                     f"stats row 1 {_ROW_NEEDS}", id="text-scale"),
+        pytest.param('[{"name": "DROP", "length": 5, "cap": 0}]', "dataset 'DROP': cap must be a finite number > 0",
+                     id="zero-cap"),
+        pytest.param('[{"name": "DROP", "length": 0}]',
+                     "dataset 'DROP': length must be >= 1 and length * scale finite", id="zero-length"),
+        pytest.param('[{"name": "DROP", "length": 5}, {"name": "n\\udcff", "length": 5}]',
+                     "stats row 1: 'name' holds a lone surrogate, which UTF-8 cannot encode", id="lone-surrogate-name"),
+        pytest.param('[{"name": "DROP", "length": 5}, {"name": "NUM", "length": 5}, {"name": "DROP", "length": 6}]',
+                     "duplicate dataset names: ['DROP', 'NUM', 'DROP']", id="name-twice"),
+        pytest.param("[]", "need at least one dataset", id="empty"),
+    ],
+)
+def test_mix_and_pipeline_read_a_stats_file_alike(tmp_path, monkeypatch, capsys, text, message):
+    # One reader, mixing.check_stats, so each fault is the same one error line in both commands.
+    monkeypatch.chdir(tmp_path)
+    Path("stats.json").write_text(text, encoding="utf-8")
+    for argv in (["mix", "--stats", "stats.json", "-T", "2"],
+                 ["pipeline", "--name", "rc-2", "--stats", "stats.json", "--batch-size", "4"]):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_audit_counts_a_lone_surrogate(tmp_path):

@@ -2,22 +2,27 @@
 
 Each example takes one valid command, then changes one flag value, drops
 one flag, or mutates one input file: a JSON value replaced by one of
-another type (``NaN``, huge integers, lists, objects, ...), bytes that are
-not UTF-8, or a truncated file. Whatever the input, ``run()`` must return
-0, 1 or 2 without raising, write no traceback, and after a non-zero exit
-leave neither its target nor a ``.<name>.*`` temp file. Counts stay tiny,
-so no example does real work, and nothing starts a process: ``os.fork``
-raises an exception that ``run()`` does not catch.
+another type (``NaN``, huge integers, lists, objects, lone surrogates
+written as ``\\u`` escapes, ...), one element of a JSON list repeated,
+bytes that are not UTF-8, or a truncated file. Whatever the input,
+``run()`` must return 0, 1 or 2 without raising, write no traceback, and
+after a non-zero exit leave neither its target nor a ``.<name>.*`` temp
+file. A repeat among names that must differ (the stats rows, the spec's
+stages, a stage's datasets) must exit 1 with exactly one ``error:`` line.
+Counts stay tiny, so no example does real work, and nothing starts a
+process: ``os.fork`` raises an exception that ``run()`` does not catch.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from numtext.cli import run
@@ -105,7 +110,8 @@ SIZE_FLAGS = {"--count", "--epochs", "--batches-per-epoch", "--sample", "--max-e
 SIZE_KEYS = {"count", "epochs", "batches_per_epoch", "min_events", "max_events"}
 SMALL_TEXT = ["", "0", "-1", "2", "1.5", "x", "nan", "inf", "é", "[]", "null"]
 ANY_TEXT = SMALL_TEXT + ["1e400", "-1e400", "9" * 40, "0.000001", "1e-400", "\x00", "a=1,=", ",", "; "]
-SMALL_JSON = [None, True, -1, 0, 2.5, "", "x", "é", [], {}, [1], {"a": 1}, float("nan"), float("inf")]
+SMALL_JSON = [None, True, -1, 0, 2.5, "", "x", "é", [], {}, [1], {"a": 1}, float("nan"), float("inf"),
+              "\ud800", "n\udcff"]
 ANY_JSON = SMALL_JSON + [10**40, -(10**40), 10**400, 1e300, "9" * 40]
 
 
@@ -120,6 +126,12 @@ def _json_paths(value, path=()):
             yield from _json_paths(item, path + (index,))
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 def _replaced(value, path, new):
     if not path:
         return new
@@ -128,26 +140,52 @@ def _replaced(value, path, new):
     return copy
 
 
+def _dumps(value) -> bytes:
+    # A lone surrogate cannot be UTF-8, so it goes into the file as its \u escape.
+    text = json.dumps(value, ensure_ascii=False)
+    return re.sub("[\ud800-\udfff]", lambda match: f"\\u{ord(match[0]):04x}", text).encode("utf-8")
+
+
 def _encode(name, value) -> bytes:
     if name.endswith(".jsonl"):
-        return b"".join(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n" for row in value)
-    return json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return b"".join(_dumps(row) + b"\n" for row in value)
+    return _dumps(value)
+
+
+def _repeated(value, path, index):
+    """``value`` with element ``index`` of its list at ``path`` given twice in a row."""
+    items = _at(value, path)
+    return _replaced(value, path, items[: index + 1] + items[index:])
+
+
+def _names_must_differ(name, path) -> bool:
+    """Whether the list at ``path`` of input ``name`` holds names that must differ."""
+    if name == "stats.json":
+        return path == ()
+    return name == "spec.json" and (path == ("stages",) or (len(path) == 3 and path[::2] == ("stages", "datasets")))
 
 
 def _mutated_file(data, name):
-    """The bytes of input ``name`` after one mutation drawn from ``data``."""
+    """The bytes of input ``name`` after one mutation drawn from ``data``, and
+    whether the mutation repeated a name that must differ."""
     value = INPUTS[name]
-    kind = data.draw(st.sampled_from(["retype", "bytes", "truncate"]))
+    paths = list(_json_paths(value))[name.endswith(".jsonl"):]  # a .jsonl file's root is its lines
+    lists = [path for path in paths if isinstance(_at(value, path), list) and _at(value, path)]
+    kind = data.draw(st.sampled_from(["retype", "bytes", "truncate"] + ["repeat"] * bool(lists)))
     if kind == "retype":
-        paths = list(_json_paths(value))[name.endswith(".jsonl"):]  # a .jsonl file's root is its lines
         path = data.draw(st.sampled_from(paths))
         pool = SMALL_JSON if (path and path[-1] in SIZE_KEYS) else ANY_JSON
-        return _encode(name, _replaced(value, path, data.draw(st.sampled_from(pool))))
+        return _encode(name, _replaced(value, path, data.draw(st.sampled_from(pool)))), False
+    if kind == "repeat":
+        path = data.draw(st.sampled_from(lists))
+        index = data.draw(st.integers(0, len(_at(value, path)) - 1))
+        return _encode(name, _repeated(value, path, index)), _names_must_differ(name, path)
     raw = _encode(name, value)
     cut = data.draw(st.integers(0, len(raw)))
     if kind == "truncate":
-        return raw[:cut]
-    return raw[:cut] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\n\n{"])) + raw[cut:]
+        return raw[:cut], False
+    bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\n\n{"]))
+    return raw[:cut] + bad + raw[cut:], False
 
 
 def _resolved(token: str, root: Path) -> str:
@@ -175,12 +213,36 @@ def _mutated_argv(data, argv):
 def test_mutated_commands_fail_cleanly(data):
     argv, reads = data.draw(st.sampled_from(COMMANDS))
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
+    repeated_name = False
     if reads and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(reads))
-        files[name] = _mutated_file(data, name)
+        files[name], repeated_name = _mutated_file(data, name)
     else:
         argv = _mutated_argv(data, argv)
+    _check_run(argv, files, repeated_name)
 
+
+#: Every repeat among names that must differ, per command that reads it. The
+#: fuzzer draws each of these rarely, so each also runs once here.
+_NAME_REPEATS = [
+    pytest.param(argv, name, path, index, id=f"{number}-{name}-{'/'.join(map(str, path)) or 'rows'}-{index}")
+    for number, (argv, reads) in enumerate(COMMANDS)
+    for name in reads
+    for path in _json_paths(INPUTS[name])
+    if _names_must_differ(name, path)
+    for index in range(len(_at(INPUTS[name], path)))
+]
+
+
+@pytest.mark.parametrize("argv, name, path, index", _NAME_REPEATS)
+def test_every_repeated_name_is_one_error_line(argv, name, path, index):
+    files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
+    files[name] = _encode(name, _repeated(INPUTS[name], path, index))
+    _check_run(argv, files, repeated_name=True)
+
+
+def _check_run(argv, files, repeated_name):
+    """Run ``argv`` over ``files`` in a new directory and check the properties above."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, raw in files.items():
@@ -196,6 +258,9 @@ def test_mutated_commands_fail_cleanly(data):
             code = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue()
+        if repeated_name:
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
+            assert code == 1 and len(errors) == 1, (argv, code, stderr.getvalue())
         if code != 0:
             assert not target.exists(), argv
             assert not [p.name for p in root.iterdir() if p.name.startswith(".")], argv

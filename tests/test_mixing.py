@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 
@@ -7,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from numtext.errors import ConfigError, StreamError
-from numtext.mixing import DatasetStat, compute_plan, sample_stream
+from numtext.mixing import check_stats, compute_plan, sample_stream
 
 PAPER_SIZES = [("NUM", 1_000_000), ("TXT", 2_000_000), ("DROP", 96_000)]
 
 
 def _stats(sizes=PAPER_SIZES, **kwargs):
-    return [DatasetStat(name, length, **kwargs) for name, length in sizes]
+    return check_stats([{"name": name, "length": length, **kwargs} for name, length in sizes])
+
+
+def _rows(*rows):
+    return check_stats([{"name": name, "length": length, "scale": scale} for name, length, scale in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -23,15 +28,15 @@ def _stats(sizes=PAPER_SIZES, **kwargs):
 def test_t1_is_examples_proportional():
     plan = compute_plan(_stats(), 1.0)
     total = sum(length for _, length in PAPER_SIZES)
-    for (name, length), entry in zip(PAPER_SIZES, plan.entries):
-        assert entry.name == name
-        assert abs(entry.ratio - length / total) < 1e-12
+    for (name, length), row in zip(PAPER_SIZES, plan.datasets):
+        assert row["name"] == name
+        assert abs(row["p"] - length / total) < 1e-12
 
 
 def test_large_t_is_nearly_uniform():
     plan = compute_plan(_stats(), 1e9)
-    for entry in plan.entries:
-        assert abs(entry.ratio - 1 / 3) < 1e-6
+    for row in plan.datasets:
+        assert abs(row["p"] - 1 / 3) < 1e-6
 
 
 def test_t10_matches_high_precision_evaluation():
@@ -39,10 +44,10 @@ def test_t10_matches_high_precision_evaluation():
     with mpmath.workdps(60):
         rates = [mpmath.power(length, mpmath.mpf(1) / 10) for _, length in PAPER_SIZES]
         expected = [float(rate / sum(rates)) for rate in rates]
-    for entry, want in zip(plan.entries, expected):
-        assert abs(entry.ratio - want) < 1e-12
+    for row, want in zip(plan.datasets, expected):
+        assert abs(row["p"] - want) < 1e-12
     # the values the direct evaluation gives, to 3 places
-    assert [round(e.ratio, 3) for e in plan.entries] == [0.349, 0.374, 0.276]
+    assert [round(row["p"], 3) for row in plan.datasets] == [0.349, 0.374, 0.276]
 
 
 def test_higher_t_lowers_largest_dataset_ratio():
@@ -62,19 +67,19 @@ def test_monotone_flattening_keeps_order():
 
 
 def test_single_dataset_gets_ratio_one():
-    plan = compute_plan([DatasetStat("only", 123)], 3.0)
-    assert plan.entries[0].ratio == 1.0
+    plan = compute_plan(_stats([("only", 123)]), 3.0)
+    assert plan.datasets[0]["p"] == 1.0
 
 
 def test_ratios_sum_to_one():
     for temperature in (0.5, 1.0, 7.3, 1e6):
         plan = compute_plan(_stats(), temperature)
-        assert abs(sum(e.ratio for e in plan.entries) - 1.0) < 1e-12
+        assert abs(sum(row["p"] for row in plan.datasets) - 1.0) < 1e-12
 
 
 def test_scale_invariance_power_of_two_is_exact():
-    base = [DatasetStat("a", 12345, scale=1.5), DatasetStat("b", 777, scale=0.25), DatasetStat("c", 99, scale=3.0)]
-    doubled = [DatasetStat(s.name, s.length, scale=s.scale * 4.0) for s in base]
+    base = _rows(("a", 12345, 1.5), ("b", 777, 0.25), ("c", 99, 3.0))
+    doubled = _rows(*[(row["name"], row["length"], row["scale"] * 4.0) for row in base])
     for temperature in (1.0, 2.5, 10.0):
         assert compute_plan(base, temperature).ratios == compute_plan(doubled, temperature).ratios
 
@@ -82,35 +87,51 @@ def test_scale_invariance_power_of_two_is_exact():
 @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=0.5, max_value=50))
 @settings(max_examples=100)
 def test_scale_invariance_general_within_tolerance(factor, temperature):
-    base = [DatasetStat("a", 1000, scale=2.0), DatasetStat("b", 50), DatasetStat("c", 9, scale=0.1)]
-    scaled = [DatasetStat(s.name, s.length, scale=s.scale * factor) for s in base]
+    base = _rows(("a", 1000, 2.0), ("b", 50, 1.0), ("c", 9, 0.1))
+    scaled = _rows(*[(row["name"], row["length"], row["scale"] * factor) for row in base])
     for name, ratio in compute_plan(base, temperature).ratios.items():
         other = compute_plan(scaled, temperature).ratios[name]
         assert math.isclose(ratio, other, rel_tol=1e-12)
 
 
 def test_cap_limits_rate_and_lifting_it_restores():
-    capped = [DatasetStat("big", 1_000_000, cap=96_000.0), DatasetStat("small", 96_000)]
+    capped = check_stats([{"name": "big", "length": 1_000_000, "cap": 96_000.0}, {"name": "small", "length": 96_000}])
     plan = compute_plan(capped, 1.0)
     assert abs(plan.ratios["big"] - 0.5) < 1e-12
-    lifted = [DatasetStat("big", 1_000_000, cap=5e9), DatasetStat("small", 96_000)]
-    uncapped = [DatasetStat("big", 1_000_000), DatasetStat("small", 96_000)]
+    lifted = check_stats([{"name": "big", "length": 1_000_000, "cap": 5e9}, {"name": "small", "length": 96_000}])
+    uncapped = _stats([("big", 1_000_000), ("small", 96_000)])
     assert compute_plan(lifted, 1.0).ratios == compute_plan(uncapped, 1.0).ratios
 
 
 def test_config_errors():
     with pytest.raises(ConfigError):
-        compute_plan([], 1.0)
+        check_stats([])
     with pytest.raises(ConfigError):
         compute_plan(_stats(), 0.0)
     with pytest.raises(ConfigError):
         compute_plan(_stats(), -2.0)
     with pytest.raises(ConfigError):
-        DatasetStat("x", 0)
+        _stats([("x", 0)])
     with pytest.raises(ConfigError):
-        DatasetStat("x", 10, scale=0.0)
+        _stats([("x", 10)], scale=0.0)
     with pytest.raises(ConfigError):
-        compute_plan([DatasetStat("a", 10), DatasetStat("a", 20)], 1.0)
+        _stats([("a", 10), ("a", 20)])
+
+
+def test_check_stats_fills_defaults_into_new_rows_that_the_plan_extends():
+    raw = [{"name": "a", "length": 7, "extra": 1}, {"name": "b", "length": 3, "scale": 2, "cap": 4}]
+    kept = copy.deepcopy(raw)
+    stats = check_stats(raw)
+    assert raw == kept  # check_stats leaves its input as it is
+    assert stats == [
+        {"name": "a", "length": 7, "scale": 1.0, "cap": None},
+        {"name": "b", "length": 3, "scale": 2.0, "cap": 4.0},
+    ]
+    assert [type(row["scale"]) for row in stats] == [float, float] and type(stats[1]["cap"]) is float
+    for temperature in (1.0, 10.0):
+        rows = compute_plan(stats, temperature)._asdict()["datasets"]
+        assert [{key: row[key] for key in row if key not in ("r", "p")} for row in rows] == stats
+        assert [list(row) for row in rows] == [["name", "length", "scale", "cap", "r", "p"]] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +143,7 @@ def _sources(names, size=200):
 
 
 def test_single_dataset_stream():
-    plan = compute_plan([DatasetStat("only", 10)], 1.0)
+    plan = compute_plan(_stats([("only", 10)]), 1.0)
     items = list(sample_stream(plan, _sources(["only"], 10), 30, seed=1))
     assert len(items) == 30
     assert all(item.startswith("only-") for item in items)
@@ -140,33 +161,32 @@ def test_stream_frequencies_track_ratios():
     plan = compute_plan(_stats(), 10.0)
     sources = _sources([name for name, _ in PAPER_SIZES])
     counts = Counter(item.split("-")[0] for item in sample_stream(plan, sources, 100_000, seed=3))
-    for entry in plan.entries:
-        assert abs(counts[entry.name] / 100_000 - entry.ratio) <= 0.01
+    for row in plan.datasets:
+        assert abs(counts[row["name"]] / 100_000 - row["p"]) <= 0.01
 
 
 def test_stream_chi_square_not_rejected():
     plan = compute_plan(_stats(), 10.0)
     sources = _sources([name for name, _ in PAPER_SIZES])
     counts = Counter(item.split("-")[0] for item in sample_stream(plan, sources, 100_000, seed=31))
-    observed = [counts[e.name] for e in plan.entries]
-    expected = [e.ratio * 100_000 for e in plan.entries]
+    observed = [counts[row["name"]] for row in plan.datasets]
+    expected = [row["p"] * 100_000 for row in plan.datasets]
     result = scipy_stats.chisquare(observed, expected)
     assert result.pvalue > 1e-4
 
 
 def test_epoch_shuffle_full_permutation_before_repeats():
-    plan = compute_plan([DatasetStat("only", 10)], 1.0)
+    plan = compute_plan(_stats([("only", 10)]), 1.0)
     items = list(sample_stream(plan, _sources(["only"], 10), 20, seed=4))
     assert sorted(items[:10]) == sorted(set(items[:10]))  # first epoch: each once
     assert sorted(items[10:]) == sorted(items[:10])  # second epoch: same pool
     assert items[:10] != items[10:]  # reshuffled between epochs
 
 
-def test_exhausted_source_with_repeats_disabled():
-    plan = compute_plan([DatasetStat("only", 5)], 1.0)
-    stream = sample_stream(plan, _sources(["only"], 5), 6, seed=2, allow_repeats=False)
-    with pytest.raises(StreamError, match="only"):
-        list(stream)
+def test_empty_source_is_a_stream_error():
+    plan = compute_plan(_stats([("only", 5)]), 1.0)
+    with pytest.raises(StreamError, match="^dataset 'only' is empty$"):
+        list(sample_stream(plan, {"only": []}, 1, seed=2))
 
 
 def test_missing_source_rejected():

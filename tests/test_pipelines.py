@@ -4,7 +4,7 @@ import json
 import pytest
 
 from numtext.errors import ConfigError, ValidationError
-from numtext.mixing import DatasetStat
+from numtext.mixing import check_stats
 from numtext.pipelines import (
     COVER_ALL,
     DROP_EXCEPTION,
@@ -15,13 +15,14 @@ from numtext.pipelines import (
     steps_per_epoch,
 )
 
-STATS = {
-    "DROP": DatasetStat("DROP", 96_000),
-    "DROP-class": DatasetStat("DROP-class", 96_000),
-    "NUM": DatasetStat("NUM", 1_000_000),
-    "TXT": DatasetStat("TXT", 2_000_000),
-    "SQuAD": DatasetStat("SQuAD", 87_599),
-}
+STATS = check_stats([
+    {"name": "DROP", "length": 96_000},
+    {"name": "DROP-class", "length": 96_000},
+    {"name": "NUM", "length": 1_000_000},
+    {"name": "TXT", "length": 2_000_000},
+    {"name": "SQuAD", "length": 87_599},
+])
+BY_NAME = {row["name"]: row for row in STATS}
 
 
 def _by_name():
@@ -64,7 +65,7 @@ def test_validation_variants_differ_only_in_validation_sets():
 def test_every_builtin_references_known_datasets():
     for spec in builtin_pipelines():
         for stage in spec["stages"]:
-            assert set(stage["datasets"]) <= set(STATS)
+            assert set(stage["datasets"]) <= set(BY_NAME)
             assert set(stage["validation"]) <= set(stage["datasets"])
             assert stage["temperature"] > 0
 
@@ -192,30 +193,34 @@ def test_returned_specs_and_plans_share_nothing_with_the_builtins():
 # steps_per_epoch
 # ---------------------------------------------------------------------------
 
+def _one(name, length):
+    return check_stats([{"name": name, "length": length}])
+
+
 def test_steps_cover_all():
-    stats = [DatasetStat("a", 10), DatasetStat("b", 20)]
+    stats = check_stats([{"name": "a", "length": 10}, {"name": "b", "length": 20}])
     assert steps_per_epoch(stats, 5, COVER_ALL) == 6
 
 
 def test_steps_drop_exception_mode():
-    stats = [STATS["NUM"], STATS["TXT"], STATS["DROP"]]
+    stats = [BY_NAME["NUM"], BY_NAME["TXT"], BY_NAME["DROP"]]
     assert steps_per_epoch(stats, 32, DROP_EXCEPTION) == 3000
 
 
 def test_steps_batch_larger_than_total():
-    assert steps_per_epoch([DatasetStat("a", 10)], 100) == 1
+    assert steps_per_epoch(_one("a", 10), 100) == 1
 
 
 def test_steps_missing_reference_rejected():
     with pytest.raises(ConfigError):
-        steps_per_epoch([DatasetStat("a", 10)], 4, DROP_EXCEPTION)
+        steps_per_epoch(_one("a", 10), 4, DROP_EXCEPTION)
 
 
 def test_steps_bad_batch_rejected():
     with pytest.raises(ConfigError):
-        steps_per_epoch([DatasetStat("a", 10)], 0)
+        steps_per_epoch(_one("a", 10), 0)
 
 
 def test_steps_unknown_mode_rejected():
     with pytest.raises(ConfigError, match="unknown mode"):
-        steps_per_epoch([DatasetStat("DROP", 10)], 4, "drop_epoch")
+        steps_per_epoch(_one("DROP", 10), 4, "drop_epoch")

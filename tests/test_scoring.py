@@ -12,7 +12,6 @@ from numtext import scoring
 from numtext.corpus import DateParts, DropRecord, GoldAnswer, gold_answer_spans
 from numtext.errors import ValidationError
 from numtext.scoring import (
-    PairScore,
     answer_bags,
     build_report,
     normalize_span,
@@ -137,7 +136,7 @@ def test_normalize_span_named_cases(text, expected):
     for prediction in ("x", f"{text} x"):
         gold = GoldAnswer(spans=(f"{text} x",))
         em, f1 = bf_score(prediction, [{"number": "", "spans": [f"{text} x"], "date": {}}])
-        assert score_pair(prediction, gold) == PairScore(em, f1), prediction
+        assert score_pair(prediction, gold) == (em, f1), prediction
 
 
 def test_alphanumeric_tokens_skip_the_article_regex(monkeypatch):
@@ -163,29 +162,26 @@ def test_gold_answer_spans_date_order():
 # ---------------------------------------------------------------------------
 
 def test_exact_span_match():
-    pair = score_pair("John Kasay", GoldAnswer(spans=("John Kasay",)))
-    assert pair.em == 1.0 and pair.f1 == 1.0
+    assert score_pair("John Kasay", GoldAnswer(spans=("John Kasay",))) == (1.0, 1.0)
 
 
 def test_partial_span_overlap_two_thirds():
-    pair = score_pair("Kasay", GoldAnswer(spans=("John Kasay",)))
-    assert pair.em == 0.0
-    assert abs(pair.f1 - 2 / 3) < 1e-12  # P=1, R=0.5 -> 2*(0.5)/1.5
+    em, f1 = score_pair("Kasay", GoldAnswer(spans=("John Kasay",)))
+    assert em == 0.0
+    assert abs(f1 - 2 / 3) < 1e-12  # P=1, R=0.5 -> 2*(0.5)/1.5
 
 
 def test_numeric_mismatch_gate_zeroes_overlap():
-    pair = score_pair("13 million", GoldAnswer(spans=("12 million",)))
-    assert pair.f1 == 0.0
+    _, f1 = score_pair("13 million", GoldAnswer(spans=("12 million",)))
+    assert f1 == 0.0
 
 
 def test_number_identity():
-    pair = score_pair("4300000", GoldAnswer(number="4300000"))
-    assert pair.em == 1.0 and pair.f1 == 1.0
+    assert score_pair("4300000", GoldAnswer(number="4300000")) == (1.0, 1.0)
 
 
 def test_empty_prediction_scores_zero():
-    pair = score_pair("", GoldAnswer(spans=("anything",)))
-    assert pair.em == 0.0 and pair.f1 == 0.0
+    assert score_pair("", GoldAnswer(spans=("anything",))) == (0.0, 0.0)
 
 
 def test_score_pair_refuses_an_empty_gold_answer():
@@ -195,18 +191,18 @@ def test_score_pair_refuses_an_empty_gold_answer():
 
 def test_max_over_gold_answers():
     record = _record([GoldAnswer(spans=("12 million",)), GoldAnswer(number="4300000")])
-    assert score_record(record, "4300000").f1 == 1.0
-    assert score_record(record, "4300000").em == 1.0
-    middle = score_record(record, "13 million")
-    assert middle.em == 0.0 and middle.f1 == 0.0
+    assert score_record(record, "4300000") == (1.0, 1.0)
+    assert score_record(record, "13 million") == (0.0, 0.0)
 
 
 def test_adding_gold_never_decreases_score():
     base = _record([GoldAnswer(spans=("12 million",))])
     extended = _record([GoldAnswer(spans=("12 million",)), GoldAnswer(spans=("exact hit",))])
     for prediction in ("exact hit", "12 million", "million", "unrelated"):
-        assert score_record(extended, prediction).f1 >= score_record(base, prediction).f1
-        assert score_record(extended, prediction).em >= score_record(base, prediction).em
+        extended_em, extended_f1 = score_record(extended, prediction)
+        base_em, base_f1 = score_record(base, prediction)
+        assert extended_f1 >= base_f1
+        assert extended_em >= base_em
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +225,24 @@ def test_single_span_f1_symmetric_without_numbers(a, b):
     # The numeric gate only inspects the gold side, so symmetry is a
     # property of the bag overlap itself: it holds whenever the gate
     # cannot fire asymmetrically (here: no numbers at all).
-    left = score_pair(" ".join(a), _spans(" ".join(b))).f1
-    right = score_pair(" ".join(b), _spans(" ".join(a))).f1
+    _, left = score_pair(" ".join(a), _spans(" ".join(b)))
+    _, right = score_pair(" ".join(b), _spans(" ".join(a)))
     assert abs(left - right) < 1e-12
 
 
 @given(_word_list, _word_list, st.sampled_from(["12", "7.5"]))
 def test_single_span_f1_symmetric_with_shared_number(a, b, number):
-    left = score_pair(f"{number} " + " ".join(a), _spans(f"{number} " + " ".join(b))).f1
-    right = score_pair(f"{number} " + " ".join(b), _spans(f"{number} " + " ".join(a))).f1
+    _, left = score_pair(f"{number} " + " ".join(a), _spans(f"{number} " + " ".join(b)))
+    _, right = score_pair(f"{number} " + " ".join(b), _spans(f"{number} " + " ".join(a)))
     assert abs(left - right) < 1e-12
 
 
 @given(_gold_token_list)
 def test_em_implies_f1(tokens):
     text = " ".join(tokens)
-    pair = score_pair(text, _spans(text))
-    assert pair.em == 1.0
-    assert pair.f1 == 1.0
+    em, f1 = score_pair(text, _spans(text))
+    assert em == 1.0
+    assert f1 == 1.0
 
 
 @given(st.integers(0, 999), st.integers(0, 999), _token_list)
@@ -255,7 +251,8 @@ def test_gate_dominates_any_overlap(x, y, shared):
         y += 1
     pred = f"{x} " + " ".join(t for t in shared if not t[0].isdigit())
     gold = f"{y} " + " ".join(t for t in shared if not t[0].isdigit())
-    assert score_pair(pred, _spans(gold)).f1 == 0.0
+    _, f1 = score_pair(pred, _spans(gold))
+    assert f1 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +263,8 @@ def test_alignment_beats_the_greedy_trap():
     # Greedy takes the perfect "red blue" pair first and leaves "red" vs
     # "blue" (0); crossing the pairs scores 2/3 + 2/3 instead.
     cities = ["oslo", "rome", "kyiv", "lima", "doha", "baku", "riga"]
-    pair = score_pair("; ".join(["red blue", "blue", *cities]), _spans("red blue", "red", *cities))
-    assert abs(pair.f1 - 25 / 27) < 1e-12
+    _, f1 = score_pair("; ".join(["red blue", "blue", *cities]), _spans("red blue", "red", *cities))
+    assert abs(f1 - 25 / 27) < 1e-12
 
 
 # Few distinct tokens, so spans repeat, overlap partly and tie often.
@@ -291,7 +288,7 @@ def test_alignment_matches_scipy_assignment(pred_spans, gold_spans):
             matrix[g][p] = _bf_pair_f1(pred_bag, gold_bag)
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     expected = sum(matrix[row][col] for row, col in zip(rows, cols)) / size
-    got = score_pair("; ".join(pred_spans), _spans(*gold_spans)).f1
+    _, got = score_pair("; ".join(pred_spans), _spans(*gold_spans))
     assert abs(got - expected) < _TIE_ROUNDING
 
 
@@ -299,10 +296,10 @@ def test_alignment_matches_scipy_assignment(pred_spans, gold_spans):
 @given(st.lists(_span, min_size=1, max_size=7), st.lists(_span, min_size=1, max_size=7))
 def test_alignment_and_em_match_brute_force(pred_spans, gold_spans):
     prediction = "; ".join(pred_spans)
-    got = score_pair(prediction, GoldAnswer(spans=tuple(gold_spans)))
+    got_em, got_f1 = score_pair(prediction, GoldAnswer(spans=tuple(gold_spans)))
     em, f1 = bf_score(prediction, [{"number": "", "spans": gold_spans, "date": {}}])
-    assert got.em == em
-    assert abs(got.f1 - f1) < _TIE_ROUNDING
+    assert got_em == em
+    assert abs(got_f1 - f1) < _TIE_ROUNDING
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +332,9 @@ def test_fixture_has_enough_coverage():
 @pytest.mark.parametrize("case", _fixture_cases(), ids=lambda c: c["id"])
 def test_scorer_matches_fixture(case):
     golds = [_gold_from_dict(raw) for raw in case["golds"]]
-    got = score_record(_record(golds, case["id"]), case["prediction"])
-    assert abs(got.em - case["em"]) < 1e-4, f"em for {case['id']}"
-    assert abs(got.f1 - case["f1"]) < 1e-4, f"f1 for {case['id']}"
+    em, f1 = score_record(_record(golds, case["id"]), case["prediction"])
+    assert abs(em - case["em"]) < 1e-4, f"em for {case['id']}"
+    assert abs(f1 - case["f1"]) < 1e-4, f"f1 for {case['id']}"
 
 
 def test_fixture_still_agrees_with_brute_force():

@@ -288,19 +288,58 @@ def make_squad_example(record: SquadRecord) -> Example:
 # Source-file ingestion
 # ---------------------------------------------------------------------------
 
-def load_json(source):
-    """Parse one JSON document from a path or a stream; malformed input raises ParseError."""
+def _read_text(source) -> str:
+    """The text of a path or a stream, its bytes not kept; bytes that are not UTF-8 raise ParseError."""
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc.reason}", offset=exc.start) from None
-    del data  # parse from the text alone, so the file's bytes are not held beside its objects
+
+
+def load_json(source):
+    """Parse one JSON document from a path or a stream; malformed input raises ParseError."""
+    return _loads(_read_text(source))
+
+
+def _loads(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply") from None
+
+
+class _Malformed(Exception):
+    """Text that ``json.loads`` would not read as one JSON object."""
+
+
+# An object's marks with the whitespace json.decoder skips; "{" or "," only before a key.
+_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?=")')
+_COMMA = re.compile(r'[ \t\n\r]*,[ \t\n\r]*(?=")')
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_CLOSE = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*")
+_EMPTY = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*\}[ \t\n\r]*")
+
+
+def _members(text: str) -> Iterator[tuple[str, object]]:
+    """The ``(key, value)`` pairs of the JSON object ``text`` holds, each value decoded
+    when it is reached; raises _Malformed for any text ``json.loads`` would not read as one object."""
+    scan, mark, end = json.JSONDecoder().scan_once, _OPEN, 0
+    try:
+        while match := mark.match(text, end):
+            key, end = json.decoder.scanstring(text, match.end() + 1)
+            if not (colon := _COLON.match(text, end)):
+                raise _Malformed
+            value, end = scan(text, colon.end())
+            yield key, value
+            mark = _COMMA
+    except (ValueError, StopIteration, RecursionError):
+        raise _Malformed from None
+    if not (_CLOSE if mark is _COMMA else _EMPTY).fullmatch(text, end):
+        raise _Malformed
 
 
 def is_json_number(value, kind: type | tuple = (int, float)) -> bool:
@@ -357,6 +396,32 @@ def _gold(raw, index: int) -> GoldAnswer:
         raise _WrongType(f".validated_answers[{index}]{wrong}" if index >= 0 else f".answer{wrong}") from None
 
 
+def _drop_passage(passage_id: str, block) -> tuple[list, list] | ParseError:
+    """One passage block's records and skipped questions, or the ParseError for a block of the wrong shape."""
+    if type(block) is not dict or "passage" not in block:
+        return ParseError(f"passage block {passage_id!r} missing 'passage'")
+    records, errors = [], []
+    try:
+        passage = _text(block["passage"], "'passage'")
+        for index, qa in enumerate(_objects(block.get("qa_pairs"), "qa_pairs")):
+            try:
+                query_id = _text(qa.get("query_id"), ".query_id", "") or f"{passage_id}.{index}"
+                question = _text(qa.get("question", ""), ".question")
+                golds = [_gold(qa.get("answer") or {}, -1)]
+                for j, raw in enumerate(_objects(qa.get("validated_answers"), ".validated_answers")):
+                    golds.append(_gold(raw, j))
+            except _WrongType as wrong:
+                raise _WrongType(f"qa_pairs[{index}]{wrong}") from None
+            golds = tuple(gold for gold in golds if not gold.is_empty())
+            if golds:
+                records.append(DropRecord(passage, question, golds, query_id))
+            else:
+                errors.append(IngestIssue(query_id, "every gold answer is empty"))
+    except _WrongType as wrong:
+        return ParseError(f"passage {passage_id!r}: {wrong}")
+    return records, errors
+
+
 def ingest_drop(source) -> IngestResult:
     """Parse a DROP-layout JSON file into records, one per qa pair.
 
@@ -364,39 +429,26 @@ def ingest_drop(source) -> IngestResult:
     empty ones dropped. A qa pair whose every answer is empty is skipped
     and tallied in ``errors`` rather than aborting the whole file. A value
     of the wrong JSON type raises ParseError naming its passage and index.
+    It decodes one passage block at a time and gives what one ``json.loads`` would.
     The cyclic garbage collector is paused meanwhile: parsing and reading
     only add objects, so its passes over them would free nothing.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        data = load_json(source)
-        if type(data) is not dict:
-            raise ParseError("DROP file must be a JSON object keyed by passage id")
-        records: list[DropRecord] = []
-        errors: list[IngestIssue] = []
-        for passage_id, block in data.items():
-            if type(block) is not dict or "passage" not in block:
-                raise ParseError(f"passage block {passage_id!r} missing 'passage'")
-            try:
-                passage = _text(block["passage"], "'passage'")
-                for index, qa in enumerate(_objects(block.get("qa_pairs"), "qa_pairs")):
-                    try:
-                        query_id = _text(qa.get("query_id"), ".query_id", "") or f"{passage_id}.{index}"
-                        question = _text(qa.get("question", ""), ".question")
-                        golds = [_gold(qa.get("answer") or {}, -1)]
-                        for j, raw in enumerate(_objects(qa.get("validated_answers"), ".validated_answers")):
-                            golds.append(_gold(raw, j))
-                    except _WrongType as wrong:
-                        raise _WrongType(f"qa_pairs[{index}]{wrong}") from None
-                    golds = tuple(gold for gold in golds if not gold.is_empty())
-                    if golds:
-                        records.append(DropRecord(passage, question, golds, query_id))
-                    else:
-                        errors.append(IngestIssue(query_id, "every gold answer is empty"))
-            except _WrongType as wrong:
-                raise ParseError(f"passage {passage_id!r}: {wrong}") from None
-        return IngestResult(records, errors)
+        text = _read_text(source)
+        try:
+            results = {passage_id: _drop_passage(passage_id, block) for passage_id, block in _members(text)}
+        except _Malformed:
+            data = _loads(text)
+            if type(data) is not dict:
+                raise ParseError("DROP file must be a JSON object keyed by passage id") from None
+            results = {passage_id: _drop_passage(passage_id, block) for passage_id, block in data.items()}
+        parts = results.values()
+        for part in parts:
+            if type(part) is ParseError:
+                raise part
+        return IngestResult([record for part in parts for record in part[0]], [i for part in parts for i in part[1]])
     finally:
         if collecting:
             gc.enable()
@@ -581,6 +633,8 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, str, object]]:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
         if not (lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}):
             yield start, lineno, text, obj
 

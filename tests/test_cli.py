@@ -657,6 +657,10 @@ _BAD_INPUT_FILES = {
         '{"p": {"passage": "x \\ud800 y", "qa_pairs": [{"question": "q", "query_id": "q1", "answer": {"number": "1"}}]}}',
     "squad-lone-surrogate.json":
         '{"data": [{"paragraphs": [{"context": "c \\ud800", "qas": [{"id": "s1", "question": "q", "answers": [{"text": "c"}]}]}]}]}',
+    # Nested deeper than the JSON decoder's recursion limit.
+    "drop-deep.json": '{"p": ' + "[" * 2000 + "]" * 2000 + "}",
+    "stats-deep.json": "[" * 2000 + "]" * 2000,
+    "deep.jsonl": '{"input": ' + "[" * 2000 + "]" * 2000 + "}\n",
 }
 
 
@@ -805,6 +809,11 @@ _BAD_INPUT_FILES = {
             ["mix", "--stats", "stats-one.json", "--sample", "0", "--sources", "s=nope.jsonl", "--out", "o.jsonl"],
             id="mix-sample-zero",
         ),
+        pytest.param(["ingest", "--format", "drop", "--in", "drop-deep.json", "--out", "o.jsonl"], id="ingest-nested-deep"),
+        pytest.param(["derive-class", "--in", "drop-deep.json", "--out", "o.jsonl"], id="derive-class-nested-deep"),
+        pytest.param(["score", "--gold", "drop-deep.json", "--pred", "pred.jsonl"], id="score-nested-deep"),
+        pytest.param(["mix", "--stats", "stats-deep.json"], id="mix-stats-nested-deep"),
+        pytest.param(["audit", "--in", "deep.jsonl"], id="audit-nested-deep"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):

@@ -4,9 +4,10 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from numtext import corpus
 from numtext.corpus import (
@@ -330,6 +331,122 @@ def test_ingest_drop_leaves_the_garbage_collector_as_it_found_it(enabled, text):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+_JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _object_texts(draw):
+    """JSON texts of one object with random separators and whitespace (keys
+    may repeat), then at most one mutation; some are not JSON or not an object."""
+    space = lambda: draw(_JSON_SPACE)  # noqa: E731
+    members = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "", 'q"', "é"]), _JSON_VALUES), max_size=4))
+    separators = (draw(st.sampled_from([",", ", ", ",\n"])), draw(st.sampled_from([":", ": ", " :\t"])))
+    text = space() + "{" + space() + ",".join(
+        f"{json.dumps(key)}{space()}:{space()}{json.dumps(value, separators=separators)}{space()}" + space()
+        for key, value in members
+    ) + "}" + space()
+    mutation = draw(st.sampled_from([
+        "none", "truncate", "space", "delimiter", "key-quote", "bom", "trailing-comma", "trailing-data", "vt", "nbsp",
+        "deep", "empty", "list", "string", "number",
+    ]))
+    at = draw(st.integers(0, len(text)))
+    if mutation == "truncate":
+        return text[: min(at, len(text) - 1)]
+    if mutation in ("delimiter", "key-quote"):  # one punctuation mark, or the quote opening a key, replaced
+        if mutation == "delimiter":
+            spots = [i for i, char in enumerate(text) if char in '{}[],:"']
+        else:
+            spots = [i for i, char in enumerate(text) if char == '"' and text[:i].rstrip()[-1:] in ("{", ",")]
+        at = draw(st.sampled_from(spots or [0]))
+        return text[:at] + draw(st.sampled_from('x{}[],:" ')) + text[at + 1 :]
+    if mutation in ("space", "vt", "nbsp"):
+        return text[:at] + {"space": space() or " ", "vt": "\x0b", "nbsp": "\u00a0"}[mutation] + text[at:]
+    if mutation in ("trailing-comma", "deep"):  # deeper than the recursion limit, which Hypothesis raises
+        end = text.rindex("}")
+        insert = "," if mutation == "trailing-comma" else ', "d": ' + "[" * 5000 + "]" * 5000
+        return text[:end] + insert + text[end:]
+    return {
+        "none": text,
+        "bom": "\ufeff" + text,
+        "trailing-data": text + draw(st.sampled_from(["x", " 1", "{}", ",", "]", '"a"'])),
+        "empty": space() + "{" + space() + "}" + space(),
+        "list": json.dumps([value for _, value in members]),
+        "string": '"{}"',
+        "number": " 12 ",
+    }[mutation]
+
+
+@settings(max_examples=500)
+@given(_object_texts())
+def test_members_agree_with_json_loads(text):
+    try:
+        expected = json.loads(text)
+    except (ValueError, RecursionError):
+        expected = None
+    if type(expected) is dict:
+        # Dumped, so 1 and 1.0, 0.0 and -0.0, and NaN compare as written.
+        assert json.dumps(list(dict(corpus._members(text)).items())) == json.dumps(list(expected.items()))
+    else:
+        with pytest.raises(corpus._Malformed):
+            list(corpus._members(text))
+
+
+_GOOD_BLOCK = {"passage": "Ann had 2 figs.", "qa_pairs": [drop_qa("How many?", "qa", drop_answer(number="2"))]}
+_OTHER_BLOCK = {"passage": "Bo had 3 nuts.", "qa_pairs": [drop_qa("How many?", "qb", drop_answer(number="3"))]}
+
+
+def test_ingest_drop_keeps_a_repeated_passage_ids_first_place_and_last_block():
+    text = '{"a": {"passage": 5}, "b": %s, "a": %s}' % (json.dumps(_OTHER_BLOCK), json.dumps(_GOOD_BLOCK))
+    assert [r.query_id for r in ingest_drop(io.BytesIO(text.encode())).records] == ["qa", "qb"]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # A syntax error after a wrongly typed passage is the error, as one json.loads reports it.
+        ('{"a": {"passage": 5}, "b": %s, "c": ' % json.dumps(_OTHER_BLOCK),
+         "malformed JSON: Expecting value (byte offset 233)"),
+        ('{"a": {"passage": 5}, "b": %s} x' % json.dumps(_OTHER_BLOCK), "malformed JSON: Extra data (byte offset 228)"),
+        ("\ufeff" + json.dumps({"a": _GOOD_BLOCK}),
+         "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (byte offset 0)"),
+        ("[]", "DROP file must be a JSON object keyed by passage id"),
+        ('{"a": %s, "b": %s}' % (json.dumps(_GOOD_BLOCK), "[" * 2000 + "]" * 2000),
+         "malformed JSON: nested too deeply"),
+    ],
+    ids=["type-then-syntax", "type-then-extra-data", "bom", "list", "nested-too-deeply"],
+)
+def test_ingest_drop_error_is_the_whole_documents(text, line):
+    with pytest.raises(ParseError) as info:
+        ingest_drop(io.BytesIO(text.encode()))
+    assert str(info.value) == line
+
+
+def test_ingest_drop_holds_less_than_the_decoded_document():
+    passages = {
+        f"p{p:03d}": (f"passage {p} " + "Ann had 12 figs and 7 nuts. " * 40,
+                      [drop_qa(f"How many in game {q}?", f"p{p}q{q}", drop_answer(number=str(q)),
+                               validated=[drop_answer(spans=["Ann", "figs"])]) for q in range(10)])
+        for p in range(300)
+    }
+    doc = json.dumps(build_drop_file(passages)).encode()
+    tracemalloc.start()
+    try:
+        json.loads(doc.decode("utf-8"))
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        records = ingest_drop(io.BytesIO(doc)).records
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3000
+    assert streamed < 0.85 * whole, (streamed, whole)
 
 
 @pytest.mark.parametrize(
@@ -697,6 +814,16 @@ def test_a_lone_surrogate_is_read_but_not_indexed():
 def test_read_reports_a_line_that_is_not_utf8():
     with pytest.raises(ParseError, match=r"not UTF-8.*\(byte offset 3\) \(line 2\)"):
         list(iter_jsonl(io.BytesIO(b'{}\n\xff{}\n')))
+
+
+def test_json_nested_too_deeply_is_a_parse_error():
+    deep = b"[" * 2000 + b"]" * 2000
+    with pytest.raises(ParseError) as info:
+        corpus.load_json(io.BytesIO(deep))
+    assert str(info.value) == "malformed JSON: nested too deeply"
+    with pytest.raises(ParseError) as info:
+        list(iter_jsonl(io.BytesIO(b"{}\n" + deep + b"\n")))
+    assert str(info.value) == "invalid JSON: nested too deeply (line 2)"
 
 
 def test_indexed_examples_validate_every_line_up_front():

@@ -3,12 +3,14 @@
 Each example takes one valid command, then changes one flag value, drops
 one flag, or mutates one input file: a JSON value replaced by one of
 another type (``NaN``, huge integers, lists, objects, lone surrogates
-written as ``\\u`` escapes, ...), one element of a JSON list repeated,
-bytes that are not UTF-8, or a truncated file. Whatever the input,
+written as ``\\u`` escapes, ...), one element of a JSON list repeated, one
+value wrapped in more arrays than the decoder can nest, bytes that are
+not UTF-8, or a truncated file. Whatever the input,
 ``run()`` must return 0, 1 or 2 without raising, write no traceback, and
 after a non-zero exit leave neither its target nor a ``.<name>.*`` temp
 file. A repeat among names that must differ (the stats rows, the spec's
-stages, a stage's datasets) must exit 1 with exactly one ``error:`` line.
+stages, a stage's datasets) and a value nested too deeply must exit 1
+with exactly one ``error:`` line.
 Counts stay tiny, so no example does real work, and nothing starts a
 process: ``os.fork`` raises an exception that ``run()`` does not catch.
 """
@@ -158,6 +160,19 @@ def _repeated(value, path, index):
     return _replaced(value, path, items[: index + 1] + items[index:])
 
 
+#: How deep the "nest" mutation wraps a value in arrays: deeper than any
+#: recursion limit a run here has. Hypothesis sets the limit 2000 frames
+#: above the test's own depth, which it keeps at or under 1000.
+NEST_DEPTH = 5000
+
+
+def _nested(name, value, path):
+    """The bytes of input ``name`` with the value at ``path`` wrapped in NEST_DEPTH arrays."""
+    marker = "nested value"
+    raw = _encode(name, _replaced(value, path, marker))
+    return raw.replace(_dumps(marker), b"[" * NEST_DEPTH + _dumps(_at(value, path)) + b"]" * NEST_DEPTH, 1)
+
+
 def _names_must_differ(name, path) -> bool:
     """Whether the list at ``path`` of input ``name`` holds names that must differ."""
     if name == "stats.json":
@@ -167,11 +182,14 @@ def _names_must_differ(name, path) -> bool:
 
 def _mutated_file(data, name):
     """The bytes of input ``name`` after one mutation drawn from ``data``, and
-    whether the mutation repeated a name that must differ."""
+    whether the run must exit 1 with one ``error:`` line: the mutation
+    repeated a name that must differ, or nested a value too deeply."""
     value = INPUTS[name]
     paths = list(_json_paths(value))[name.endswith(".jsonl"):]  # a .jsonl file's root is its lines
     lists = [path for path in paths if isinstance(_at(value, path), list) and _at(value, path)]
-    kind = data.draw(st.sampled_from(["retype", "bytes", "truncate"] + ["repeat"] * bool(lists)))
+    kind = data.draw(st.sampled_from(["retype", "bytes", "truncate", "nest"] + ["repeat"] * bool(lists)))
+    if kind == "nest":
+        return _nested(name, value, data.draw(st.sampled_from(paths))), True
     if kind == "retype":
         path = data.draw(st.sampled_from(paths))
         pool = SMALL_JSON if (path and path[-1] in SIZE_KEYS) else ANY_JSON
@@ -213,13 +231,13 @@ def _mutated_argv(data, argv):
 def test_mutated_commands_fail_cleanly(data):
     argv, reads = data.draw(st.sampled_from(COMMANDS))
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
-    repeated_name = False
+    one_error = False
     if reads and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(reads))
-        files[name], repeated_name = _mutated_file(data, name)
+        files[name], one_error = _mutated_file(data, name)
     else:
         argv = _mutated_argv(data, argv)
-    _check_run(argv, files, repeated_name)
+    _check_run(argv, files, one_error)
 
 
 #: Every repeat among names that must differ, per command that reads it. The
@@ -238,10 +256,10 @@ _NAME_REPEATS = [
 def test_every_repeated_name_is_one_error_line(argv, name, path, index):
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
     files[name] = _encode(name, _repeated(INPUTS[name], path, index))
-    _check_run(argv, files, repeated_name=True)
+    _check_run(argv, files, one_error=True)
 
 
-def _check_run(argv, files, repeated_name):
+def _check_run(argv, files, one_error):
     """Run ``argv`` over ``files`` in a new directory and check the properties above."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -258,7 +276,7 @@ def _check_run(argv, files, repeated_name):
             code = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue()
-        if repeated_name:
+        if one_error:
             errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
             assert code == 1 and len(errors) == 1, (argv, code, stderr.getvalue())
         if code != 0:

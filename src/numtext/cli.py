@@ -327,10 +327,22 @@ def cmd_audit(args) -> int:
     return _write_json(args.out, {"meta": _meta(config), **audit})
 
 
-def cmd_score(args) -> int:
-    result = _ingest(args.gold, corpus.ingest_drop)
+def _gold_only(records: list) -> list:
+    """What ``score`` reads of each DROP record: its id and gold answers."""
+    return [corpus.DropRecord("", "", record.answers, record.query_id) for record in records]
+
+
+def _gold_records(path: str, unscored: set) -> list:
+    """The records of the gold file for ``score``; adds to ``unscored`` each id skipped for empty gold."""
+    result = _ingest(path, partial(corpus.ingest_drop, transform=_gold_only))
+    unscored.update({issue.question_id for issue in result.errors} - {record.query_id for record in result.records})
+    return result.records
+
+
+def _predictions(path: str, unscored: set) -> dict:
+    """The predictions file as ``{id: prediction}``, without the ids in ``unscored``."""
     predictions = {}
-    with open(args.pred, "rb") as handle:
+    with open(path, "rb") as handle:
         for _, lineno, _, row in corpus.iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
@@ -339,9 +351,18 @@ def cmd_score(args) -> int:
                 first = next(n for _, n, _, earlier in corpus.iter_jsonl(handle) if earlier["id"] == row["id"])
                 raise ValidationError(f"line {lineno}: prediction id {row['id']!r} is also on line {first}")
             predictions[row["id"]] = row["prediction"]
-    for query_id in {issue.question_id for issue in result.errors} - {record.query_id for record in result.records}:
+    for query_id in unscored:
         predictions.pop(query_id, None)  # a question skipped for empty gold is not scored
-    report = scoring.build_report(result.records, predictions, span_delimiter=args.delimiter)
+    return predictions
+
+
+def cmd_score(args) -> int:
+    unscored = set()
+    # The records and predictions are handed over, not kept here, so build_report
+    # frees them before it builds its per-question rows.
+    report = scoring.build_report(
+        _gold_records(args.gold, unscored), _predictions(args.pred, unscored), span_delimiter=args.delimiter
+    )
     config = {"gold": args.gold, "pred": args.pred, "delimiter": args.delimiter}
     return _write_json(args.out, {"meta": _meta(config), **report._asdict()})
 

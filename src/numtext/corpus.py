@@ -12,11 +12,14 @@ is the one way to read one back.
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
+from json.decoder import scanstring
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -128,6 +131,8 @@ class DateParts:
 
 
 _date_fields = attrgetter(*DateParts.__slots__)
+#: The date of every answer that has none; nothing changes a DateParts.
+_NO_DATE = DateParts()
 
 
 class GoldAnswer:
@@ -135,10 +140,10 @@ class GoldAnswer:
 
     __slots__ = ("number", "spans", "date")
 
-    def __init__(self, number: str = "", spans: tuple[str, ...] = (), date: DateParts | None = None):
+    def __init__(self, number: str = "", spans: tuple[str, ...] = (), date: DateParts = _NO_DATE):
         self.number = number
         self.spans = spans
-        self.date = DateParts() if date is None else date
+        self.date = date
 
     def __eq__(self, other):
         return _gold_fields(self) == _gold_fields(other) if other.__class__ is self.__class__ else NotImplemented
@@ -308,12 +313,15 @@ def _loads(text: str):
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset=byte_offset) from None
+    except ValueError:  # json converts an integer of more digits than int() may read
+        raise ParseError("malformed JSON: an integer has too many digits") from None
     except RecursionError:
         raise ParseError("malformed JSON: nested too deeply") from None
 
 
 class _Malformed(Exception):
-    """Text that ``json.loads`` would not read as one JSON object."""
+    """A source that is not read member by member: ``json.loads`` would not read it as
+    one object, or it cannot seek back to be read whole."""
 
 
 # An object's marks with the whitespace json.decoder skips; "{" or "," only before a key.
@@ -322,22 +330,45 @@ _COMMA = re.compile(r'[ \t\n\r]*,[ \t\n\r]*(?=")')
 _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 _CLOSE = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*")
 _EMPTY = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*\}[ \t\n\r]*")
+# What follows a member's value: only then can no later byte change the value (a number may go on).
+_AFTER = re.compile(r"[ \t\n\r]*[,}]")
 
 
-def _members(text: str) -> Iterator[tuple[str, object]]:
-    """The ``(key, value)`` pairs of the JSON object ``text`` holds, each value decoded
-    when it is reached; raises _Malformed for any text ``json.loads`` would not read as one object."""
-    scan, mark, end = json.JSONDecoder().scan_once, _OPEN, 0
-    try:
-        while match := mark.match(text, end):
-            key, end = json.decoder.scanstring(text, match.end() + 1)
-            if not (colon := _COLON.match(text, end)):
-                raise _Malformed
-            value, end = scan(text, colon.end())
-            yield key, value
-            mark = _COMMA
-    except (ValueError, StopIteration, RecursionError):
-        raise _Malformed from None
+#: Bytes per read of a DROP file.
+_READ_BYTES = 1 << 16
+
+
+def _members(source) -> Iterator[tuple[str, object]]:
+    """The ``(key, value)`` pairs of the JSON object in a seekable binary stream, read
+    _READ_BYTES at a time; each value is decoded once the text after it is read. Raises
+    _Malformed for a stream that cannot seek and for anything ``json.loads`` would not read as one object."""
+    if not source.seekable():
+        raise _Malformed
+    scan, decode = json.JSONDecoder().scan_once, codecs.getincrementaldecoder("utf-8")().decode
+    text, end, mark, ended = "", 0, _OPEN, False
+    while True:
+        member = None
+        try:
+            if match := mark.match(text, end):
+                key, at = scanstring(text, match.end() + 1)
+                if colon := _COLON.match(text, at):
+                    member = key, *scan(text, colon.end())
+        except (json.JSONDecodeError, StopIteration):
+            pass  # the text read so far may end inside the member
+        except (ValueError, RecursionError):  # too deep, or an integer of too many digits: more text cannot mend it
+            raise _Malformed from None
+        if member and (ended or _AFTER.match(text, member[2])):
+            yield member[:2]
+            end, mark = member[2], _COMMA
+        elif ended:
+            break
+        else:  # read at least what is left unread, so a long value is scanned O(log n) times
+            chunk = source.read(max(_READ_BYTES, len(text) - end))
+            ended = not chunk
+            try:
+                text, end = text[end:] + decode(chunk, ended), 0
+            except UnicodeDecodeError:
+                raise _Malformed from None
     if not (_CLOSE if mark is _COMMA else _EMPTY).fullmatch(text, end):
         raise _Malformed
 
@@ -391,13 +422,15 @@ def _gold(raw, index: int) -> GoldAnswer:
         for span in spans:
             _text(span, ": a 'spans' entry")
         day, month = _text(date.get("day"), ": 'date.day'", ""), _text(date.get("month"), ": 'date.month'", "")
-        return GoldAnswer(number, tuple(spans), DateParts(day, month, _text(date.get("year"), ": 'date.year'", "")))
+        year = _text(date.get("year"), ": 'date.year'", "")
+        return GoldAnswer(number, tuple(spans), DateParts(day, month, year) if day or month or year else _NO_DATE)
     except _WrongType as wrong:
         raise _WrongType(f".validated_answers[{index}]{wrong}" if index >= 0 else f".answer{wrong}") from None
 
 
-def _drop_passage(passage_id: str, block) -> tuple[list, list] | ParseError:
-    """One passage block's records and skipped questions, or the ParseError for a block of the wrong shape."""
+def _drop_passage(passage_id: str, block, transform) -> tuple[list, list] | ParseError:
+    """One passage block's records, given to ``transform`` if that is not None, and its skipped
+    questions; or the ParseError for a block of the wrong shape."""
     if type(block) is not dict or "passage" not in block:
         return ParseError(f"passage block {passage_id!r} missing 'passage'")
     records, errors = [], []
@@ -419,31 +452,40 @@ def _drop_passage(passage_id: str, block) -> tuple[list, list] | ParseError:
                 errors.append(IngestIssue(query_id, "every gold answer is empty"))
     except _WrongType as wrong:
         return ParseError(f"passage {passage_id!r}: {wrong}")
-    return records, errors
+    return records if transform is None else transform(records), errors
 
 
-def ingest_drop(source) -> IngestResult:
-    """Parse a DROP-layout JSON file into records, one per qa pair.
+def ingest_drop(source, transform=None) -> IngestResult:
+    """Parse a DROP-layout JSON file (a path or a binary stream) into records, one per qa pair.
 
     All gold answers (primary plus validated) are retained in order,
     empty ones dropped. A qa pair whose every answer is empty is skipped
     and tallied in ``errors`` rather than aborting the whole file. A value
     of the wrong JSON type raises ParseError naming its passage and index.
-    It decodes one passage block at a time and gives what one ``json.loads`` would.
+    ``transform``, if given, maps each passage block's list of records to
+    the list kept of it, so a caller drops what it does not read block by block.
+
+    The file is read 64 KiB and one passage block at a time; neither its
+    text nor its decoded document is held whole. A pipe, or a file that
+    ``json.loads`` would not read as one object, is read whole and decoded
+    by ``json.loads``, so every result and error is what one ``json.loads`` gives.
     The cyclic garbage collector is paused meanwhile: parsing and reading
     only add objects, so its passes over them would free nothing.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        text = _read_text(source)
-        try:
-            results = {passage_id: _drop_passage(passage_id, block) for passage_id, block in _members(text)}
-        except _Malformed:
-            data = _loads(text)
-            if type(data) is not dict:
-                raise ParseError("DROP file must be a JSON object keyed by passage id") from None
-            results = {passage_id: _drop_passage(passage_id, block) for passage_id, block in data.items()}
+        with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as handle:
+            start = handle.tell() if handle.seekable() else None
+            try:
+                results = {pid: _drop_passage(pid, block, transform) for pid, block in _members(handle)}
+            except _Malformed:
+                if start is not None:
+                    handle.seek(start)
+                data = _loads(_read_text(handle))
+                if type(data) is not dict:
+                    raise ParseError("DROP file must be a JSON object keyed by passage id") from None
+                results = {pid: _drop_passage(pid, block, transform) for pid, block in data.items()}
         parts = results.values()
         for part in parts:
             if type(part) is ParseError:
@@ -633,6 +675,8 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, str, object]]:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError:
+            raise ParseError("invalid JSON: an integer has too many digits", line=lineno) from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
         if not (lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}):

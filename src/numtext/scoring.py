@@ -216,12 +216,14 @@ def build_report(
     listing them. An empty ``span_delimiter`` raises :class:`ConfigError`.
     Both are checked first; then the questions are scored in blocks on the
     usable CPUs (see :mod:`numtext.shard`) and added up here in record order.
+    The ``per_question`` rows are built only once this function holds no
+    record or prediction, so a caller that hands both over without keeping
+    them never holds them together with the rows. Nothing passed in is changed.
     """
     if not span_delimiter:
         raise ConfigError("the span delimiter must be non-empty")
     records = list(records)
-    known = {record.query_id for record in records}
-    unknown = sorted(set(predictions) - known)
+    unknown = sorted(set(predictions) - {record.query_id for record in records})
     if unknown:
         raise ValidationError(f"predictions for unknown question ids: {unknown}")
 
@@ -232,13 +234,17 @@ def build_report(
             pairs.extend((0.0, 0.0) if predicted is None else score_record(record, predicted, span_delimiter))
         return pairs.tobytes()
 
-    per_question = []
+    pairs = array("d")
     with closing(blocks(score_block, len(records))) as built:
         for a, b, block in built:
-            pairs = array("d", score_block(a, b) if block is None else block)
-            for record, em, f1 in zip(records[a:b], pairs[::2], pairs[1::2]):
-                kind = derive_answer_type(record.answers[0])
-                per_question.append({"id": record.query_id, "answer_type": kind, "em": em, "f1": f1})
+            pairs.frombytes(score_block(a, b) if block is None else block)
+    ids = [record.query_id for record in records]
+    kinds = [derive_answer_type(record.answers[0]) for record in records]
+    del records, predictions
+    per_question = [
+        {"id": query_id, "answer_type": kind, "em": em, "f1": f1}
+        for query_id, kind, em, f1 in zip(ids, kinds, pairs[::2], pairs[1::2])
+    ]
 
     def totals(rows: list[dict]) -> dict:
         count = len(rows)

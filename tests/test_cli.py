@@ -144,6 +144,24 @@ def test_ingest_drop_cli(tmp_path, ming_rui_drop, capsys):
     assert "wrote 1 examples" in capsys.readouterr().err
 
 
+def test_ingest_drop_from_a_fifo_writes_the_regular_files_records(tmp_path):
+    passages = {
+        f"p{p}": (f"Ann had {p} figs.", [drop_qa("How many?", f"p{p}q{q}", drop_answer(number=str(q))) for q in range(3)])
+        for p in range(400)
+    }
+    doc = json.dumps(build_drop_file(passages)).encode()
+    regular, fifo = tmp_path / "gold.json", tmp_path / "gold.fifo"
+    regular.write_bytes(doc)
+    os.mkfifo(fifo)
+    threading.Thread(target=fifo.write_bytes, args=(doc,), daemon=True).start()
+    for source, out in ((regular, "regular.jsonl"), (fifo, "fifo.jsonl")):
+        assert run(["ingest", "--format", "drop", "--in", str(source), "--out", str(tmp_path / out)]) == 0
+    # The meta record names the input; the records after it are the same bytes.
+    regular_lines = (tmp_path / "regular.jsonl").read_bytes().splitlines()
+    fifo_lines = (tmp_path / "fifo.jsonl").read_bytes().splitlines()
+    assert len(regular_lines) == 1201 and fifo_lines[1:] == regular_lines[1:]
+
+
 def test_ingest_squad_cli(tmp_path, squad_file):
     out = tmp_path / "squad.jsonl"
     assert run(["ingest", "--format", "squad", "--in", str(squad_file), "--out", str(out)]) == 0
@@ -661,6 +679,12 @@ _BAD_INPUT_FILES = {
     "drop-deep.json": '{"p": ' + "[" * 2000 + "]" * 2000 + "}",
     "stats-deep.json": "[" * 2000 + "]" * 2000,
     "deep.jsonl": '{"input": ' + "[" * 2000 + "]" * 2000 + "}\n",
+    # An integer of more digits than int() may read (4300 by default).
+    "drop-long-integer.json": '{"p": {"passage": "x", "qa_pairs": [{"question": "q", "answer": {"number": 1' + "0" * 5000 + "}}]}}",
+    "squad-long-integer.json": '{"data": [1' + "0" * 5000 + "]}",
+    "stats-long-integer.json": '[{"name": "a", "length": 1' + "0" * 5000 + "}]",
+    "pred-long-integer.jsonl": '{"id": "q1", "prediction": 1' + "0" * 5000 + "}\n",
+    "long-integer.jsonl": '{"input": 1' + "0" * 5000 + "}\n",
 }
 
 
@@ -814,6 +838,13 @@ _BAD_INPUT_FILES = {
         pytest.param(["score", "--gold", "drop-deep.json", "--pred", "pred.jsonl"], id="score-nested-deep"),
         pytest.param(["mix", "--stats", "stats-deep.json"], id="mix-stats-nested-deep"),
         pytest.param(["audit", "--in", "deep.jsonl"], id="audit-nested-deep"),
+        pytest.param(["ingest", "--format", "drop", "--in", "drop-long-integer.json", "--out", "o.jsonl"],
+                     id="ingest-long-integer"),
+        pytest.param(["ingest", "--format", "squad", "--in", "squad-long-integer.json", "--out", "o.jsonl"],
+                     id="ingest-squad-long-integer"),
+        pytest.param(["score", "--gold", "gold.json", "--pred", "pred-long-integer.jsonl"], id="score-pred-long-integer"),
+        pytest.param(["mix", "--stats", "stats-long-integer.json"], id="mix-stats-long-integer"),
+        pytest.param(["audit", "--in", "long-integer.jsonl"], id="audit-long-integer"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):

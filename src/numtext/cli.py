@@ -320,9 +320,8 @@ def cmd_lr_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    examples = (example for *_, example in corpus.iter_examples(args.input))
     limits = corpus.LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = corpus.audit_truncation(examples, limits)
+    audit = corpus.audit_truncation(args.input, limits)
     config = {"input": args.input, "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit})
 
@@ -343,12 +342,12 @@ def _predictions(path: str, unscored: set) -> dict:
     """The predictions file as ``{id: prediction}``, without the ids in ``unscored``."""
     predictions = {}
     with open(path, "rb") as handle:
-        for _, lineno, _, row in corpus.iter_jsonl(handle):
+        for _, lineno, row in corpus.iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
             if row["id"] in predictions:  # find the first line again rather than keep every line number
                 handle.seek(0)
-                first = next(n for _, n, _, earlier in corpus.iter_jsonl(handle) if earlier["id"] == row["id"])
+                first = next(n for _, n, earlier in corpus.iter_jsonl(handle) if earlier["id"] == row["id"])
                 raise ValidationError(f"line {lineno}: prediction id {row['id']!r} is also on line {first}")
             predictions[row["id"]] = row["prediction"]
     for query_id in unscored:

@@ -6,14 +6,15 @@ examples (question placed before context so truncation eats the passage
 tail, never the question), maps a gold answer to its spans (the one rule
 for targets and scoring), audits length cutoffs, and writes every JSONL
 record stream byte-stably through :func:`write_examples`.
-Every record line is one :class:`Example`, and :func:`example_from_json`
-is the one way to read one back.
+Every record line is one :class:`Example`, and :func:`iter_examples` is
+the one way to read them back.
 """
 
 from __future__ import annotations
 
 import codecs
 import gc
+import io
 import json
 import re
 from array import array
@@ -579,21 +580,37 @@ def count_tokens(text: str) -> int:
     return classes.count(b"D") + classes.count(b" x") + classes.count(b"Dx")
 
 
-def audit_truncation(examples: Iterable[Example], limits: LengthLimits = LengthLimits()) -> dict:
+def audit_truncation(examples: Iterable[Example] | str | Path, limits: LengthLimits = LengthLimits()) -> dict:
     """Count examples whose input or target would be cut off at the limits.
 
-    Returns the JSON that ``audit`` writes: ``{"total", "encoder_over",
-    "decoder_over", "encoder_fraction", "decoder_fraction"}``, where a
-    fraction is its count over ``total``, and 0.0 for no examples. Tokens
-    are counted by :func:`count_tokens`.
+    ``examples`` are :class:`Example` objects, or the path of a JSONL file,
+    whose records are read and counted span by span on every usable CPU
+    (see :func:`numtext.shard.over_spans`). Returns the JSON that ``audit`` writes:
+    ``{"total", "encoder_over", "decoder_over", "encoder_fraction",
+    "decoder_fraction"}``, where a fraction is its count over ``total``, and
+    0.0 for no examples. Tokens are counted by :func:`count_tokens`, and only
+    for a text of more characters than its limit: a token is at least one
+    character, so no other text has more tokens than characters.
     """
-    total = encoder_over = decoder_over = 0
-    for example in examples:
-        total += 1
-        if count_tokens(example.input) > limits.encoder_max:
-            encoder_over += 1
-        if count_tokens(example.target) > limits.decoder_max:
-            decoder_over += 1
+
+    def over(examples) -> bytes:  # total, encoder_over and decoder_over
+        total = encoder_over = decoder_over = 0
+        for example in examples:
+            total += 1
+            if len(example.input) > limits.encoder_max and count_tokens(example.input) > limits.encoder_max:
+                encoder_over += 1
+            if len(example.target) > limits.decoder_max and count_tokens(example.target) > limits.decoder_max:
+                decoder_over += 1
+        return array("q", (total, encoder_over, decoder_over)).tobytes()
+
+    if isinstance(examples, (str, Path)):
+        from . import shard  # here, not at the top: shard imports this module
+
+        with open(examples, "rb") as handle:
+            spans = list(shard.over_spans(handle, lambda records: over(row[3] for row in records)))
+    else:
+        spans = [over(examples)]
+    total, encoder_over, decoder_over = map(sum, zip([0, 0, 0], *(array("q", span) for span in spans)))
     return {
         "total": total,
         "encoder_over": encoder_over,
@@ -654,58 +671,88 @@ def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
     return count
 
 
-def iter_jsonl(source) -> Iterator[tuple[int, int, str, object]]:
-    """Yield ``(byte offset, line number, line text, value)`` for each
-    non-blank line of a binary JSONL stream, skipping a leading
-    ``{"meta": ...}`` record.
+#: What :func:`_json_line` gives for a blank line and for line 1's meta record.
+_NO_RECORD = object()
+
+
+def _json_line(raw: bytes, start: int, lineno: int):
+    """The value of the JSONL line ``raw`` that starts at byte ``start``, or
+    _NO_RECORD; a line that is not UTF-8 or not valid JSON raises ParseError naming it."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", offset=start + exc.start, line=lineno) from None
+    if not text.strip():
+        return _NO_RECORD
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    except ValueError:
+        raise ParseError("invalid JSON: an integer has too many digits", line=lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
+    return _NO_RECORD if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"} else obj
+
+
+def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
+    """Yield ``(byte offset, line number, value)`` for each non-blank line
+    of a binary JSONL stream, skipping a leading ``{"meta": ...}`` record.
 
     A line that is not UTF-8 or not valid JSON raises :class:`ParseError` naming it.
     """
     offset = 0
     for lineno, raw in enumerate(source, start=1):
-        start = offset
+        value = _json_line(raw, offset, lineno)
+        if value is not _NO_RECORD:
+            yield offset, lineno, value
         offset += len(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason}", offset=start + exc.start, line=lineno) from None
-        if not text.strip():
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        except ValueError:
-            raise ParseError("invalid JSON: an integer has too many digits", line=lineno) from None
-        except RecursionError:
-            raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
-        if not (lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}):
-            yield start, lineno, text, obj
 
 
-def iter_examples(source) -> Iterator[tuple[int, int, str, Example]]:
-    """Yield ``(byte offset, line number, line text, example)`` for each
-    record of a JSONL stream, each read by :func:`example_from_json`.
+#: The line :func:`write_examples` writes for a record whose strings need no
+#: JSON escape, and its parts between quotes: fixed ones, keys and, at [3::4], the strings.
+_CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'
+_LINE_PARTS = _CANONICAL_LINE.split('"')
+_FIXED_PARTS, _KEY_PARTS = _LINE_PARTS[::2], _LINE_PARTS[1::4]
+#: Changes a backslash and every byte below 0x20 but "\n", none of which a canonical line holds.
+_ESCAPES = bytes.maketrans(bytes(range(10)) + bytes(range(11, 32)) + b"\\", b'"' * 32)
 
-    ``source`` is a path or a binary stream. Besides the errors of
+
+def iter_examples(source, offset: int = 0, lineno: int = 1) -> Iterator[tuple[int, int, bool, Example]]:
+    """Yield ``(byte offset, line number, canonical, example)`` for each
+    record of a JSONL stream whose first line starts at byte ``offset`` on
+    line ``lineno``; ``source`` is a path or a binary stream.
+
+    A line is canonical if it is exactly what :func:`write_examples` writes
+    for its record: it has no backslash and no byte below 0x20 but its final
+    ``\\n``, it is UTF-8, and split at its quotes it gives the parts of
+    _CANONICAL_LINE. Its five strings go straight to :class:`Example`, which
+    holds every record rule. Any other line is read by the rules of
+    :func:`iter_jsonl` and :func:`example_from_json`, so either way a line
+    gives the same record or the same error. Besides the errors of
     :func:`iter_jsonl`, a record that breaks the rules raises
     :class:`ValidationError` naming its line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            yield from iter_examples(handle)
-        return
-    for offset, lineno, text, obj in iter_jsonl(source):
-        try:
-            example = example_from_json(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        yield offset, lineno, text, example
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as lines:
+        for lineno, raw in enumerate(lines, lineno):
+            start = offset
+            offset += len(raw)
+            try:
+                parts = raw.decode("utf-8").split('"') if raw.translate(_ESCAPES) == raw else ()
+            except UnicodeDecodeError:
+                parts = ()
+            try:
+                if len(parts) == len(_LINE_PARTS) and parts[::2] == _FIXED_PARTS and parts[1::4] == _KEY_PARTS:
+                    canonical, example = True, Example(*parts[3::4])
+                elif (value := _json_line(raw, start, lineno)) is _NO_RECORD:
+                    continue
+                else:
+                    canonical, example = False, example_from_json(value)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            yield start, lineno, canonical, example
 
 
-#: The line :func:`write_examples` writes for a record whose strings need
-#: no JSON escape; a line without a backslash that equals it is canonical.
-_CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'
 #: A lone surrogate: JSON can hold one (``"\\ud800"``), UTF-8 cannot.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -720,44 +767,57 @@ class SourceLine(bytes):
         return json.loads(self)["source_id"]
 
 
-class IndexedExamples(Sequence):
-    """The records of an open binary JSONL file, re-read on each access.
+def _index(records) -> bytes:
+    """The offsets that :class:`IndexedExamples` keeps of ``records``, as bytes."""
+    offsets = array("q")
+    for offset, lineno, canonical, example in records:
+        if not canonical and any(map(_SURROGATE.search, _fields(example))):
+            raise ValidationError(f"line {lineno}: holds a lone surrogate, which UTF-8 cannot encode")
+        offsets.append(offset if canonical else ~offset)
+    return offsets.tobytes()
 
-    Building it checks every line once, as :func:`iter_examples` does, and
-    keeps one 8-byte integer per record: the line's offset if the line is
-    canonical, i.e. exactly what :func:`write_examples` writes for its
-    record, else the offset's complement ``~offset``, which is negative.
-    A canonical record is returned as its line's bytes (a
-    :class:`SourceLine`); any other is decoded, checked again and returned
-    as an :class:`Example`, so writing either gives the canonical line.
-    A record holding a lone surrogate cannot be written as UTF-8 and
+
+class IndexedExamples(Sequence):
+    """The records of an open, seekable binary JSONL file, re-read on each access.
+
+    Building it checks every line once, as :func:`iter_examples` does, span
+    by span on every usable CPU (see :func:`numtext.shard.over_spans`), and keeps one
+    8-byte integer per record: the line's offset if the line is canonical,
+    else the offset's complement ``~offset``, which is negative. A draw
+    reads its line with one ``os.pread``, bounded by the next record's
+    offset or the file's size. A canonical record is returned as its line's
+    bytes (a :class:`SourceLine`); any other is decoded, checked again and
+    returned as an :class:`Example`, so writing either gives the canonical
+    line. A record holding a lone surrogate cannot be written as UTF-8 and
     raises ValidationError at indexing. The caller owns and closes
     ``handle`` and must not change the file while it reads records.
     """
 
     def __init__(self, handle):
-        self._handle = handle
+        from . import shard  # here, not at the top: shard imports this module
+
+        self._read = shard.reader(handle)
         self._offsets = array("q")
-        for offset, lineno, text, example in iter_examples(handle):
-            fields = _fields(example)
-            canonical = "\\" not in text and text == _CANONICAL_LINE % fields
-            if not canonical and any(map(_SURROGATE.search, fields)):
-                raise ValidationError(f"line {lineno}: holds a lone surrogate, which UTF-8 cannot encode")
-            self._offsets.append(offset if canonical else ~offset)
+        for block in shard.over_spans(handle, _index):
+            self._offsets.frombytes(block)
+        self._end = handle.seek(0, io.SEEK_END)
 
     def __len__(self) -> int:
         return len(self._offsets)
 
     def __getitem__(self, index: int) -> SourceLine | Example:
-        offset = self._offsets[index]
+        offsets = self._offsets
+        offset = offsets[index]
+        stop = offsets[index + 1] if 0 <= index < len(offsets) - 1 else self._end
+        start, stop = max(offset, ~offset), max(stop, ~stop)  # a line's offset, whatever its sign
+        line = self._read(stop - start, start)
+        line = line[: line.find(b"\n") + 1 or len(line)]
         if offset >= 0:
-            self._handle.seek(offset)
-            return SourceLine(self._handle.readline())
-        self._handle.seek(~offset)
+            return SourceLine(line)
         try:
-            example = example_from_json(json.loads(self._handle.readline().decode("utf-8")))
+            example = example_from_json(json.loads(line.decode("utf-8")))
         except ValueError:
             example = None
         if example is None or any(map(_SURROGATE.search, _fields(example))):
-            raise ValidationError(f"byte offset {~offset} no longer holds the record indexed there")
+            raise ValidationError(f"byte offset {start} no longer holds the record indexed there")
         return example

@@ -12,6 +12,11 @@ block nothing forks; pinning the process to one CPU (for example with
 ``taskset -c 0``) gives the one-process run. :func:`write_blocks` writes
 records this way (``gen-num``, ``gen-txt``, ``ingest``, ``derive-class``),
 and ``scoring.build_report`` scores questions this way (``score``).
+:func:`over_spans` reads a JSONL file this way, one block per span of
+whole lines: ``mix`` indexes each source and ``audit`` counts its input.
+
+A worker flushes each block as it is built, so the caller never waits on a
+block that sits in the worker's buffer while the next one is built.
 
 A worker sends blocks and nothing else: on any failure it stops sending
 and exits, and the caller builds every block it did not send, as it builds
@@ -32,12 +37,16 @@ import os
 import struct
 from collections.abc import Callable, Iterator
 from contextlib import closing
+from functools import partial
 
-from .corpus import write_examples
+from .corpus import iter_examples, write_examples
 
 #: Indices per block: fine enough to share a few thousand records evenly
 #: between two workers, coarse enough that framing costs nothing.
 BLOCK_SIZE = 500
+
+#: Bytes per span of a JSONL file that :func:`over_spans` reads and builds as one block.
+SPAN_BYTES = 1 << 16
 
 #: A frame is a block's length, then the block.
 _HEADER = struct.Struct(">Q")
@@ -55,8 +64,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def blocks(build: Callable[[int, int], bytes], count: int) -> Iterator[tuple[int, int, bytes | None]]:
-    """Yield ``(a, b, block)`` for each block [a, b) of [0, count), in order.
+def blocks(
+    build: Callable[[int, int], bytes], count: int, size: int = BLOCK_SIZE
+) -> Iterator[tuple[int, int, bytes | None]]:
+    """Yield ``(a, b, block)`` for each block [a, b) of [0, count), in order;
+    every block but the last holds ``size`` indices.
 
     ``block`` is the ``build(a, b)`` bytes that a forked worker sent, or
     None where the caller must build [a, b) itself: a block of its own, or
@@ -65,7 +77,7 @@ def blocks(build: Callable[[int, int], bytes], count: int) -> Iterator[tuple[int
     ``next()``, not at the call. However the iteration ends, exhausted or
     closed (use ``contextlib.closing``), every child is stopped and reaped.
     """
-    spans = [(a, min(a + BLOCK_SIZE, count)) for a in range(0, count, BLOCK_SIZE)]
+    spans = [(a, min(a + size, count)) for a in range(0, count, size)]
     workers = max(1, min(usable_cpus(), len(spans)))
     children: dict[int, tuple[int, io.BufferedReader]] = {}  # worker -> (pid, read end of its pipe)
     try:
@@ -141,5 +153,59 @@ def _fork(build, spans: list[tuple[int, int]], inherited) -> tuple[int, io.Buffe
                 block = build(a, b)
                 pipe.write(_HEADER.pack(len(block)))
                 pipe.write(block)
+                pipe.flush()  # a small block would wait in the buffer while the next one is built
     finally:
         os._exit(0)
+
+
+def reader(handle) -> Callable[[int, int], bytes]:
+    """``read(size, offset)`` of a seekable binary stream: ``os.pread`` of its
+    file, which moves no file offset that a forked worker shares, else a seek and a read."""
+    try:
+        return partial(os.pread, handle.fileno())
+    except OSError:  # a stream in memory, which a forked worker holds its own copy of
+
+        def read(size: int, offset: int) -> bytes:
+            handle.seek(offset)
+            return handle.read(size)
+
+        return read
+
+
+def _line_spans(read) -> list[tuple[int, int, int]]:
+    """``(start, stop, first line number)`` of each span of whole lines that
+    ``read`` gives from byte 0, about SPAN_BYTES each."""
+    spans, start, lineno, size = [], 0, 1, SPAN_BYTES
+    while chunk := read(size, start):
+        stop = chunk.rfind(b"\n") + 1 if len(chunk) == size else len(chunk)
+        if stop:
+            spans.append((start, start + stop, lineno))
+            lineno += chunk.count(b"\n", 0, stop)
+            start, size = start + stop, SPAN_BYTES
+        else:  # a line longer than the span
+            size *= 2
+    return spans
+
+
+def over_spans(handle, build: Callable[[Iterator], bytes]) -> Iterator[bytes]:
+    """``build(records)`` for each span of whole lines of a binary JSONL
+    stream, in order, ``records`` being the span's ``corpus.iter_examples`` rows.
+
+    Each span is one block of :func:`blocks`. A worker reads its spans with
+    ``os.pread``, and this process builds any span a worker did not send, so
+    the result, or the error, is the one-process run's. A stream of one span
+    forks nothing, and one that cannot seek is read here as one span.
+    """
+    if not handle.seekable():
+        yield build(iter_examples(handle))
+        return
+    read = reader(handle)
+    spans = _line_spans(read)
+
+    def build_span(index: int, _=None) -> bytes:
+        start, stop, lineno = spans[index]
+        return build(iter_examples(io.BytesIO(read(stop - start, start)), start, lineno))
+
+    with closing(blocks(build_span, len(spans), size=1)) as built:
+        for index, _, block in built:
+            yield build_span(index) if block is None else block

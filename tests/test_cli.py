@@ -1022,3 +1022,33 @@ def test_ingest_failing_on_a_late_record_leaves_no_output(tmp_path, capsys):
     assert run(["ingest", "--format", "drop", "--in", str(gold), "--out", str(out)]) == 1
     assert out.read_bytes() == b"previous contents\n"
     _assert_failed_cleanly(tmp_path, out, before)
+
+
+def test_mix_names_a_malformed_source_before_a_missing_later_one(tmp_path, monkeypatch, capsys):
+    # Each source is opened and indexed before the next is opened.
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-num", "--count", "20", "--seed", "3", "--out", "num.jsonl"]) == 0
+    lines = (tmp_path / "num.jsonl").read_bytes().splitlines(keepends=True)
+    lines[5] = b'{"bogus": true}\n'
+    (tmp_path / "num.jsonl").write_bytes(b"".join(lines))
+    (tmp_path / "stats.json").write_text(json.dumps([{"name": "num", "length": 20}, {"name": "txt", "length": 20}]))
+    argv = ["mix", "--stats", "stats.json", "--sample", "5", "--sources", "num=num.jsonl,txt=missing.jsonl"]
+    assert run(argv + ["--out", "mix.jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: source num.jsonl: line 6: expected exactly the fields {corpus.EXAMPLE_FIELDS}\n"
+    )
+    assert not (tmp_path / "mix.jsonl").exists()
+
+
+def test_mix_of_a_source_that_cannot_seek_is_one_io_error_line(tmp_path, monkeypatch, capsys):
+    # A draw rereads its line where the index found it, so a FIFO can be indexed but not drawn from.
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-num", "--count", "20", "--seed", "3", "--out", "num.jsonl"]) == 0
+    (tmp_path / "stats.json").write_text(json.dumps([{"name": "num", "length": 20}]))
+    os.mkfifo("f.jsonl")
+    threading.Thread(target=(tmp_path / "f.jsonl").write_bytes, args=((tmp_path / "num.jsonl").read_bytes(),),
+                     daemon=True).start()
+    argv = ["mix", "--stats", "stats.json", "--sample", "5", "--sources", "num=f.jsonl", "--out", "mix.jsonl"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "i/o error: File or stream is not seekable.\n"
+    assert not (tmp_path / "mix.jsonl").exists()

@@ -655,7 +655,7 @@ _TOKENIZER_PIECES = st.sampled_from(
 def test_digit_tokenize_matches_character_scan_oracle(text):
     tokens = oracle_tokenize(text)
     assert digit_tokenize(text) == tokens
-    assert count_tokens(text) == len(tokens)
+    assert count_tokens(text) == len(tokens) <= len(text)
 
 
 def test_count_tokens_agrees_with_digit_tokenize_on_every_code_point(monkeypatch):
@@ -677,6 +677,10 @@ def test_count_tokens_agrees_with_digit_tokenize_on_every_code_point(monkeypatch
         assert count_tokens(text) == expected
         for char, short, count in zip(special, shorts, expected_shorts):
             assert count_tokens(short) == count, hex(ord(char))
+    # A token is at least one character, which audit_truncation relies on
+    # to skip counting any text no longer than its limit.
+    assert count_tokens(text) <= len(text)
+    assert all(count_tokens(short) <= len(short) for short in shorts)
 
 
 # ---------------------------------------------------------------------------
@@ -980,3 +984,75 @@ def test_indexed_examples_validate_every_line_up_front():
     lines[8] = b'{"input": "answer_me: ", "target": "x", "task": "answer_me", "answer_type": "none", "source_id": ""}'
     with pytest.raises(ValidationError, match="line 9"):
         IndexedExamples(io.BytesIO(b"\n".join(lines) + b"\n"))
+
+
+_GOOD_LINE = (json.dumps(_GOOD_ROW) + "\n").encode()
+
+#: One line each, written after a canonical line and as line 1 alone.
+_AGREEMENT_LINES = {
+    "canonical": _GOOD_LINE,
+    "raw-control": _GOOD_LINE.replace(b"context: c", b"context: \x01c"),
+    "raw-tab": _GOOD_LINE.replace(b"context: c", b"context:\tc"),
+    "escaped-quote": _GOOD_LINE.replace(b"context: c", b'context: \\"c\\"'),
+    "u-escape": _GOOD_LINE.replace(b"context: c", b"context: caf\\u00e9"),
+    "surrogate-escape": _GOOD_LINE.replace(b"context: c", b"context: \\ud800"),
+    "crlf": _GOOD_LINE[:-1] + b"\r\n",
+    "no-final-newline": _GOOD_LINE[:-1],
+    "key-order": (json.dumps(dict(reversed(_GOOD_ROW.items()))) + "\n").encode(),
+    "repeated-key": _GOOD_LINE[:-2] + b', "target": "u"}\n',
+    "extra-spaces": _GOOD_LINE.replace(b'": "', b'" : "'),
+    "bom": b"\xef\xbb\xbf" + _GOOD_LINE,
+    "invalid-utf8": _GOOD_LINE.replace(b"context: c", b"context: \xff"),
+    "raw-del": _GOOD_LINE.replace(b"context: c", b"context: \x7f"),
+    "u2028": _GOOD_LINE.replace(b"context: c", "context: c\u2028".encode()),
+    "nbsp": _GOOD_LINE.replace(b"context: c", "context: \xa0c".encode()),
+    "meta": b'{"meta": {"seed": 1}}\n',
+    "blank": b" \t \n",
+    "bad-task": _GOOD_LINE.replace(b'"task": "answer_me"', b'"task": "nope"'),
+    "empty-question": _GOOD_LINE.replace(b"answer_me: q?", b"answer_me:  "),
+    "quote-in-key": _GOOD_LINE.replace(b'"target"', b'"tar"get"'),
+    "backslash-for-quote": _GOOD_LINE.replace(b'{"input"', b'{\\input"'),
+    "control-for-quote": _GOOD_LINE.replace(b'"task"', b'\x1ftask"'),
+}
+
+
+def _read_both_ways(data, monkeypatch):
+    """What iter_examples gives for ``data`` with its canonical-line pre-check and with every
+    line sent down the json.loads path: rows, or the error line, each way."""
+    results = []
+    for fixed_parts in (corpus._FIXED_PARTS, [None]):  # [None] matches no line
+        monkeypatch.setattr(corpus, "_FIXED_PARTS", fixed_parts)
+        try:
+            results.append(list(iter_examples(io.BytesIO(data))))
+        except ValueError as exc:
+            results.append(f"error: {exc}")
+    monkeypatch.undo()
+    return results
+
+
+@pytest.mark.parametrize("before", [b"", _GOOD_LINE], ids=["line-1", "line-2"])
+@pytest.mark.parametrize("name", list(_AGREEMENT_LINES))
+def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, name, before):
+    data = before + _AGREEMENT_LINES[name]
+    checked, decoded = _read_both_ways(data, monkeypatch)
+    if isinstance(decoded, str):
+        assert checked == decoded
+        return
+    assert [row[:2] + row[3:] for row in checked] == [row[:2] + row[3:] for row in decoded]
+    assert not any(canonical for _, _, canonical, _ in decoded)
+    # A line is canonical by the pre-check exactly when it is by the rule the
+    # index used before it: no backslash, and the very line write_examples writes.
+    rule = []
+    for offset, _, _, example in checked:
+        line = data[offset:].partition(b"\n")
+        text = (line[0] + line[1]).decode("utf-8")
+        rule.append("\\" not in text and text == corpus._CANONICAL_LINE % corpus._fields(example))
+    assert [canonical for _, _, canonical, _ in checked] == rule
+    if name in ("canonical", "raw-del", "u2028", "nbsp"):
+        assert rule[-1]
+    try:
+        indexed = IndexedExamples(io.BytesIO(data))
+    except ValidationError as exc:
+        assert name == "surrogate-escape" and "surrogate" in str(exc)
+    else:
+        assert [offset >= 0 for offset in indexed._offsets] == rule

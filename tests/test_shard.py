@@ -1,7 +1,8 @@
 """Sharded commands across forked workers: the same bytes as one process.
 
 gen-num, gen-txt, ingest and derive-class write their records in blocks,
-and score scores its questions in blocks.
+score scores its questions in blocks, and mix and audit read their JSONL
+inputs in spans of whole lines.
 
 Every test here starts at most two workers. The usable CPUs are pinned
 (two unless a test pins one), so the worker count does not depend on the
@@ -11,17 +12,20 @@ really ran.
 
 import json
 import os
+import threading
+import time
+from contextlib import closing
 
 import pytest
 
-from numtext import numgen, scoring, shard
+from numtext import corpus, numgen, scoring, shard
 from numtext.cli import run
 from numtext.corpus import DropRecord, GoldAnswer
 from numtext.errors import ConfigError, ValidationError
 from numtext.numgen import NumGenConfig, generate_num
 from numtext.txtgen import TxtGenConfig, generate_txt
 
-from conftest import build_drop_file, drop_answer, drop_qa, no_fork
+from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, no_fork, read_examples
 
 #: Three blocks, the last one short: worker 2 owns block 1, this process blocks 0 and 2.
 COUNT = 2 * shard.BLOCK_SIZE + 37
@@ -249,3 +253,147 @@ def test_build_report_checks_its_input_before_any_fork(monkeypatch, predictions,
     records = [DropRecord("p", "q", (GoldAnswer(number="1"),), _query_id(i)) for i in range(COUNT)]
     with pytest.raises(error):
         scoring.build_report(records, predictions, span_delimiter=delimiter)
+
+
+def test_a_small_block_reaches_the_caller_before_the_worker_builds_its_next(tmp_path, forks):
+    # The worker owns blocks 1 and 3 and builds block 3 only once this process
+    # holds block 1, or after five seconds. A block of a few bytes that waited in
+    # the worker's buffer would reach this process only after that wait.
+    received = tmp_path / "received"
+
+    def build(a, b):
+        if a // shard.BLOCK_SIZE == 3:
+            deadline = time.monotonic() + 5
+            while not received.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return b"on time" if received.exists() else b"late"
+        return b"block %d" % (a // shard.BLOCK_SIZE)
+
+    got = []
+    with closing(shard.blocks(build, 4 * shard.BLOCK_SIZE)) as built:
+        for a, b, block in built:
+            if block is not None:
+                received.touch()
+            got.append(build(a, b) if block is None else block)
+    assert forks == [1]
+    assert got == [b"block 0", b"block 1", b"block 2", b"on time"]
+
+
+#: ``mix`` over a NUM and a TXT source, and ``audit`` of the NUM one.
+SPAN_COMMANDS = {
+    "mix": ["mix", "--stats", "stats.json", "-T", "2", "--sample", "3000", "--sources", "num=num.jsonl,txt=txt.jsonl",
+            "--seed", "3"],
+    "audit": ["audit", "--in", "num.jsonl", "--encoder-max", "9", "--decoder-max", "3"],
+}
+
+
+@pytest.fixture
+def span_inputs(tmp_path, monkeypatch, forks):
+    """Two sources of many 4 KiB spans written in one process, the TXT one ending in
+    lines that are not canonical; the working directory is theirs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(shard, "SPAN_BYTES", 4096)
+    _pin_cpus(monkeypatch, 1)
+    assert run(["gen-num", "--count", str(COUNT), "--seed", "3", "--out", "num.jsonl"]) == 0
+    assert run(["gen-txt", "--count", str(COUNT), "--seed", "4", "--out", "txt.jsonl"]) == 0
+    with open("txt.jsonl", "ab") as handle:
+        handle.write(NONCANONICAL_SOURCE.split(b"\n", 1)[1])  # all but its meta line
+    stats = [{"name": "num", "length": COUNT}, {"name": "txt", "length": COUNT + 9}]
+    (tmp_path / "stats.json").write_text(json.dumps(stats))
+    _pin_cpus(monkeypatch, 2)
+    return tmp_path
+
+
+def _spans(path):
+    with open(path, "rb") as handle:
+        return shard._line_spans(shard.reader(handle))
+
+
+@pytest.mark.parametrize("command", list(SPAN_COMMANDS))
+def test_two_workers_index_and_audit_the_bytes_of_one(span_inputs, monkeypatch, forks, command):
+    assert len(_spans("num.jsonl")) > 20 and len(_spans("txt.jsonl")) > 20
+    _pin_cpus(monkeypatch, 1)
+    assert run(SPAN_COMMANDS[command] + ["--out", "one"]) == 0
+    assert forks == []
+    _pin_cpus(monkeypatch, 2)
+    assert run(SPAN_COMMANDS[command] + ["--out", "two"]) == 0
+    assert forks == ([1, 1] if command == "mix" else [1])  # one worker per source
+    assert (span_inputs / "two").read_bytes() == (span_inputs / "one").read_bytes()
+    if command == "mix":
+        assert {row.source_id for row in read_examples("one")} >= {"nc-1", "nc-8"}
+    else:
+        assert json.loads((span_inputs / "one").read_text())["total"] == COUNT
+
+
+@pytest.mark.parametrize("fail", [_exit_3, _raise_runtime_error], ids=["exit", "raise"])
+@pytest.mark.parametrize("command", list(SPAN_COMMANDS))
+def test_a_span_worker_that_fails_costs_time_not_the_run(span_inputs, monkeypatch, capfd, forks, command, fail):
+    # The worker fails on its first span; this process then builds that span and
+    # every later one itself, as one process would.
+    _pin_cpus(monkeypatch, 1)
+    assert run(SPAN_COMMANDS[command] + ["--out", "one"]) == 0
+    parent, real_iter_examples = os.getpid(), shard.iter_examples
+
+    def fail_in_the_worker(*args):
+        if os.getpid() != parent:
+            fail()
+        return real_iter_examples(*args)
+
+    monkeypatch.setattr(shard, "iter_examples", fail_in_the_worker)
+    _pin_cpus(monkeypatch, 2)
+    capfd.readouterr()
+    assert run(SPAN_COMMANDS[command] + ["--out", "two"]) == 0
+    assert forks == ([1, 1] if command == "mix" else [1])
+    assert capfd.readouterr() == ("", "")
+    assert (span_inputs / "two").read_bytes() == (span_inputs / "one").read_bytes()
+
+
+@pytest.mark.parametrize("command", list(SPAN_COMMANDS))
+def test_a_malformed_line_in_a_worker_span_is_the_one_process_error_line(span_inputs, monkeypatch, capsys, forks,
+                                                                          command):
+    # A bad line in span 1 (the worker's) and another in span 2 (this process's):
+    # one process fails on the first, and so must two.
+    spans = _spans("num.jsonl")
+    lines = (span_inputs / "num.jsonl").read_bytes().splitlines(keepends=True)
+    first = spans[1][2] + 3
+    lines[first - 1] = b'{"bogus": true}\n'
+    lines[spans[2][2] + 3 - 1] = b'{"input": "calculate: ", "target": "1", "task": "calculate"}\n'
+    (span_inputs / "num.jsonl").write_bytes(b"".join(lines))
+    errors = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        assert run(SPAN_COMMANDS[command] + ["--out", "o.json"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors.append([line for line in err.splitlines() if line.startswith("error: ")])
+    assert forks == [1]
+    prefix = "error: source num.jsonl: " if command == "mix" else "error: "
+    assert errors == [[f"{prefix}line {first}: expected exactly the fields {corpus.EXAMPLE_FIELDS}"]] * 2
+    assert not (span_inputs / "o.json").exists()
+
+
+def test_an_input_of_one_span_forks_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _pin_cpus(monkeypatch, 2)
+    assert run(["gen-num", "--count", "300", "--seed", "3", "--out", "num.jsonl"]) == 0
+    assert run(["gen-txt", "--count", "100", "--seed", "4", "--out", "txt.jsonl"]) == 0
+    (tmp_path / "stats.json").write_text(json.dumps([{"name": "num", "length": 300}, {"name": "txt", "length": 100}]))
+    assert [len(_spans(name)) for name in ("num.jsonl", "txt.jsonl")] == [1, 1]
+    monkeypatch.setattr(os, "fork", no_fork)
+    for command in SPAN_COMMANDS.values():
+        assert run(command + ["--out", "o"]) == 0
+    with open("num.jsonl", "rb") as handle:
+        assert len(corpus.IndexedExamples(handle)) == 300
+
+
+def test_audit_of_a_fifo_is_read_in_one_process_and_writes_the_files_bytes(span_inputs, monkeypatch, forks):
+    argv = SPAN_COMMANDS["audit"]
+    assert run(argv + ["--out", "file.json"]) == 0
+    assert forks == [1]
+    data = (span_inputs / "num.jsonl").read_bytes()
+    os.unlink("num.jsonl")
+    os.mkfifo("num.jsonl")
+    threading.Thread(target=(span_inputs / "num.jsonl").write_bytes, args=(data,), daemon=True).start()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(argv + ["--out", "fifo.json"]) == 0
+    assert (span_inputs / "fifo.json").read_bytes() == (span_inputs / "file.json").read_bytes()

@@ -77,7 +77,8 @@ def inputs(tmp_path):
                      {"corpus", "scoring", "shard"}, id="score"),
         pytest.param(["mix", "--stats", "stats.json", "-T", "2", "--sample", "8", "--sources",
                       "num=num.jsonl,txt=txt.jsonl", "--out", "mix.jsonl"],
-                     set(LAYERS) - {"numgen", "txtgen", "scoring", "shard"}, id="mix"),
+                     set(LAYERS) - {"numgen", "txtgen", "scoring"}, id="mix"),
+        pytest.param(["audit", "--in", "num.jsonl", "--out", "audit.json"], {"corpus", "shard"}, id="audit"),
     ],
 )
 def test_a_command_runs_only_its_layers(inputs, argv, may_run):

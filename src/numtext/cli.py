@@ -69,9 +69,10 @@ _LAYER_DEFAULTS = {
         key: getattr(txtgen.TxtGenConfig, key) for key in ("min_events", "max_events", "max_quantity", "frac_digits")
     },
     "lr-table": lambda: {
-        key: getattr(schedule.LrConfig, key) for key in ("warmup_start", "warmup_end", "decay_rate", "warmup_fraction")
+        key: getattr(schedule.LrSchedule, key)
+        for key in ("warmup_start", "warmup_end", "decay_rate", "warmup_fraction")
     },
-    "audit": lambda: {"encoder_max": corpus.LengthLimits.encoder_max, "decoder_max": corpus.LengthLimits.decoder_max},
+    "audit": lambda: {"encoder_max": corpus.ENCODER_MAX, "decoder_max": corpus.DECODER_MAX},
     "score": lambda: {"delimiter": corpus.SPAN_DELIMITER},
 }
 
@@ -303,7 +304,7 @@ def cmd_mix(args) -> int:
 def cmd_lr_table(args) -> int:
     if args.epochs is None or args.batches_per_epoch is None:
         raise ConfigError("--epochs and --batches-per-epoch are required")
-    lr_config = schedule.LrConfig(
+    lr_schedule = schedule.LrSchedule(
         total_epochs=args.epochs,
         batches_per_epoch=args.batches_per_epoch,
         warmup_start=args.warmup_start,
@@ -312,7 +313,6 @@ def cmd_lr_table(args) -> int:
         warmup_fraction=args.warmup_fraction,
     )
     config = _command_config(args)
-    lr_schedule = schedule.LrSchedule(lr_config)
     meta = _meta(config)
     with atomic_output(args.out) as sink:
         schedule.emit_table(lr_schedule, sink, meta=f"{meta['tool']} config_sha256={meta['config_sha256']}")
@@ -320,9 +320,8 @@ def cmd_lr_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    limits = corpus.LengthLimits(encoder_max=args.encoder_max, decoder_max=args.decoder_max)
-    audit = corpus.audit_truncation(args.input, limits)
-    config = {"input": args.input, "encoder_max": limits.encoder_max, "decoder_max": limits.decoder_max}
+    audit = corpus.audit_truncation(args.input, args.encoder_max, args.decoder_max)
+    config = {"input": args.input, "encoder_max": args.encoder_max, "decoder_max": args.decoder_max}
     return _write_json(args.out, {"meta": _meta(config), **audit})
 
 
@@ -374,7 +373,7 @@ def cmd_pipeline(args) -> int:
         raise ConfigError("pass exactly one of --name or --spec")
     if args.name and args.name not in builtins:
         raise ConfigError(f"unknown pipeline {args.name!r}; builtins: {sorted(builtins)}")
-    spec = builtins[args.name] if args.name else pipelines.load_pipeline_spec(args.spec)
+    spec = builtins[args.name] if args.name else pipelines.check_spec(corpus.load_json(args.spec))
     if args.stats is None or args.batch_size is None:
         raise ConfigError("--stats and --batch-size are required")
     plan = pipelines.expand(spec, mixing.check_stats(corpus.load_json(args.stats)), args.batch_size, args.seed)

@@ -16,6 +16,7 @@ import codecs
 import gc
 import io
 import json
+import os
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -192,20 +193,6 @@ class SquadRecord:
         self.qa_id = qa_id
 
 
-class LengthLimits:
-    """Encoder/decoder token budgets used by the truncation audit."""
-
-    # The defaults, as class attributes too: the command line reads its flag defaults here.
-    encoder_max = 512
-    decoder_max = 54
-
-    def __init__(self, encoder_max: int = encoder_max, decoder_max: int = decoder_max):
-        if encoder_max < 1 or decoder_max < 1:
-            raise ValidationError("length limits must be >= 1")
-        self.encoder_max = encoder_max
-        self.decoder_max = decoder_max
-
-
 class IngestIssue(NamedTuple):
     """A skipped record: which question and why."""
 
@@ -250,11 +237,6 @@ def gold_answer_spans(answer: GoldAnswer) -> tuple[str, ...]:
     return tuple(s.strip() for s in answer.spans if s.strip())
 
 
-def gold_target(answer: GoldAnswer) -> str:
-    """Serialize a gold answer to the single target string a model must emit."""
-    return SPAN_DELIMITER.join(gold_answer_spans(answer))
-
-
 def make_classification_example(record: DropRecord) -> Example:
     """Build the question-type classification example for one DROP record."""
     kind = derive_answer_type(record.answers[0])
@@ -268,11 +250,11 @@ def make_classification_example(record: DropRecord) -> Example:
 
 
 def make_drop_example(record: DropRecord) -> Example:
-    """Build the answer_me example for one DROP record (first gold as target)."""
+    """Build the answer_me example for one DROP record: the first gold's spans, joined, are the target."""
     kind = derive_answer_type(record.answers[0])
     return Example(
         input=format_input(ANSWER_ME, record.question, record.passage),
-        target=gold_target(record.answers[0]),
+        target=SPAN_DELIMITER.join(gold_answer_spans(record.answers[0])),
         task=ANSWER_ME,
         answer_type=kind,
         source_id=record.query_id,
@@ -429,11 +411,11 @@ def _gold(raw, index: int) -> GoldAnswer:
         raise _WrongType(f".validated_answers[{index}]{wrong}" if index >= 0 else f".answer{wrong}") from None
 
 
-def _drop_passage(passage_id: str, block, transform) -> tuple[list, list] | ParseError:
+def _drop_passage(passage_id: str, block, transform) -> tuple[list, list]:
     """One passage block's records, given to ``transform`` if that is not None, and its skipped
-    questions; or the ParseError for a block of the wrong shape."""
+    questions; a block of the wrong shape raises ParseError."""
     if type(block) is not dict or "passage" not in block:
-        return ParseError(f"passage block {passage_id!r} missing 'passage'")
+        raise ParseError(f"passage block {passage_id!r} missing 'passage'")
     records, errors = [], []
     try:
         passage = _text(block["passage"], "'passage'")
@@ -452,7 +434,7 @@ def _drop_passage(passage_id: str, block, transform) -> tuple[list, list] | Pars
             else:
                 errors.append(IngestIssue(query_id, "every gold answer is empty"))
     except _WrongType as wrong:
-        return ParseError(f"passage {passage_id!r}: {wrong}")
+        raise ParseError(f"passage {passage_id!r}: {wrong}") from None
     return records if transform is None else transform(records), errors
 
 
@@ -467,11 +449,12 @@ def ingest_drop(source, transform=None) -> IngestResult:
     the list kept of it, so a caller drops what it does not read block by block.
 
     The file is read 64 KiB and one passage block at a time; neither its
-    text nor its decoded document is held whole. A pipe, or a file that
-    ``json.loads`` would not read as one object, is read whole and decoded
-    by ``json.loads``, so every result and error is what one ``json.loads`` gives.
-    The cyclic garbage collector is paused meanwhile: parsing and reading
-    only add objects, so its passes over them would free nothing.
+    text nor its decoded document is held whole. A pipe, a file that
+    ``json.loads`` would not read as one object, and a file with a block of
+    the wrong shape are decoded whole by one ``json.loads``, whose result or
+    first error is the one given; a file pays for that decode only if it
+    fails. The cyclic garbage collector is paused meanwhile: parsing and
+    reading only add objects, so its passes over them would free nothing.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -479,18 +462,14 @@ def ingest_drop(source, transform=None) -> IngestResult:
         with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as handle:
             start = handle.tell() if handle.seekable() else None
             try:
-                results = {pid: _drop_passage(pid, block, transform) for pid, block in _members(handle)}
-            except _Malformed:
+                parts = {pid: _drop_passage(pid, block, transform) for pid, block in _members(handle)}.values()
+            except (_Malformed, ParseError):
                 if start is not None:
                     handle.seek(start)
                 data = _loads(_read_text(handle))
                 if type(data) is not dict:
                     raise ParseError("DROP file must be a JSON object keyed by passage id") from None
-                results = {pid: _drop_passage(pid, block, transform) for pid, block in data.items()}
-        parts = results.values()
-        for part in parts:
-            if type(part) is ParseError:
-                raise part
+                parts = [_drop_passage(pid, block, transform) for pid, block in data.items()]
         return IngestResult([record for part in parts for record in part[0]], [i for part in parts for i in part[1]])
     finally:
         if collecting:
@@ -580,36 +559,38 @@ def count_tokens(text: str) -> int:
     return classes.count(b"D") + classes.count(b" x") + classes.count(b"Dx")
 
 
-def audit_truncation(examples: Iterable[Example] | str | Path, limits: LengthLimits = LengthLimits()) -> dict:
-    """Count examples whose input or target would be cut off at the limits.
+#: The truncation audit's default encoder and decoder token budgets.
+ENCODER_MAX, DECODER_MAX = 512, 54
 
-    ``examples`` are :class:`Example` objects, or the path of a JSONL file,
-    whose records are read and counted span by span on every usable CPU
-    (see :func:`numtext.shard.over_spans`). Returns the JSON that ``audit`` writes:
+
+def audit_truncation(path, encoder_max: int = ENCODER_MAX, decoder_max: int = DECODER_MAX) -> dict:
+    """Count the examples of a JSONL file whose input or target would be cut off at the limits.
+
+    The records are read and counted span by span on every usable CPU (see
+    :func:`numtext.shard.over_spans`). A limit below 1 raises ValidationError
+    before the file is opened. Returns the JSON that ``audit`` writes:
     ``{"total", "encoder_over", "decoder_over", "encoder_fraction",
     "decoder_fraction"}``, where a fraction is its count over ``total``, and
     0.0 for no examples. Tokens are counted by :func:`count_tokens`, and only
     for a text of more characters than its limit: a token is at least one
     character, so no other text has more tokens than characters.
     """
+    if encoder_max < 1 or decoder_max < 1:
+        raise ValidationError("length limits must be >= 1")
+    from . import shard  # here, not at the top: shard imports this module
 
-    def over(examples) -> bytes:  # total, encoder_over and decoder_over
+    def over(records) -> bytes:  # total, encoder_over and decoder_over
         total = encoder_over = decoder_over = 0
-        for example in examples:
+        for _, _, _, example in records:
             total += 1
-            if len(example.input) > limits.encoder_max and count_tokens(example.input) > limits.encoder_max:
+            if len(example.input) > encoder_max and count_tokens(example.input) > encoder_max:
                 encoder_over += 1
-            if len(example.target) > limits.decoder_max and count_tokens(example.target) > limits.decoder_max:
+            if len(example.target) > decoder_max and count_tokens(example.target) > decoder_max:
                 decoder_over += 1
         return array("q", (total, encoder_over, decoder_over)).tobytes()
 
-    if isinstance(examples, (str, Path)):
-        from . import shard  # here, not at the top: shard imports this module
-
-        with open(examples, "rb") as handle:
-            spans = list(shard.over_spans(handle, lambda records: over(row[3] for row in records)))
-    else:
-        spans = [over(examples)]
+    with open(path, "rb") as handle:
+        spans = list(shard.over_spans(handle, over))
     total, encoder_over, decoder_over = map(sum, zip([0, 0, 0], *(array("q", span) for span in spans)))
     return {
         "total": total,
@@ -720,8 +701,8 @@ _ESCAPES = bytes.maketrans(bytes(range(10)) + bytes(range(11, 32)) + b"\\", b'"'
 
 def iter_examples(source, offset: int = 0, lineno: int = 1) -> Iterator[tuple[int, int, bool, Example]]:
     """Yield ``(byte offset, line number, canonical, example)`` for each
-    record of a JSONL stream whose first line starts at byte ``offset`` on
-    line ``lineno``; ``source`` is a path or a binary stream.
+    record of a binary JSONL stream whose first line starts at byte ``offset``
+    on line ``lineno``.
 
     A line is canonical if it is exactly what :func:`write_examples` writes
     for its record: it has no backslash and no byte below 0x20 but its final
@@ -733,24 +714,23 @@ def iter_examples(source, offset: int = 0, lineno: int = 1) -> Iterator[tuple[in
     :func:`iter_jsonl`, a record that breaks the rules raises
     :class:`ValidationError` naming its line.
     """
-    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as lines:
-        for lineno, raw in enumerate(lines, lineno):
-            start = offset
-            offset += len(raw)
-            try:
-                parts = raw.decode("utf-8").split('"') if raw.translate(_ESCAPES) == raw else ()
-            except UnicodeDecodeError:
-                parts = ()
-            try:
-                if len(parts) == len(_LINE_PARTS) and parts[::2] == _FIXED_PARTS and parts[1::4] == _KEY_PARTS:
-                    canonical, example = True, Example(*parts[3::4])
-                elif (value := _json_line(raw, start, lineno)) is _NO_RECORD:
-                    continue
-                else:
-                    canonical, example = False, example_from_json(value)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-            yield start, lineno, canonical, example
+    for lineno, raw in enumerate(source, lineno):
+        start = offset
+        offset += len(raw)
+        try:
+            parts = raw.decode("utf-8").split('"') if raw.translate(_ESCAPES) == raw else ()
+        except UnicodeDecodeError:
+            parts = ()
+        try:
+            if len(parts) == len(_LINE_PARTS) and parts[::2] == _FIXED_PARTS and parts[1::4] == _KEY_PARTS:
+                canonical, example = True, Example(*parts[3::4])
+            elif (value := _json_line(raw, start, lineno)) is _NO_RECORD:
+                continue
+            else:
+                canonical, example = False, example_from_json(value)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        yield start, lineno, canonical, example
 
 
 #: A lone surrogate: JSON can hold one (``"\\ud800"``), UTF-8 cannot.
@@ -796,7 +776,7 @@ class IndexedExamples(Sequence):
     def __init__(self, handle):
         from . import shard  # here, not at the top: shard imports this module
 
-        self._read = shard.reader(handle)
+        self._fd = handle.fileno()
         self._offsets = array("q")
         for block in shard.over_spans(handle, _index):
             self._offsets.frombytes(block)
@@ -810,7 +790,7 @@ class IndexedExamples(Sequence):
         offset = offsets[index]
         stop = offsets[index + 1] if 0 <= index < len(offsets) - 1 else self._end
         start, stop = max(offset, ~offset), max(stop, ~stop)  # a line's offset, whatever its sign
-        line = self._read(stop - start, start)
+        line = os.pread(self._fd, stop - start, start)
         line = line[: line.find(b"\n") + 1 or len(line)]
         if offset >= 0:
             return SourceLine(line)

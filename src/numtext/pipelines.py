@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .corpus import is_json_number, load_json
+from .corpus import is_json_number
 from .errors import ConfigError, ValidationError
 from .mixing import compute_plan
 
@@ -72,11 +72,6 @@ _BUILTINS = (
 def builtin_pipelines() -> list[dict]:
     """The five built-in experiment pipelines, each a new :func:`check_spec` result."""
     return [check_spec(spec) for spec in _BUILTINS]
-
-
-def load_pipeline_spec(path) -> dict:
-    """Read and check a pipeline spec file (see :func:`check_spec`)."""
-    return check_spec(load_json(path))
 
 
 def check_spec(spec) -> dict:

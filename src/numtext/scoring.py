@@ -12,8 +12,9 @@ F1 is macro-averaged over questions. Unlike the public evaluator, tokens
 are not split at hyphens and per-question F1 is not rounded to 2 decimals.
 
 The fast paths below (no ``float()`` call for an all-letter word, no article
-regex for an alphanumeric token, no assignment for one span against one)
-are exact restatements of these rules, not new semantics: they give the
+regex for an alphanumeric token, the best pair where one side has one span,
+the assignment on the rectangle of real spans, not a padded square) are
+exact restatements of these rules, not new semantics: they give the
 same result for every input.
 """
 
@@ -80,11 +81,6 @@ def answer_bags(spans: Sequence[str]) -> tuple[list[str], list[frozenset[str]]]:
     return normalized, [frozenset(text.split()) for text in normalized]
 
 
-def split_prediction(text: str, span_delimiter: str = SPAN_DELIMITER) -> list[str]:
-    """A predicted string is one span unless the delimiter appears."""
-    return text.split(span_delimiter)
-
-
 def _numbers_in(bag: frozenset[str]) -> frozenset[str]:
     return frozenset(token for token in bag if _is_number(token))
 
@@ -102,36 +98,37 @@ def _bag_f1(predicted: frozenset[str], gold: frozenset[str]) -> float:
 
 
 def _max_weight_assignment(scores: list[list[float]]) -> list[int]:
-    """Column of each row in a maximum-total-weight assignment of a square matrix.
+    """Column of each row in a maximum-total-weight assignment of an n x m
+    matrix with n <= m, each row to its own column.
 
     Kuhn-Munkres (Hungarian) method with row and column potentials,
-    O(n^3): row ``r`` is added by a shortest augmenting path over the
+    O(n^2 m): row ``r`` is added by a shortest augmenting path over the
     reduced costs ``-scores[r][c] - u[r] - v[c]``. Index 0 of ``u``,
     ``v``, ``owner`` and ``via`` is a virtual column that starts each path.
     """
-    n = len(scores)
+    n, m = len(scores), len(scores[0])
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    owner = [0] * (n + 1)  # owner[c]: 1-based row holding column c, 0 if free
-    via = [0] * (n + 1)  # previous column on the augmenting path
+    v = [0.0] * (m + 1)
+    owner = [0] * (m + 1)  # owner[c]: 1-based row holding column c, 0 if free
+    via = [0] * (m + 1)  # previous column on the augmenting path
     for row in range(1, n + 1):
         owner[0] = row
         col = 0
-        slack = [float("inf")] * (n + 1)
-        used = [False] * (n + 1)
+        slack = [float("inf")] * (m + 1)
+        used = [False] * (m + 1)
         while owner[col]:
             used[col] = True
             r = owner[col]
             weights = scores[r - 1]
             delta, nxt = float("inf"), 0
-            for c in range(1, n + 1):
+            for c in range(1, m + 1):
                 if not used[c]:
                     reduced = -weights[c - 1] - u[r] - v[c]
                     if reduced < slack[c]:
                         slack[c], via[c] = reduced, col
                     if slack[c] < delta:
                         delta, nxt = slack[c], c
-            for c in range(n + 1):
+            for c in range(m + 1):
                 if used[c]:
                     u[owner[c]] += delta
                     v[c] -= delta
@@ -142,24 +139,34 @@ def _max_weight_assignment(scores: list[list[float]]) -> list[int]:
             owner[col] = owner[via[col]]
             col = via[col]
     columns = [0] * n
-    for c in range(1, n + 1):
-        columns[owner[c] - 1] = c - 1
+    for c in range(1, m + 1):
+        if owner[c]:
+            columns[owner[c] - 1] = c - 1
     return columns
 
 
 def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> float:
-    """Mean of the best one-to-one span assignment over max(#pred, #gold)."""
+    """Mean of the best one-to-one span assignment over max(#pred, #gold).
+
+    Every F1 is >= 0, so spans left over on the longer side add nothing: the
+    assignment runs on the #gold x #pred rectangle, its shorter side as rows,
+    in O(k^2 n), and a side of one span takes its best pair. Matched F1s are
+    summed in gold order. Two long sides stay cubic in the shorter one; a
+    DROP gold answer has a few spans.
+    """
     size = max(len(predicted), len(gold))
     if size == 0:
         return 1.0
     if size == 1:  # one span against one: the only assignment, and its mean is its F1
         return _bag_f1(predicted[0], gold[0])
-    scores = [[0.0] * size for _ in range(size)]
-    for g, gold_bag in enumerate(gold):
-        for p, pred_bag in enumerate(predicted):
-            scores[g][p] = _bag_f1(pred_bag, gold_bag)
-    columns = _max_weight_assignment(scores)
-    return sum(scores[row][col] for row, col in enumerate(columns)) / size
+    scores = [[_bag_f1(pred_bag, gold_bag) for pred_bag in predicted] for gold_bag in gold]
+    if min(len(predicted), len(gold)) <= 1:
+        return max((f1 for row in scores for f1 in row), default=0.0) / size
+    if len(gold) <= len(predicted):
+        matched = enumerate(_max_weight_assignment(scores))
+    else:  # predicted spans as rows
+        matched = sorted((g, p) for p, g in enumerate(_max_weight_assignment(list(zip(*scores)))))
+    return sum(scores[g][p] for g, p in matched) / size
 
 
 def score_pair(
@@ -169,8 +176,7 @@ def score_pair(
 ) -> tuple[float, float]:
     """EM and F1 of one predicted string against one gold answer."""
     gold_spans = gold_answer_spans(gold)
-    pred_spans = split_prediction(predicted, span_delimiter)
-    pred_strings, pred_bags = answer_bags(pred_spans)
+    pred_strings, pred_bags = answer_bags(predicted.split(span_delimiter))
     gold_strings, gold_bags = answer_bags(gold_spans)
     same = len(pred_strings) == len(gold_strings) and set(pred_strings) == set(gold_strings)
     return (1.0 if same else 0.0), _align_bags(pred_bags, gold_bags)

@@ -158,20 +158,6 @@ def _fork(build, spans: list[tuple[int, int]], inherited) -> tuple[int, io.Buffe
         os._exit(0)
 
 
-def reader(handle) -> Callable[[int, int], bytes]:
-    """``read(size, offset)`` of a seekable binary stream: ``os.pread`` of its
-    file, which moves no file offset that a forked worker shares, else a seek and a read."""
-    try:
-        return partial(os.pread, handle.fileno())
-    except OSError:  # a stream in memory, which a forked worker holds its own copy of
-
-        def read(size: int, offset: int) -> bytes:
-            handle.seek(offset)
-            return handle.read(size)
-
-        return read
-
-
 def _line_spans(read) -> list[tuple[int, int, int]]:
     """``(start, stop, first line number)`` of each span of whole lines that
     ``read`` gives from byte 0, about SPAN_BYTES each."""
@@ -199,7 +185,7 @@ def over_spans(handle, build: Callable[[Iterator], bytes]) -> Iterator[bytes]:
     if not handle.seekable():
         yield build(iter_examples(handle))
         return
-    read = reader(handle)
+    read = partial(os.pread, handle.fileno())  # moves no file offset that a forked worker shares
     spans = _line_spans(read)
 
     def build_span(index: int, _=None) -> bytes:

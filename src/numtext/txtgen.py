@@ -69,8 +69,8 @@ _event_fields = attrgetter(*Event.__slots__)
 class WorldState:
     """Counts per (container, entity); absent cells read as zero."""
 
-    def __init__(self, containers: dict[str, dict[str, Decimal]] | None = None):
-        self.containers = {} if containers is None else containers
+    def __init__(self):
+        self.containers: dict[str, dict[str, Decimal]] = {}
 
     def count(self, container: str, entity: str) -> Decimal:
         return self.containers.get(container, {}).get(entity, Decimal(0))

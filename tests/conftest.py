@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ from numtext.corpus import CONTEXT_MARKER, iter_examples
 
 def read_examples(source):
     """Every example of a JSONL file or binary stream, validated by iter_examples."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as handle:
+            return read_examples(handle)
     return [example for *_, example in iter_examples(source)]
 
 

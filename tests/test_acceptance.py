@@ -21,16 +21,16 @@ from numtext.cli import run
 from numtext.corpus import (
     Example,
     GoldAnswer,
-    LengthLimits,
     audit_truncation,
     derive_answer_type,
     ingest_drop,
+    write_examples,
 )
 from numtext.decimals import render
 from numtext.mixing import check_stats, compute_plan, sample_stream
 from numtext.numgen import NumGenConfig, eval_expr, generate_num
 from numtext.pipelines import builtin_pipelines, expand
-from numtext.schedule import LrConfig, LrSchedule
+from numtext.schedule import LrSchedule
 from numtext.scoring import score_pair, score_record
 from numtext.txtgen import Event, WorldState, generate_txt
 
@@ -60,7 +60,7 @@ def criterion(number, label, budget_seconds):
 
 def test_c1_lr_schedule():
     with criterion(1, "lr-schedule endpoints and first decay step", 1.0):
-        schedule = LrSchedule(LrConfig(total_epochs=10, batches_per_epoch=100))
+        schedule = LrSchedule(total_epochs=10, batches_per_epoch=100)
         assert schedule.lr_at(0) == 1e-8
         assert schedule.lr_at(schedule.warmup_batches - 1) == 1e-4
         after = schedule.lr_at((schedule.warmup_epochs + 1) * 100)
@@ -153,7 +153,7 @@ def test_c5_evaluator():
         assert gated_f1 == 0.0
 
 
-def test_c6_corpus():
+def test_c6_corpus(tmp_path):
     with criterion(6, "corpus typing counts and truncation audit", 30.0):
         counts = {"number": 61, "span": 32, "spans": 5, "date": 2}
         data = typed_drop_file(counts)
@@ -170,7 +170,9 @@ def test_c6_corpus():
             )
             for i in range(100)
         ]
-        audit = audit_truncation(examples, LengthLimits(512, 54))
+        with open(tmp_path / "examples.jsonl", "wb") as sink:
+            write_examples(examples, sink)
+        audit = audit_truncation(tmp_path / "examples.jsonl", 512, 54)
         assert audit["encoder_fraction"] == 0.04
 
         real_drop = os.environ.get("NUMTEXT_DROP_TRAIN", "data/drop_dataset_train.json")

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,22 @@ def test_score_cli(tmp_path):
     assert payload["overall"]["em"] == 0.5
     assert abs(payload["overall"]["f1"] - (1.0 + 2 / 3) / 2) < 1e-12
     assert payload["per_type"]["number"]["em"] == 1.0
+
+
+def test_score_of_a_500_span_prediction_runs_quickly(tmp_path):
+    # A prediction file is user data, and a degenerate model output has many
+    # spans; aligning 500 against 2 once took over 10 s.
+    gold = tmp_path / "gold.json"
+    qa = drop_qa("Who?", "q1", drop_answer(spans=["John Kasay", "Carolina"]))
+    gold.write_text(json.dumps(build_drop_file({"p1": ("passage one", [qa])})), encoding="utf-8")
+    prediction = "; ".join(["John Kasay", *(f"player {i}" for i in range(498)), "Carolina"])
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "q1", "prediction": prediction}) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 2
+    assert _read_json_file(out)["overall"] == {"count": 1, "em": 0.0, "f1": 2 / 500}
 
 
 def test_score_unknown_id_exits_one(tmp_path, capsys):

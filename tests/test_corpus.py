@@ -18,7 +18,6 @@ from numtext.corpus import (
     Example,
     GoldAnswer,
     IndexedExamples,
-    LengthLimits,
     SourceLine,
     SquadRecord,
     audit_truncation,
@@ -697,32 +696,40 @@ def _example(input_words, target_words=1):
     )
 
 
-def test_audit_nothing_exceeds():
-    audit = audit_truncation([_example(4) for _ in range(10)], LengthLimits(512, 54))
+def _audit(tmp_path, examples, encoder_max, decoder_max):
+    """audit_truncation of ``examples``, written to a JSONL file first."""
+    path = tmp_path / "audit.jsonl"
+    with open(path, "wb") as sink:
+        write_examples(examples, sink)
+    return audit_truncation(path, encoder_max, decoder_max)
+
+
+def test_audit_nothing_exceeds(tmp_path):
+    audit = _audit(tmp_path, [_example(4) for _ in range(10)], 512, 54)
     assert audit["encoder_over"] == 0 and audit["encoder_fraction"] == 0.0
 
 
-def test_audit_counts_long_inputs():
+def test_audit_counts_long_inputs(tmp_path):
     examples = [_example(600) for _ in range(4)] + [_example(10) for _ in range(96)]
-    audit = audit_truncation(examples, LengthLimits(512, 54))
+    audit = _audit(tmp_path, examples, 512, 54)
     assert audit["total"] == 100
     assert audit["encoder_fraction"] == 0.04
 
 
-def test_audit_tiny_limits_cut_everything():
-    audit = audit_truncation([_example(3, 2) for _ in range(5)], LengthLimits(1, 1))
+def test_audit_tiny_limits_cut_everything(tmp_path):
+    audit = _audit(tmp_path, [_example(3, 2) for _ in range(5)], 1, 1)
     assert audit["encoder_fraction"] == 1.0 and audit["decoder_fraction"] == 1.0
 
 
-def test_audit_empty_corpus_has_zero_fractions():
-    audit = audit_truncation([], LengthLimits(1, 1))
+def test_audit_empty_corpus_has_zero_fractions(tmp_path):
+    audit = _audit(tmp_path, [], 1, 1)
     assert audit["encoder_fraction"] == 0.0 and audit["decoder_fraction"] == 0.0
 
 
-def test_audit_fraction_monotone_in_limits():
+def test_audit_fraction_monotone_in_limits(tmp_path):
     examples = [_example(n) for n in (2, 8, 32, 128)]
     fractions = [
-        audit_truncation(examples, LengthLimits(limit, 54))["encoder_fraction"]
+        _audit(tmp_path, examples, limit, 54)["encoder_fraction"]
         for limit in (1, 4, 16, 64, 256)
     ]
     assert fractions == sorted(fractions, reverse=True)
@@ -828,9 +835,25 @@ def test_indexed_examples_match_read_examples(tmp_path):
         assert [corpus.example_from_json(json.loads(line)) for line in indexed] == read_examples(path)
 
 
-def test_indexed_examples_write_every_line_as_write_examples_does():
+@pytest.fixture
+def index_bytes(tmp_path):
+    """``index_bytes(data)``: the IndexedExamples of ``data``, written to a file that stays open for the test."""
+    handles = []
+
+    def index(data):
+        path = tmp_path / f"indexed-{len(handles)}.jsonl"
+        path.write_bytes(data)
+        handles.append(open(path, "rb"))
+        return IndexedExamples(handles[-1])
+
+    yield index
+    for handle in handles:
+        handle.close()
+
+
+def test_indexed_examples_write_every_line_as_write_examples_does(index_bytes):
     examples = read_examples(io.BytesIO(NONCANONICAL_SOURCE))
-    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    indexed = index_bytes(NONCANONICAL_SOURCE)
     assert len(indexed) == len(examples) == 9
     for index, example in enumerate(examples):
         drawn, expected = io.BytesIO(), io.BytesIO()
@@ -867,7 +890,7 @@ def test_a_built_example_holds_plain_strings_and_equals_its_read_back():
         assert read_examples(io.BytesIO(line.getvalue())) == [example]
 
 
-def test_example_init_can_be_wrapped_as_the_benchmark_tracer_does(monkeypatch):
+def test_example_init_can_be_wrapped_as_the_benchmark_tracer_does(monkeypatch, index_bytes):
     # bench/tracing.py replaces Example.__init__ with a functools.wraps
     # wrapper that calls the original; every builder and reader must still work.
     calls = []
@@ -880,16 +903,16 @@ def test_example_init_can_be_wrapped_as_the_benchmark_tracer_does(monkeypatch):
 
     monkeypatch.setattr(Example, "__init__", traced)
     built = _built_examples()
-    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    indexed = index_bytes(NONCANONICAL_SOURCE)
     assert len(calls) == len(built) + len(indexed)
     assert corpus.example_from_json(built[0].to_json()) == built[0]
     assert indexed[3].source_id == "nc-3"
 
 
-def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows():
+def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows(index_bytes):
     # What bench/ relies on: it reads `source_id` from every draw and checks
     # generated rows with corpus.example_from_json.
-    indexed = IndexedExamples(io.BytesIO(NONCANONICAL_SOURCE))
+    indexed = index_bytes(NONCANONICAL_SOURCE)
     assert [indexed[index].source_id for index in range(len(indexed))] == [f"nc-{i}" for i in range(9)]
     good = _some_examples(1)[0].to_json()
     assert corpus.example_from_json(good) == _some_examples(1)[0]
@@ -907,14 +930,16 @@ def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows():
             corpus.example_from_json(bad)
 
 
-def test_a_changed_noncanonical_line_is_a_validation_error_when_drawn():
-    source = io.BytesIO(NONCANONICAL_SOURCE)
-    indexed = IndexedExamples(source)
-    assert indexed[3].source_id == "nc-3"
-    start = NONCANONICAL_SOURCE.index(b'{"source_id": "nc-3"')
-    source.getbuffer()[start] = ord("[")
-    with pytest.raises(ValidationError, match=f"byte offset {start} no longer holds the record"):
-        indexed[3]
+def test_a_changed_noncanonical_line_is_a_validation_error_when_drawn(tmp_path):
+    path = tmp_path / "source.jsonl"
+    path.write_bytes(NONCANONICAL_SOURCE)
+    with open(path, "r+b") as source:
+        indexed = IndexedExamples(source)
+        assert indexed[3].source_id == "nc-3"
+        start = NONCANONICAL_SOURCE.index(b'{"source_id": "nc-3"')
+        os.pwrite(source.fileno(), b"[", start)
+        with pytest.raises(ValidationError, match=f"byte offset {start} no longer holds the record"):
+            indexed[3]
 
 
 _GOOD_ROW = {"input": "answer_me: q? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}
@@ -953,13 +978,13 @@ def test_record_from_json_returns_the_five_strings():
     assert list(example.to_json()) == list(corpus.EXAMPLE_FIELDS)
 
 
-def test_a_lone_surrogate_is_read_but_not_indexed():
+def test_a_lone_surrogate_is_read_but_not_indexed(index_bytes):
     line = b'{"input": "answer_me: q\\ud800? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n'
     data = json.dumps(_GOOD_ROW).encode() + b"\n" + line
     (_, _, _, example), = iter_examples(io.BytesIO(line))
     assert example.input == "answer_me: q\ud800? context: c"
     with pytest.raises(ValidationError, match="line 2: .*surrogate"):
-        IndexedExamples(io.BytesIO(data))
+        index_bytes(data)
 
 
 def test_read_reports_a_line_that_is_not_utf8():
@@ -977,13 +1002,13 @@ def test_json_nested_too_deeply_is_a_parse_error():
     assert str(info.value) == "invalid JSON: nested too deeply (line 2)"
 
 
-def test_indexed_examples_validate_every_line_up_front():
+def test_indexed_examples_validate_every_line_up_front(index_bytes):
     sink = io.BytesIO()
     write_examples(_some_examples(10), sink)
     lines = sink.getvalue().splitlines()
     lines[8] = b'{"input": "answer_me: ", "target": "x", "task": "answer_me", "answer_type": "none", "source_id": ""}'
     with pytest.raises(ValidationError, match="line 9"):
-        IndexedExamples(io.BytesIO(b"\n".join(lines) + b"\n"))
+        index_bytes(b"\n".join(lines) + b"\n")
 
 
 _GOOD_LINE = (json.dumps(_GOOD_ROW) + "\n").encode()
@@ -1032,7 +1057,7 @@ def _read_both_ways(data, monkeypatch):
 
 @pytest.mark.parametrize("before", [b"", _GOOD_LINE], ids=["line-1", "line-2"])
 @pytest.mark.parametrize("name", list(_AGREEMENT_LINES))
-def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, name, before):
+def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, index_bytes, name, before):
     data = before + _AGREEMENT_LINES[name]
     checked, decoded = _read_both_ways(data, monkeypatch)
     if isinstance(decoded, str):
@@ -1051,7 +1076,7 @@ def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, name, b
     if name in ("canonical", "raw-del", "u2028", "nbsp"):
         assert rule[-1]
     try:
-        indexed = IndexedExamples(io.BytesIO(data))
+        indexed = index_bytes(data)
     except ValidationError as exc:
         assert name == "surrogate-escape" and "surrogate" in str(exc)
     else:

@@ -4,15 +4,17 @@ Each example takes one valid command, then changes one flag value, drops
 one flag, or mutates one input file: a JSON value replaced by one of
 another type (``NaN``, huge integers, lists, objects, lone surrogates
 written as ``\\u`` escapes, ...), one element of a JSON list repeated, one
-value wrapped in more arrays than the decoder can nest, bytes that are
-not UTF-8, or a truncated file. Whatever the input,
-``run()`` must return 0, 1 or 2 without raising, write no traceback, and
-after a non-zero exit leave neither its target nor a ``.<name>.*`` temp
-file. A repeat among names that must differ (the stats rows, the spec's
-stages, a stage's datasets) and a value nested too deeply must exit 1
-with exactly one ``error:`` line.
-Counts stay tiny, so no example does real work, and nothing starts a
-process: ``os.fork`` raises an exception that ``run()`` does not catch.
+list element or one ``; ``-joined span of a prediction grown to
+GROW_TIMES copies, one value wrapped in more arrays than the decoder can
+nest, bytes that are not UTF-8, or a truncated file. Whatever the input,
+``run()`` must return 0, 1 or 2 within RUN_SECONDS without raising, write
+no traceback, and after a non-zero exit leave neither its target nor a
+``.<name>.*`` temp file. A repeat among names that must differ (the stats
+rows, the spec's stages, a stage's datasets) and a value nested too deeply
+must exit 1 with exactly one ``error:`` line.
+Counts stay small, so no example does much work, and nothing starts a
+process: a run is pinned to one CPU, and ``os.fork`` raises an exception
+that ``run()`` does not catch.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import re
+import signal
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +30,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from numtext import shard
 from numtext.cli import run
 
 from conftest import build_drop_file, drop_answer, drop_qa, no_fork
@@ -128,6 +132,11 @@ def _json_paths(value, path=()):
             yield from _json_paths(item, path + (index,))
 
 
+def _paths(name):
+    """Every path into input ``name``; a .jsonl file's root is its lines and is left out."""
+    return list(_json_paths(INPUTS[name]))[name.endswith(".jsonl"):]
+
+
 def _at(value, path):
     for key in path:
         value = value[key]
@@ -160,6 +169,30 @@ def _repeated(value, path, index):
     return _replaced(value, path, items[: index + 1] + items[index:])
 
 
+#: How many copies the "grow" mutation gives of one list element or prediction
+#: span, and the wall seconds any run may take: a run that scores a
+#: prediction or gold answer of that many spans must not hang.
+GROW_TIMES, RUN_SECONDS = 3000, 5
+
+
+def _grow_targets(value, paths):
+    """``(path, index)`` of each element of a non-empty list and of each span of a prediction."""
+    for path in paths:
+        item = _at(value, path)
+        if isinstance(item, list):
+            yield from ((path, index) for index in range(len(item)))
+        elif path[-1:] == ("prediction",):
+            yield from ((path, index) for index in range(len(item.split("; "))))
+
+
+def _grown(value, path, index):
+    """``value`` with element ``index`` of its list or prediction at ``path`` given GROW_TIMES times in a row."""
+    item = _at(value, path)
+    parts = item.split("; ") if isinstance(item, str) else item
+    grown = parts[:index] + [parts[index]] * GROW_TIMES + parts[index + 1:]
+    return _replaced(value, path, "; ".join(grown) if isinstance(item, str) else grown)
+
+
 #: How deep the "nest" mutation wraps a value in arrays: deeper than any
 #: recursion limit a run here has. Hypothesis sets the limit 2000 frames
 #: above the test's own depth, which it keeps at or under 1000.
@@ -185,9 +218,14 @@ def _mutated_file(data, name):
     whether the run must exit 1 with one ``error:`` line: the mutation
     repeated a name that must differ, or nested a value too deeply."""
     value = INPUTS[name]
-    paths = list(_json_paths(value))[name.endswith(".jsonl"):]  # a .jsonl file's root is its lines
+    paths = _paths(name)
     lists = [path for path in paths if isinstance(_at(value, path), list) and _at(value, path)]
-    kind = data.draw(st.sampled_from(["retype", "bytes", "truncate", "nest"] + ["repeat"] * bool(lists)))
+    grows = list(_grow_targets(value, paths))
+    kinds = ["retype", "bytes", "truncate", "nest"] + ["repeat"] * bool(lists) + ["grow"] * bool(grows)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "grow":
+        path, index = data.draw(st.sampled_from(grows))
+        return _encode(name, _grown(value, path, index)), _names_must_differ(name, path)
     if kind == "nest":
         return _nested(name, value, data.draw(st.sampled_from(paths))), True
     if kind == "retype":
@@ -259,6 +297,33 @@ def test_every_repeated_name_is_one_error_line(argv, name, path, index):
     _check_run(argv, files, one_error=True)
 
 
+#: Every grow of an input that score reads: a run that scores the grown input
+#: must end within RUN_SECONDS. The fuzzer draws each of these rarely, so
+#: each also runs once here.
+_SCORE_GROWS = [
+    pytest.param(argv, name, path, index, id=f"{name}-{'/'.join(map(str, path))}-{index}")
+    for argv, reads in COMMANDS
+    if argv[0] == "score"
+    for name in reads
+    for path, index in _grow_targets(INPUTS[name], _paths(name))
+]
+
+
+@pytest.mark.parametrize("argv, name, path, index", _SCORE_GROWS)
+def test_every_grown_score_input_ends_in_time(argv, name, path, index):
+    files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
+    files[name] = _encode(name, _grown(INPUTS[name], path, index))
+    _check_run(argv, files, one_error=False)
+
+
+class _TooSlow(Exception):
+    """Raised in a run that takes more than RUN_SECONDS; ``run()`` does not catch it."""
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow
+
+
 def _check_run(argv, files, one_error):
     """Run ``argv`` over ``files`` in a new directory and check the properties above."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -268,12 +333,21 @@ def _check_run(argv, files, one_error):
         target = root / "target.out"
         argv = [_resolved(token, root) for token in argv]
         stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-        with (
-            contextlib.redirect_stdout(stdout),
-            contextlib.redirect_stderr(stderr),
-            mock.patch.object(os, "fork", no_fork),
-        ):
-            code = run(argv)
+        previous = signal.signal(signal.SIGALRM, _too_slow)
+        signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+        try:
+            with (
+                contextlib.redirect_stdout(stdout),
+                contextlib.redirect_stderr(stderr),
+                mock.patch.object(shard, "usable_cpus", lambda: 1),
+                mock.patch.object(os, "fork", no_fork),
+            ):
+                code = run(argv)
+        except _TooSlow:
+            code = f"still running after {RUN_SECONDS} s"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue()
         if one_error:

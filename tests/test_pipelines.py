@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from numtext.corpus import load_json
 from numtext.errors import ConfigError, ValidationError
 from numtext.mixing import check_stats
 from numtext.pipelines import (
@@ -11,7 +12,6 @@ from numtext.pipelines import (
     builtin_pipelines,
     check_spec,
     expand,
-    load_pipeline_spec,
     steps_per_epoch,
 )
 
@@ -135,7 +135,7 @@ def test_spec_file_round_trip(tmp_path):
     spec = _by_name()["multitask"]
     path = tmp_path / "pipeline.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    assert load_pipeline_spec(path) == spec
+    assert check_spec(load_json(path)) == spec
 
 
 def test_spec_file_defaults(tmp_path):
@@ -144,7 +144,7 @@ def test_spec_file_defaults(tmp_path):
         json.dumps({"name": "mine", "stages": [{"name": "only", "datasets": ["DROP"]}]}),
         encoding="utf-8",
     )
-    spec = load_pipeline_spec(path)
+    spec = check_spec(load_json(path))
     stage = spec["stages"][0]
     assert stage["validation"] == ["DROP"]
     assert stage["temperature"] == 1.0

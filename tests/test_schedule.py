@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from numtext.errors import ConfigError, ValidationError
-from numtext.schedule import LrConfig, LrSchedule, emit_table
+from numtext.schedule import LrSchedule, emit_table
 
 
 def _schedule(**kwargs):
     defaults = dict(total_epochs=10, batches_per_epoch=100)
     defaults.update(kwargs)
-    return LrSchedule(LrConfig(**defaults))
+    return LrSchedule(**defaults)
 
 
 def test_first_batch_is_warmup_start():
@@ -75,15 +75,15 @@ def test_negative_batch_rejected():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        LrConfig(total_epochs=0, batches_per_epoch=10)
+        LrSchedule(total_epochs=0, batches_per_epoch=10)
     with pytest.raises(ConfigError):
-        LrConfig(total_epochs=1, batches_per_epoch=10, warmup_start=0.0)
+        LrSchedule(total_epochs=1, batches_per_epoch=10, warmup_start=0.0)
     with pytest.raises(ConfigError):
-        LrConfig(total_epochs=1, batches_per_epoch=10, warmup_start=1e-3, warmup_end=1e-4)
+        LrSchedule(total_epochs=1, batches_per_epoch=10, warmup_start=1e-3, warmup_end=1e-4)
     with pytest.raises(ConfigError):
-        LrConfig(total_epochs=1, batches_per_epoch=10, warmup_fraction=1.5)
+        LrSchedule(total_epochs=1, batches_per_epoch=10, warmup_fraction=1.5)
     with pytest.raises(ConfigError):
-        LrConfig(total_epochs=1, batches_per_epoch=10, decay_rate=-1e-3)
+        LrSchedule(total_epochs=1, batches_per_epoch=10, decay_rate=-1e-3)
 
 
 @given(
@@ -92,9 +92,7 @@ def test_config_validation():
     st.floats(min_value=0.01, max_value=0.99),
 )
 def test_seam_continuity_property(total_epochs, batches_per_epoch, fraction):
-    schedule = LrSchedule(
-        LrConfig(total_epochs=total_epochs, batches_per_epoch=batches_per_epoch, warmup_fraction=fraction)
-    )
+    schedule = LrSchedule(total_epochs=total_epochs, batches_per_epoch=batches_per_epoch, warmup_fraction=fraction)
     end_of_warmup = schedule.lr_at(schedule.warmup_batches - 1)
     assert end_of_warmup == 1e-4
     start_of_decay = schedule.lr_at(schedule.warmup_batches)

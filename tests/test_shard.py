@@ -10,6 +10,7 @@ host, and ``os.fork`` is counted, so each test knows whether a worker
 really ran.
 """
 
+import functools
 import json
 import os
 import threading
@@ -306,7 +307,7 @@ def span_inputs(tmp_path, monkeypatch, forks):
 
 def _spans(path):
     with open(path, "rb") as handle:
-        return shard._line_spans(shard.reader(handle))
+        return shard._line_spans(functools.partial(os.pread, handle.fileno()))
 
 
 @pytest.mark.parametrize("command", list(SPAN_COMMANDS))

@@ -1,6 +1,7 @@
 """A command runs only the layers it uses and starts without OpenSSL or
-``dataclasses``, and ``import numtext.cli`` still binds every layer, as the
-benchmark's tracer and checks expect.
+``dataclasses``, ``import numtext.cli`` still binds every layer, as the
+benchmark's tracer and checks expect, and no module is big enough to cost
+every command more memory to compile.
 
 Each case runs in a fresh interpreter. ``cli`` binds each layer lazily: the
 module's class becomes ``types.ModuleType`` when its code first runs, and
@@ -12,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,24 @@ def test_a_command_starts_without_openssl_or_dataclasses(inputs, argv):
     code, added = json.loads(_python(_RUN_AND_LIST_HEAVY_MODULES_ADDED % (HEAVY,), *argv, cwd=inputs))
     assert code == 0
     assert added == []
+
+
+#: CPython 3.11's parser doubles its token array each time it fills, and
+#: without cached bytecode every command compiles the modules it imports, so
+#: a module that passes this many tokens raises each command's peak RSS.
+TOKEN_STEP = 8192
+
+
+def _tokens(path: Path) -> int:
+    """The tokens of a module that the parser keeps: all but comments, non-logical newlines and the encoding."""
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with open(path, "rb") as source:
+        return sum(1 for token in tokenize.tokenize(source.readline) if token.type not in skipped)
+
+
+def test_every_module_stays_below_the_next_token_array_step():
+    # This guard goes once the benchmark compiles bytecode before it times
+    # a command (ROADMAP item 3): the compile cost then leaves every run.
+    sizes = {path.name: _tokens(path) for path in sorted((SRC / "numtext").glob("*.py"))}
+    assert sizes["corpus.py"] > 1000  # the count sees a module's code
+    assert {name: size for name, size in sizes.items() if size >= TOKEN_STEP} == {}

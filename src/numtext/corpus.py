@@ -452,9 +452,11 @@ def ingest_drop(source, transform=None) -> IngestResult:
     text nor its decoded document is held whole. A pipe, a file that
     ``json.loads`` would not read as one object, and a file with a block of
     the wrong shape are decoded whole by one ``json.loads``, whose result or
-    first error is the one given; a file pays for that decode only if it
-    fails. The cyclic garbage collector is paused meanwhile: parsing and
-    reading only add objects, so its passes over them would free nothing.
+    first error is the one given; only such a source pays for that decode.
+    A repeated passage id whose first block has the wrong shape and whose
+    last block is good takes that path and succeeds. The cyclic garbage
+    collector is paused meanwhile: parsing and reading only add objects, so
+    its passes over them would free nothing.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -12,10 +12,10 @@ F1 is macro-averaged over questions. Unlike the public evaluator, tokens
 are not split at hyphens and per-question F1 is not rounded to 2 decimals.
 
 The fast paths below (no ``float()`` call for an all-letter word, no article
-regex for an alphanumeric token, the best pair where one side has one span,
-the assignment on the rectangle of real spans, not a padded square) are
-exact restatements of these rules, not new semantics: they give the
-same result for every input.
+regex for an alphanumeric token, the assignment on the rectangle of real
+spans, not a padded square) are exact restatements of these rules, not new
+semantics: they give the same result for every input, up to the last bit
+where two optimal alignments tie.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
 
     Every F1 is >= 0, so spans left over on the longer side add nothing: the
     assignment runs on the #gold x #pred rectangle, its shorter side as rows,
-    in O(k^2 n), and a side of one span takes its best pair. Matched F1s are
-    summed in gold order. Two long sides stay cubic in the shorter one; a
-    DROP gold answer has a few spans.
+    in O(k^2 n), so a side of one span takes its best pair in one pass.
+    Matched F1s are summed in gold order. Two long sides stay cubic in the
+    shorter one; a DROP gold answer has a few spans.
     """
     size = max(len(predicted), len(gold))
     if size == 0:
@@ -160,8 +160,6 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
     if size == 1:  # one span against one: the only assignment, and its mean is its F1
         return _bag_f1(predicted[0], gold[0])
     scores = [[_bag_f1(pred_bag, gold_bag) for pred_bag in predicted] for gold_bag in gold]
-    if min(len(predicted), len(gold)) <= 1:
-        return max((f1 for row in scores for f1 in row), default=0.0) / size
     if len(gold) <= len(predicted):
         matched = enumerate(_max_weight_assignment(scores))
     else:  # predicted spans as rows

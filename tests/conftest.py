@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -7,12 +6,9 @@ import pytest
 from numtext.corpus import CONTEXT_MARKER, iter_examples
 
 
-def read_examples(source):
-    """Every example of a JSONL file or binary stream, validated by iter_examples."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            return read_examples(handle)
-    return [example for *_, example in iter_examples(source)]
+def read_examples(stream):
+    """Every example of a binary JSONL stream, validated by iter_examples."""
+    return [example for *_, example in iter_examples(stream)]
 
 
 def read_meta(path):

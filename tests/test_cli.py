@@ -49,7 +49,8 @@ def test_gen_num_is_byte_identical_across_runs(tmp_path):
     assert run(["gen-num", "--count", "200", "--seed", "7", "--out", str(first)]) == 0
     assert run(["gen-num", "--count", "200", "--seed", "7", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-    examples = read_examples(first)
+    with first.open("rb") as handle:
+        examples = read_examples(handle)
     assert len(examples) == 200
     assert all(e.task == corpus.CALCULATE for e in examples)
 
@@ -106,7 +107,8 @@ def test_gen_txt_round_trip_and_determinism(tmp_path):
     assert run(["gen-txt", "--count", "50", "--seed", "11", "--out", str(first)]) == 0
     assert run(["gen-txt", "--count", "50", "--seed", "11", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-    examples = read_examples(first)
+    with first.open("rb") as handle:
+        examples = read_examples(handle)
     assert all(e.task == corpus.ANSWER_ME for e in examples)
 
 
@@ -132,13 +134,15 @@ def test_flags_override_config_file(tmp_path):
     config.write_text(json.dumps({"count": 5, "seed": 1}), encoding="utf-8")
     out = tmp_path / "o.jsonl"
     run(["gen-num", "--config", str(config), "--count", "9", "--out", str(out)])
-    assert len(read_examples(out)) == 9
+    with out.open("rb") as handle:
+        assert len(read_examples(handle)) == 9
 
 
 def test_ingest_drop_cli(tmp_path, ming_rui_drop, capsys):
     out = tmp_path / "drop.jsonl"
     assert run(["ingest", "--format", "drop", "--in", str(ming_rui_drop), "--out", str(out)]) == 0
-    examples = read_examples(out)
+    with out.open("rb") as handle:
+        examples = read_examples(handle)
     assert len(examples) == 1
     assert examples[0].input.startswith("answer_me: How many more men")
     assert examples[0].target == "8000"
@@ -166,7 +170,8 @@ def test_ingest_drop_from_a_fifo_writes_the_regular_files_records(tmp_path):
 def test_ingest_squad_cli(tmp_path, squad_file):
     out = tmp_path / "squad.jsonl"
     assert run(["ingest", "--format", "squad", "--in", str(squad_file), "--out", str(out)]) == 0
-    examples = read_examples(out)
+    with out.open("rb") as handle:
+        examples = read_examples(handle)
     assert len(examples) == 2
     assert all(e.task == corpus.SQUAD_CONTEXT for e in examples)
 
@@ -174,7 +179,8 @@ def test_ingest_squad_cli(tmp_path, squad_file):
 def test_derive_class_cli(tmp_path, ming_rui_drop):
     out = tmp_path / "class.jsonl"
     assert run(["derive-class", "--in", str(ming_rui_drop), "--out", str(out)]) == 0
-    examples = read_examples(out)
+    with out.open("rb") as handle:
+        examples = read_examples(handle)
     assert examples[0].task == corpus.CLASSIFY_ME
     assert examples[0].target == "number"
 
@@ -223,7 +229,8 @@ def test_mix_sample_deterministic(tmp_path):
     assert run(argv + ["--out", str(first)]) == 0
     assert run(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-    assert len(read_examples(first)) == 100
+    with first.open("rb") as handle:
+        assert len(read_examples(handle)) == 100
 
 
 def test_lr_table_cli(tmp_path):
@@ -332,7 +339,8 @@ def test_drop_commands_skip_a_question_without_gold_alike(tmp_path, capsys, comm
         assert payload["overall"] == {"count": 1, "em": 1.0, "f1": 1.0}
         assert [q["id"] for q in payload["per_question"]] == ["q1"]
     else:
-        assert len(read_examples(out)) == 1
+        with out.open("rb") as handle:
+            assert len(read_examples(handle)) == 1
 
 
 def test_score_keeps_the_prediction_of_an_id_a_skipped_question_shares(tmp_path):
@@ -956,7 +964,8 @@ def test_ingest_runs_on_a_path_that_is_not_utf8(tmp_path, monkeypatch):
     gold = "g\udcff.json"  # how argv decodes the file name b"g\xff.json"
     Path(gold).write_text(_BAD_INPUT_FILES["gold.json"], encoding="utf-8")
     assert run(["ingest", "--format", "drop", "--in", gold, "--out", "o.jsonl"]) == 0
-    assert len(read_examples(tmp_path / "o.jsonl")) == 1
+    with open(tmp_path / "o.jsonl", "rb") as handle:
+        assert len(read_examples(handle)) == 1
 
 
 def test_pipeline_runs_on_a_spec_name_holding_a_lone_surrogate(tmp_path, monkeypatch):

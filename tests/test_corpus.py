@@ -832,7 +832,7 @@ def test_indexed_examples_match_read_examples(tmp_path):
         # The program's own lines are canonical: each draw is its line's bytes.
         assert draws == [lines[i] for i in (24, 0, 7, 7)]
         assert all(type(draw) is SourceLine for draw in draws)
-        assert [corpus.example_from_json(json.loads(line)) for line in indexed] == read_examples(path)
+        assert [corpus.example_from_json(json.loads(line)) for line in indexed] == read_examples(io.BytesIO(sink.getvalue()))
 
 
 @pytest.fixture

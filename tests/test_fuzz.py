@@ -7,8 +7,8 @@ written as ``\\u`` escapes, ...), one element of a JSON list repeated, one
 list element or one ``; ``-joined span of a prediction grown to
 GROW_TIMES copies, one value wrapped in more arrays than the decoder can
 nest, bytes that are not UTF-8, or a truncated file. Whatever the input,
-``run()`` must return 0, 1 or 2 within RUN_SECONDS without raising, write
-no traceback, and after a non-zero exit leave neither its target nor a
+``run()`` must return 0, 1 or 2 without raising (within RUN_SECONDS on a
+grown input), write no traceback, and after a non-zero exit leave neither its target nor a
 ``.<name>.*`` temp file. A repeat among names that must differ (the stats
 rows, the spec's stages, a stage's datasets) and a value nested too deeply
 must exit 1 with exactly one ``error:`` line.
@@ -170,8 +170,8 @@ def _repeated(value, path, index):
 
 
 #: How many copies the "grow" mutation gives of one list element or prediction
-#: span, and the wall seconds any run may take: a run that scores a
-#: prediction or gold answer of that many spans must not hang.
+#: span, and the wall seconds a run on a grown input may take: a run that
+#: scores a prediction or gold answer of that many spans must not hang.
 GROW_TIMES, RUN_SECONDS = 3000, 5
 
 
@@ -214,9 +214,10 @@ def _names_must_differ(name, path) -> bool:
 
 
 def _mutated_file(data, name):
-    """The bytes of input ``name`` after one mutation drawn from ``data``, and
-    whether the run must exit 1 with one ``error:`` line: the mutation
-    repeated a name that must differ, or nested a value too deeply."""
+    """The bytes of input ``name`` after one mutation drawn from ``data``,
+    whether the run must exit 1 with one ``error:`` line (the mutation
+    repeated a name that must differ, or nested a value too deeply), and
+    whether it grew the input."""
     value = INPUTS[name]
     paths = _paths(name)
     lists = [path for path in paths if isinstance(_at(value, path), list) and _at(value, path)]
@@ -225,23 +226,23 @@ def _mutated_file(data, name):
     kind = data.draw(st.sampled_from(kinds))
     if kind == "grow":
         path, index = data.draw(st.sampled_from(grows))
-        return _encode(name, _grown(value, path, index)), _names_must_differ(name, path)
+        return _encode(name, _grown(value, path, index)), _names_must_differ(name, path), True
     if kind == "nest":
-        return _nested(name, value, data.draw(st.sampled_from(paths))), True
+        return _nested(name, value, data.draw(st.sampled_from(paths))), True, False
     if kind == "retype":
         path = data.draw(st.sampled_from(paths))
         pool = SMALL_JSON if (path and path[-1] in SIZE_KEYS) else ANY_JSON
-        return _encode(name, _replaced(value, path, data.draw(st.sampled_from(pool)))), False
+        return _encode(name, _replaced(value, path, data.draw(st.sampled_from(pool)))), False, False
     if kind == "repeat":
         path = data.draw(st.sampled_from(lists))
         index = data.draw(st.integers(0, len(_at(value, path)) - 1))
-        return _encode(name, _repeated(value, path, index)), _names_must_differ(name, path)
+        return _encode(name, _repeated(value, path, index)), _names_must_differ(name, path), False
     raw = _encode(name, value)
     cut = data.draw(st.integers(0, len(raw)))
     if kind == "truncate":
-        return raw[:cut], False
+        return raw[:cut], False, False
     bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\n\n{"]))
-    return raw[:cut] + bad + raw[cut:], False
+    return raw[:cut] + bad + raw[cut:], False, False
 
 
 def _resolved(token: str, root: Path) -> str:
@@ -269,13 +270,13 @@ def _mutated_argv(data, argv):
 def test_mutated_commands_fail_cleanly(data):
     argv, reads = data.draw(st.sampled_from(COMMANDS))
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
-    one_error = False
+    one_error = grown = False
     if reads and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(reads))
-        files[name], one_error = _mutated_file(data, name)
+        files[name], one_error, grown = _mutated_file(data, name)
     else:
         argv = _mutated_argv(data, argv)
-    _check_run(argv, files, one_error)
+    _check_run(argv, files, one_error, timed=grown)
 
 
 #: Every repeat among names that must differ, per command that reads it. The
@@ -313,7 +314,7 @@ _SCORE_GROWS = [
 def test_every_grown_score_input_ends_in_time(argv, name, path, index):
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
     files[name] = _encode(name, _grown(INPUTS[name], path, index))
-    _check_run(argv, files, one_error=False)
+    _check_run(argv, files, one_error=False, timed=True)
 
 
 class _TooSlow(Exception):
@@ -324,8 +325,9 @@ def _too_slow(signum, frame):
     raise _TooSlow
 
 
-def _check_run(argv, files, one_error):
-    """Run ``argv`` over ``files`` in a new directory and check the properties above."""
+def _check_run(argv, files, one_error, timed=False):
+    """Run ``argv`` over ``files`` in a new directory and check the properties
+    above; a ``timed`` run that takes more than RUN_SECONDS fails."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, raw in files.items():
@@ -334,7 +336,7 @@ def _check_run(argv, files, one_error):
         argv = [_resolved(token, root) for token in argv]
         stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _too_slow)
-        signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+        signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS if timed else 0)
         try:
             with (
                 contextlib.redirect_stdout(stdout),

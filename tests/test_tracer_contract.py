@@ -51,7 +51,8 @@ def test_mix_gives_the_plan_ratios_each_draw_source_id_and_the_record_count(tmp_
     assert type(seen["ratios"]) is dict
     assert seen["ratios"] == {row["name"]: row["p"] for row in plan["datasets"]}
     assert all(type(item) is corpus.SourceLine for item in seen["draws"])
-    assert [item.source_id for item in seen["draws"]] == [row.source_id for row in read_examples("mix.jsonl")]
+    with open(tmp_path / "mix.jsonl", "rb") as handle:
+        assert [item.source_id for item in seen["draws"]] == [row.source_id for row in read_examples(handle)]
     assert seen["written"] == 9
 
 

@@ -884,6 +884,26 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_BAD_INPUT_FILES)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--min-value", "5", "--max-value", "5", "--families", "combination=0"],
+                     "empty value range", id="range-before-weights"),
+        pytest.param(["--min-value", "0.1", "--max-value", "0.9", "--max-frac-digits", "0", "--families", "argmax_like=0"],
+                     "no number with at most 0 fractional digits is in the value range", id="grid-before-weights"),
+        pytest.param(["--max-value", "1", "--max-frac-digits", "0", "--families", "argmax_like=1,combination=nan"],
+                     "family weights must be finite and >= 0", id="weights-before-argmax"),
+        pytest.param(["--min-value", "0", "--max-value", "1", "--max-frac-digits", "0", "--families", "argmax_like"],
+                     "argmax_like needs 4 distinct values, but the value range holds only 2", id="argmax-grid"),
+    ],
+)
+def test_gen_num_checks_the_range_then_the_weights_then_the_argmax_grid(tmp_path, capsys, flags, message):
+    # With several faults in its settings, gen-num reports the first of these three checks that fails.
+    assert run(["gen-num", "--count", "3", *flags, "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _assert_failed_cleanly(directory, target, before):
     assert sorted(p.name for p in directory.iterdir()) == before
     assert not [p for p in directory.iterdir() if p.name.startswith(f".{target.name}.")]

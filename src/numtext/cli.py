@@ -61,9 +61,9 @@ _CONFIG_KEYS = {
 #: the command is known, so parsing loads no layer that the command does not run.
 _LAYER_DEFAULTS = {
     "gen-num": lambda: {
-        "min_value": str(numgen.ValueRange.min_value),
-        "max_value": str(numgen.ValueRange.max_value),
-        "max_frac_digits": numgen.ValueRange.max_frac_digits,
+        "min_value": str(numgen.NumGenConfig.min_value),
+        "max_value": str(numgen.NumGenConfig.max_value),
+        "max_frac_digits": numgen.NumGenConfig.max_frac_digits,
     },
     "gen-txt": lambda: {
         key: getattr(txtgen.TxtGenConfig, key) for key in ("min_events", "max_events", "max_quantity", "frac_digits")
@@ -180,11 +180,9 @@ def cmd_gen_num(args) -> int:
         except ValueError:
             raise ConfigError(f"bad --families entry {part!r}; families are {', '.join(numgen.FAMILIES)}") from None
     gen_config = numgen.NumGenConfig(
-        ranges=numgen.ValueRange(
-            min_value=decimals.parse_decimal(args.min_value),
-            max_value=decimals.parse_decimal(args.max_value),
-            max_frac_digits=args.max_frac_digits,
-        ),
+        min_value=decimals.parse_decimal(args.min_value),
+        max_value=decimals.parse_decimal(args.max_value),
+        max_frac_digits=args.max_frac_digits,
         family_weights=weights,
     )
     generate = partial(numgen.generate_num, config=gen_config, seed=args.seed)

@@ -104,22 +104,10 @@ def sample_stream(plan: MixturePlan, sources: Mapping[str, Sequence], total: int
 
     Deterministic per seed: dataset selection uses one derived stream and
     each dataset's shuffle another, so the output is independent of how
-    the sources were produced.
+    the sources were produced. What :func:`check_sample` refuses raises
+    ConfigError at the first draw.
     """
     check_sample(plan, sources, total)
-    return _sample_stream(plan, sources, total, seed)
-
-
-def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:
-    """Raise ConfigError unless ``total`` >= 1 and ``names`` holds every dataset of ``plan``."""
-    if total < 1:
-        raise ConfigError("total must be >= 1")
-    missing = [row["name"] for row in plan.datasets if row["name"] not in names]
-    if missing:
-        raise ConfigError(f"no source for datasets: {missing}")
-
-
-def _sample_stream(plan, sources, total, seed) -> Iterator:
     select_rng = random.Random(derive_seed(seed, "mix", "select"))
     walks = [
         _epochs(sources[row["name"]], random.Random(derive_seed(seed, "mix", "shuffle", row["name"])), row["name"])
@@ -131,3 +119,12 @@ def _sample_stream(plan, sources, total, seed) -> Iterator:
         pick = bisect_right(cumulative, select_rng.random())
         pick = min(pick, len(walks) - 1)  # guard the p-sum rounding edge
         yield next(walks[pick])
+
+
+def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:
+    """Raise ConfigError unless ``total`` >= 1 and ``names`` holds every dataset of ``plan``."""
+    if total < 1:
+        raise ConfigError("total must be >= 1")
+    missing = [row["name"] for row in plan.datasets if row["name"] not in names]
+    if missing:
+        raise ConfigError(f"no source for datasets: {missing}")

@@ -8,7 +8,8 @@ lists — and the remaining four are reconstructions behind config flags:
 two-term add/sub, argmax/argmin position, ``P% of X``, and absolute
 difference. Averages of n values may be non-terminating in decimal, so
 they are rounded half-even to the configured number of fractional digits
-and the rounded value is the stored gold answer.
+and the rounded value is the stored gold answer. ``generate_num`` is a
+generator: its argument errors raise at the first draw, not at the call.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ LIST_TERMS = (3, 4)
 PERCENT_RANGE = (1, 100)
 
 
-class ValueRange:
-    """Magnitude range and decimal grid for drawn numbers.
+class NumGenConfig:
+    """Magnitude range, decimal grid and template family weights for drawn numbers.
 
     ``grids[s]`` is the lowest and highest integer n with n * 10**-s
-    inside the range, for each scale s up to ``max_frac_digits``.
+    inside the range, for each scale s up to ``max_frac_digits``. The range,
+    then the weights, then argmax_like's need for distinct values on the
+    grid are checked; the first broken rule raises ConfigError.
     """
 
     # The defaults, as class attributes too: the command line reads its flag defaults here.
@@ -55,6 +58,7 @@ class ValueRange:
         min_value: Decimal = min_value,
         max_value: Decimal = max_value,
         max_frac_digits: int = max_frac_digits,
+        family_weights: Mapping[str, float] = dict.fromkeys(FAMILIES, 1.0),  # only read: a copy is kept
     ):
         self.min_value = min_value = Decimal(min_value)
         self.max_value = max_value = Decimal(max_value)
@@ -75,14 +79,6 @@ class ValueRange:
         low, high = self.grids[-1]
         if low > high:
             raise ConfigError(f"no number with at most {max_frac_digits} fractional digits is in the value range")
-
-
-class NumGenConfig:
-    def __init__(
-        self,
-        ranges: ValueRange = ValueRange(),
-        family_weights: Mapping[str, float] = dict.fromkeys(FAMILIES, 1.0),  # only read: a copy is kept
-    ):
         for name in family_weights:
             if name not in FAMILIES:
                 raise ConfigError(f"unknown template family {name!r}; families are {', '.join(FAMILIES)}")
@@ -91,17 +87,13 @@ class NumGenConfig:
             raise ConfigError("at least one template family must have positive weight")
         if not all(0 <= w < math.inf for w in weights.values()):
             raise ConfigError("family weights must be finite and >= 0")
-        self.ranges = ranges
         self.family_weights = weights
-        if weights.get(ARGMAX_LIKE, 0.0) > 0:
-            # argmax_like redraws until its values are distinct; the finest
-            # grid holds every value any coarser one can draw.
-            low, high = ranges.grids[-1]
-            if high - low + 1 < LIST_TERMS[1]:
-                raise ConfigError(
-                    f"argmax_like needs {LIST_TERMS[1]} distinct values, "
-                    f"but the value range holds only {high - low + 1}"
-                )
+        # argmax_like redraws until its values are distinct; the finest grid
+        # holds every value any coarser one can draw.
+        if weights.get(ARGMAX_LIKE, 0.0) > 0 and high - low + 1 < LIST_TERMS[1]:
+            raise ConfigError(
+                f"argmax_like needs {LIST_TERMS[1]} distinct values, but the value range holds only {high - low + 1}"
+            )
 
 
 class NumExample(NamedTuple):
@@ -245,13 +237,13 @@ def eval_expr(expression: str, frac_digits: int = 2) -> Decimal:
 # Instantiation
 # ---------------------------------------------------------------------------
 
-def _draw_decimal(rng: random.Random, ranges: ValueRange) -> Decimal:
+def _draw_decimal(rng: random.Random, config: NumGenConfig) -> Decimal:
     # Draw the number of fractional digits first, then uniformly on that grid,
     # so integers and short decimals stay common at any max_frac_digits. A
     # coarse grid may hold no value of the range; the finest one always does.
     while True:
-        scale = rng.randint(0, ranges.max_frac_digits)
-        low, high = ranges.grids[scale]
+        scale = rng.randint(0, config.max_frac_digits)
+        low, high = config.grids[scale]
         if low <= high:
             return Decimal(rng.randint(low, high)).scaleb(-scale)
 
@@ -261,7 +253,7 @@ def instantiate(
     family: str,
     terms: int,
     rng: random.Random,
-    ranges: ValueRange = ValueRange(),
+    config: NumGenConfig = NumGenConfig(),
     rng_seed: int = 0,
 ) -> NumExample:
     """Draw an expression of ``family`` over ``terms`` values and compute its exact answer.
@@ -274,7 +266,7 @@ def instantiate(
         numbers = []
         for _ in range(terms):
             signs.append(rng.choice("+-"))
-            numbers.append(_draw_decimal(rng, ranges))
+            numbers.append(_draw_decimal(rng, config))
         parts = [f"-{render(numbers[0])}" if signs[0] == "-" else render(numbers[0])]
         answer = -numbers[0] if signs[0] == "-" else numbers[0]
         for sign, number in zip(signs[1:], numbers[1:]):
@@ -285,24 +277,24 @@ def instantiate(
     if family in (MIN_MAX_AVG, ARGMAX_LIKE):
         ops = ("min", "max", "avg") if family == MIN_MAX_AVG else ("argmax", "argmin")
         op = rng.choice(ops)
-        numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
+        numbers = [_draw_decimal(rng, config) for _ in range(terms)]
         if family == ARGMAX_LIKE:
             # Redraw until values are distinct so the position is unambiguous.
             while len(set(numbers)) != len(numbers):
-                numbers = [_draw_decimal(rng, ranges) for _ in range(terms)]
+                numbers = [_draw_decimal(rng, config) for _ in range(terms)]
         expression = f"{op}({', '.join(render(n) for n in numbers)})"
-        answer = _eval_list_op(op, numbers, 0, ranges.max_frac_digits)
+        answer = _eval_list_op(op, numbers, 0, config.max_frac_digits)
         return NumExample(expression, answer, family, rng_seed)
 
     if family == PERCENT:
         percent = Decimal(rng.randint(*PERCENT_RANGE))
-        base = _draw_decimal(rng, ranges)
+        base = _draw_decimal(rng, config)
         expression = f"{render(percent)}% of {render(base)}"
         return NumExample(expression, (percent * base).scaleb(-2), family, rng_seed)
 
     if family == DIFFERENCE:
-        a = _draw_decimal(rng, ranges)
-        b = _draw_decimal(rng, ranges)
+        a = _draw_decimal(rng, config)
+        b = _draw_decimal(rng, config)
         expression = f"diff({render(a)}, {render(b)})"
         return NumExample(expression, abs(a - b), family, rng_seed)
 
@@ -316,7 +308,8 @@ def generate_num(
 
     Example i draws everything from a child seed derived as (seed, "num", i),
     so any index range gives the same examples as that slice of a run from 0
-    (this is what lets workers share a run).
+    (this is what lets workers share a run). A ``count`` below 1 or a
+    negative ``start`` raises ConfigError at the first draw.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -324,11 +317,7 @@ def generate_num(
         raise ConfigError("start must be >= 0")
     families = [f for f, w in config.family_weights.items() if w > 0]
     weights = [config.family_weights[f] for f in families]
-    return _generate_num(config, seed, start, start + count, families, weights)
-
-
-def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumExample]:
-    for index in range(start, stop):
+    for index in range(start, start + count):
         # One exact context per example, left before the yield (see decimals).
         with localcontext(EXACT):
             child = derive_seed(seed, "num", index)
@@ -339,8 +328,8 @@ def _generate_num(config, seed, start, stop, families, weights) -> Iterator[NumE
                 terms = rng.randint(*COMBINATION_TERMS)
             elif family in (MIN_MAX_AVG, ARGMAX_LIKE):
                 terms = rng.randint(*LIST_TERMS)
-            example = instantiate(family, terms, rng, config.ranges, rng_seed=child)
-            check = eval_expr(example.expression, config.ranges.max_frac_digits)
+            example = instantiate(family, terms, rng, config, rng_seed=child)
+            check = eval_expr(example.expression, config.max_frac_digits)
             if check != example.answer:
                 raise SelfCheckError(f"self-check failed for {example.expression!r}: {check} != {example.answer}")
         yield example

@@ -81,13 +81,11 @@ def answer_bags(spans: Sequence[str]) -> tuple[list[str], list[frozenset[str]]]:
     return normalized, [frozenset(text.split()) for text in normalized]
 
 
-def _numbers_in(bag: frozenset[str]) -> frozenset[str]:
-    return frozenset(token for token in bag if _is_number(token))
-
-
-def _bag_f1(predicted: frozenset[str], gold: frozenset[str]) -> float:
-    gold_numbers = _numbers_in(gold)
-    if gold_numbers and not gold_numbers & _numbers_in(predicted):
+def _bag_f1(
+    predicted: frozenset[str], predicted_numbers: frozenset[str], gold: frozenset[str], gold_numbers: frozenset[str]
+) -> float:
+    """F1 of two token bags, each given with the set of its number tokens."""
+    if gold_numbers and not gold_numbers & predicted_numbers:
         return 0.0  # numeric mismatch invalidates all matching material
     overlap = len(predicted & gold)
     precision = overlap / len(predicted) if predicted else 1.0
@@ -157,9 +155,12 @@ def _align_bags(predicted: list[frozenset[str]], gold: list[frozenset[str]]) -> 
     size = max(len(predicted), len(gold))
     if size == 0:
         return 1.0
+    # Each bag with its number tokens, found once per bag rather than once per pair.
+    preds = [(bag, frozenset(filter(_is_number, bag))) for bag in predicted]
+    golds = [(bag, frozenset(filter(_is_number, bag))) for bag in gold]
     if size == 1:  # one span against one: the only assignment, and its mean is its F1
-        return _bag_f1(predicted[0], gold[0])
-    scores = [[_bag_f1(pred_bag, gold_bag) for pred_bag in predicted] for gold_bag in gold]
+        return _bag_f1(*preds[0], *golds[0])
+    scores = [[_bag_f1(*pred, *gold_bag) for pred in preds] for gold_bag in golds]
     if len(gold) <= len(predicted):
         matched = enumerate(_max_weight_assignment(scores))
     else:  # predicted spans as rows

@@ -333,19 +333,16 @@ def generate_txt(
     Example i draws from a child seed (seed, "txt", i), so any index range
     gives the same problems as that slice of a run from 0. Lose/transfer
     amounts never exceed the holder's count, and how_many_more questions
-    order their arguments so the difference is never negative.
+    order their arguments so the difference is never negative. A ``count``
+    below 1 or a negative ``start`` raises ConfigError at the first draw.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     if start < 0:
         raise ConfigError("start must be >= 0")
-    return _generate_txt(config, seed, start, start + count)
-
-
-def _generate_txt(config, seed, start, stop) -> Iterator[TxtExample]:
     vocab = config.vocab
     unit = Decimal(f"1e-{config.frac_digits}")  # the smallest quantity a holder can lose
-    for index in range(start, stop):
+    for index in range(start, start + count):
         # One exact context per example, left before the yield (see decimals).
         with localcontext(EXACT):
             child = derive_seed(seed, "txt", index)

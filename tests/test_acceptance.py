@@ -101,7 +101,7 @@ def test_c3_num_generator():
         config = NumGenConfig()
         agreed = 0
         for example in generate_num(10_000, config, seed=42):
-            expected = oracle_eval(example.expression, config.ranges.max_frac_digits)
+            expected = oracle_eval(example.expression, config.max_frac_digits)
             assert Fraction(render(example.answer)) == expected, example.expression
             agreed += 1
         assert agreed == 10_000

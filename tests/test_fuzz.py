@@ -1,7 +1,9 @@
 """Fuzz the command line in process with mutated flags and input files.
 
 Each example takes one valid command, then changes one flag value, drops
-one flag, or mutates one input file: a JSON value replaced by one of
+one flag, gives one entry of a comma list (``--families``, ``--sources``)
+twice in a row, adds a byte that argv cannot decode to one path or name,
+or mutates one input file: a JSON value replaced by one of
 another type (``NaN``, huge integers, lists, objects, lone surrogates
 written as ``\\u`` escapes, ...), one element of a JSON list repeated, one
 list element or one ``; ``-joined span of a prediction grown to
@@ -10,8 +12,10 @@ nest, bytes that are not UTF-8, or a truncated file. Whatever the input,
 ``run()`` must return 0, 1 or 2 without raising (within RUN_SECONDS on a
 grown input), write no traceback, and after a non-zero exit leave neither its target nor a
 ``.<name>.*`` temp file. A repeat among names that must differ (the stats
-rows, the spec's stages, a stage's datasets) and a value nested too deeply
-must exit 1 with exactly one ``error:`` line.
+rows, the spec's stages, a stage's datasets, the entries of a comma list)
+and a value nested too deeply must exit 1 with exactly one ``error:``
+line. A file named by a name argv cannot decode is read or written as
+under its own name.
 Counts stay small, so no example does much work, and nothing starts a
 process: a run is pinned to one CPU, and ``os.fork`` raises an exception
 that ``run()`` does not catch.
@@ -86,8 +90,7 @@ INPUTS = {
     "pred.jsonl": [{"id": "q1", "prediction": "2"}, {"id": "q2", "prediction": "Ann; Bo"}],
 }
 
-#: Valid commands: (argv, the input files it reads). "OUT" is the target and
-#: "SOURCES" the --sources list of num.jsonl and txt.jsonl.
+#: Valid commands: (argv, the input files it reads). "OUT" is the target.
 COMMANDS = [
     (["gen-num", "--count", "3", "--seed", "4", "--max-value", "90", "--max-frac-digits", "2",
       "--families", "combination=2,difference", "--out", "OUT"], []),
@@ -99,7 +102,7 @@ COMMANDS = [
     (["ingest", "--format", "squad", "--in", "squad.json", "--out", "OUT"], ["squad.json"]),
     (["derive-class", "--in", "drop.json", "--out", "OUT"], ["drop.json"]),
     (["mix", "--stats", "stats.json", "-T", "2", "--out", "OUT"], ["stats.json"]),
-    (["mix", "--stats", "stats.json", "-T", "3", "--sample", "6", "--sources", "SOURCES",
+    (["mix", "--stats", "stats.json", "-T", "3", "--sample", "6", "--sources", "num=num.jsonl,txt=txt.jsonl",
       "--seed", "2", "--out", "OUT"], ["stats.json", "num.jsonl", "txt.jsonl"]),
     (["audit", "--in", "num.jsonl", "--encoder-max", "5", "--decoder-max", "1", "--out", "OUT"], ["num.jsonl"]),
     (["score", "--gold", "drop.json", "--pred", "pred.jsonl", "--delimiter", "; ", "--out", "OUT"],
@@ -119,6 +122,12 @@ ANY_TEXT = SMALL_TEXT + ["1e400", "-1e400", "9" * 40, "0.000001", "1e-400", "\x0
 SMALL_JSON = [None, True, -1, 0, 2.5, "", "x", "é", [], {}, [1], {"a": 1}, float("nan"), float("inf"),
               "\ud800", "n\udcff"]
 ANY_JSON = SMALL_JSON + [10**40, -(10**40), 10**400, 1e300, "9" * 40]
+#: The files a command names: its inputs and its target.
+FILES = {*INPUTS, "OUT"}
+#: Flags whose value is a comma list of entries that must name different families or sources.
+LIST_FLAGS = {"--families", "--sources"}
+#: What argv gives for a byte that is not UTF-8: os.fsdecode turns it into a lone surrogate.
+UNDECODABLE = os.fsdecode(b"\xff")
 
 
 def _json_paths(value, path=()):
@@ -246,23 +255,42 @@ def _mutated_file(data, name):
 
 
 def _resolved(token: str, root: Path) -> str:
-    if token == "OUT":
-        return str(root / "target.out")
-    if token == "SOURCES":
-        return f"num={root / 'num.jsonl'},txt={root / 'txt.jsonl'}"
-    return str(root / token) if token in INPUTS else token
+    """``token`` with each file it names made a path under ``root``: a name in FILES,
+    alone or as the file of a ``name=file`` comma entry, maybe with an UNDECODABLE suffix."""
+    entries = []
+    for entry in token.split(","):
+        name, equals, file = entry.rpartition("=")
+        entries.append(name + equals + (str(root / file) if file.removesuffix(UNDECODABLE) in FILES else file))
+    return ",".join(entries)
+
+
+def _with_entry(argv, index, entry, new):
+    """``argv`` with comma entry ``entry`` of ``argv[index]`` replaced by the entries ``new``."""
+    entries = argv[index].split(",")
+    return argv[:index] + [",".join(entries[:entry] + new + entries[entry + 1:])] + argv[index + 1:]
 
 
 def _mutated_argv(data, argv):
-    """``argv`` with one flag value replaced or one flag dropped (never --out)."""
-    flags = [i for i, token in enumerate(argv) if token.startswith("-") and i + 1 < len(argv) and token != "--out"]
-    if not flags:
-        return argv
-    index = data.draw(st.sampled_from(flags))
-    if data.draw(st.booleans()):
-        return argv[:index] + argv[index + 2:]
-    pool = SMALL_TEXT if argv[index] in SIZE_FLAGS else ANY_TEXT
-    return argv[: index + 1] + [data.draw(st.sampled_from(pool))] + argv[index + 2:]
+    """``argv`` after one mutation drawn from ``data``, and whether the run must exit 1
+    with one ``error:`` line. It replaces one flag value or drops one flag (never
+    --out), gives one entry of a comma list twice in a row (the entries name families
+    or sources, which must differ), or adds UNDECODABLE to one entry or to the name of
+    a ``name=...`` entry."""
+    index = data.draw(st.sampled_from([i + 1 for i, token in enumerate(argv[:-1]) if token.startswith("-")]))
+    flag, entries = argv[index - 1], argv[index].split(",")
+    kinds = ["undecodable"] + ["replace", "drop"] * (flag != "--out") + ["repeat"] * (flag in LIST_FLAGS)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        return argv[: index - 1] + argv[index + 1:], False
+    if kind == "replace":
+        pool = SMALL_TEXT if flag in SIZE_FLAGS else ANY_TEXT
+        return argv[:index] + [data.draw(st.sampled_from(pool))] + argv[index + 1:], False
+    entry = data.draw(st.integers(0, len(entries) - 1))
+    if kind == "repeat":
+        return _with_entry(argv, index, entry, [entries[entry]] * 2), True
+    if "=" in entries[entry] and data.draw(st.booleans()):
+        return _with_entry(argv, index, entry, [entries[entry].replace("=", UNDECODABLE + "=", 1)]), False
+    return _with_entry(argv, index, entry, [entries[entry] + UNDECODABLE]), False
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -270,12 +298,12 @@ def _mutated_argv(data, argv):
 def test_mutated_commands_fail_cleanly(data):
     argv, reads = data.draw(st.sampled_from(COMMANDS))
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
-    one_error = grown = False
+    grown = False
     if reads and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(reads))
         files[name], one_error, grown = _mutated_file(data, name)
     else:
-        argv = _mutated_argv(data, argv)
+        argv, one_error = _mutated_argv(data, argv)
     _check_run(argv, files, one_error, timed=grown)
 
 
@@ -296,6 +324,39 @@ def test_every_repeated_name_is_one_error_line(argv, name, path, index):
     files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
     files[name] = _encode(name, _repeated(INPUTS[name], path, index))
     _check_run(argv, files, one_error=True)
+
+
+#: (command number, argv, value index, entry index, entry) of each comma entry
+#: of each flag value of the commands. The fuzzer draws each repeat of a list
+#: entry and each file renamed past decoding rarely, so each also runs once here.
+_ENTRIES = [
+    (number, argv, index, entry, text)
+    for number, (argv, _) in enumerate(COMMANDS)
+    for index in range(1, len(argv))
+    if argv[index - 1].startswith("-")
+    for entry, text in enumerate(argv[index].split(","))
+]
+
+
+@pytest.mark.parametrize(
+    "argv, index, entry",
+    [pytest.param(argv, index, entry, id=f"{number}-{text}") for number, argv, index, entry, text in _ENTRIES
+     if argv[index - 1] in LIST_FLAGS],
+)
+def test_every_repeated_list_entry_is_one_error_line(argv, index, entry):
+    files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
+    _check_run(_with_entry(argv, index, entry, [argv[index].split(",")[entry]] * 2), files, one_error=True)
+
+
+@pytest.mark.parametrize(
+    "argv, index, entry",
+    [pytest.param(argv, index, entry, id=f"{number}-{text}") for number, argv, index, entry, text in _ENTRIES
+     if text.rpartition("=")[2] in FILES],
+)
+def test_every_file_under_a_name_argv_cannot_decode_gives_the_same_exit(argv, index, entry):
+    files = {name: _encode(name, INPUTS[name]) for name in INPUTS}
+    renamed = _with_entry(argv, index, entry, [argv[index].split(",")[entry] + UNDECODABLE])
+    assert _check_run(renamed, files, one_error=False) == _check_run(argv, files, one_error=False)
 
 
 #: Every grow of an input that score reads: a run that scores the grown input
@@ -326,14 +387,16 @@ def _too_slow(signum, frame):
 
 
 def _check_run(argv, files, one_error, timed=False):
-    """Run ``argv`` over ``files`` in a new directory and check the properties
-    above; a ``timed`` run that takes more than RUN_SECONDS fails."""
+    """Run ``argv`` over ``files`` in a new directory, check the properties
+    above and return the exit code; a ``timed`` run that takes more than
+    RUN_SECONDS fails."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, raw in files.items():
             (root / name).write_bytes(raw)
-        target = root / "target.out"
+            (root / (name + UNDECODABLE)).write_bytes(raw)  # the same input, for a name argv cannot decode
         argv = [_resolved(token, root) for token in argv]
+        target = Path(argv[argv.index("--out") + 1])
         stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _too_slow)
         signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS if timed else 0)
@@ -358,3 +421,4 @@ def _check_run(argv, files, one_error, timed=False):
         if code != 0:
             assert not target.exists(), argv
             assert not [p.name for p in root.iterdir() if p.name.startswith(".")], argv
+    return code

@@ -11,7 +11,6 @@ from numtext.decimals import EXACT, exact, parse_decimal, render
 from numtext.errors import ConfigError, ParseError
 from numtext.numgen import (
     NumGenConfig,
-    ValueRange,
     eval_expr,
     generate_num,
     instantiate,
@@ -87,34 +86,33 @@ def test_combination_template_can_yield_paper_shape():
 
 
 def test_instantiate_is_deterministic():
-    ranges = ValueRange(max_frac_digits=2)
-    a = instantiate(numgen.COMBINATION, 3, random.Random(11), ranges)
-    b = instantiate(numgen.COMBINATION, 3, random.Random(11), ranges)
+    config = NumGenConfig(max_frac_digits=2)
+    a = instantiate(numgen.COMBINATION, 3, random.Random(11), config)
+    b = instantiate(numgen.COMBINATION, 3, random.Random(11), config)
     assert a == b
 
 
 def test_empty_range_is_config_error():
     with pytest.raises(ConfigError):
-        ValueRange(min_value=Decimal(5), max_value=Decimal(5))
+        NumGenConfig(min_value=Decimal(5), max_value=Decimal(5))
 
 
 def test_coarse_grids_without_a_value_redraw_the_scale():
     # No integer lies in [0.1, 0.9]: scale 0 is redrawn, and a range whose
     # finest grid is empty too is refused before anything is drawn.
-    ranges = ValueRange(Decimal("0.1"), Decimal("0.9"), max_frac_digits=2)
     families = {numgen.DIFFERENCE: 1.0, numgen.MIN_MAX_AVG: 1.0}  # every literal is a drawn value
-    config = NumGenConfig(ranges=ranges, family_weights=families)
+    config = NumGenConfig(Decimal("0.1"), Decimal("0.9"), max_frac_digits=2, family_weights=families)
     for example in generate_num(300, config, seed=1):
         drawn = [Decimal(literal) for literal in re.findall(r"\d+(?:\.\d+)?", example.expression)]
         assert drawn and all(Decimal("0.1") <= value <= Decimal("0.9") for value in drawn), example.expression
         assert Fraction(render(example.answer)) == oracle_eval(example.expression, 2)
     with pytest.raises(ConfigError, match="fractional digits"):
-        ValueRange(Decimal("0.1"), Decimal("0.9"), max_frac_digits=0)
+        NumGenConfig(Decimal("0.1"), Decimal("0.9"), max_frac_digits=0)
 
 
 def test_negative_magnitude_rejected():
     with pytest.raises(ConfigError):
-        ValueRange(min_value=Decimal(-1), max_value=Decimal(10))
+        NumGenConfig(min_value=Decimal(-1), max_value=Decimal(10))
 
 
 def test_argmax_like_needs_enough_distinct_values_on_the_grid():
@@ -122,11 +120,11 @@ def test_argmax_like_needs_enough_distinct_values_on_the_grid():
     # a grid of 2 values must be refused before anything is drawn.
     argmax_only = {numgen.ARGMAX_LIKE: 1.0}
     with pytest.raises(ConfigError, match="distinct values"):
-        NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=argmax_only)
-    NumGenConfig(ranges=ValueRange(0, 3, max_frac_digits=0), family_weights=argmax_only)
-    NumGenConfig(ranges=ValueRange(0, Decimal("0.3"), max_frac_digits=1), family_weights=argmax_only)
+        NumGenConfig(0, 1, max_frac_digits=0, family_weights=argmax_only)
+    NumGenConfig(0, 3, max_frac_digits=0, family_weights=argmax_only)
+    NumGenConfig(0, Decimal("0.3"), max_frac_digits=1, family_weights=argmax_only)
     small_but_unused = {numgen.ARGMAX_LIKE: 0.0, numgen.DIFFERENCE: 1.0}
-    NumGenConfig(ranges=ValueRange(0, 1, max_frac_digits=0), family_weights=small_but_unused)
+    NumGenConfig(0, 1, max_frac_digits=0, family_weights=small_but_unused)
 
 
 def test_unknown_family_is_config_error():
@@ -159,7 +157,7 @@ def test_generated_examples_agree_with_rational_oracle():
     config = NumGenConfig()
     count = 0
     for example in generate_num(2000, config, seed=13):
-        expected = oracle_eval(example.expression, config.ranges.max_frac_digits)
+        expected = oracle_eval(example.expression, config.max_frac_digits)
         assert Fraction(render(example.answer)) == expected, example.expression
         count += 1
     assert count == 2000
@@ -168,9 +166,7 @@ def test_generated_examples_agree_with_rational_oracle():
 def test_exactness_survives_wide_magnitudes():
     # regression: canonicalization used to round through the default
     # 28-digit decimal context once operands got wider than that
-    config = NumGenConfig(
-        ranges=ValueRange(min_value=Decimal(0), max_value=Decimal(10) ** 25, max_frac_digits=6)
-    )
+    config = NumGenConfig(min_value=Decimal(0), max_value=Decimal(10) ** 25, max_frac_digits=6)
     for example in generate_num(500, config, seed=1):
         expected = oracle_eval(example.expression, 6)
         assert Fraction(render(example.answer)) == expected, example.expression
@@ -178,7 +174,7 @@ def test_exactness_survives_wide_magnitudes():
 
 @pytest.mark.parametrize("max_frac_digits", [0, 2])
 def test_exactness_survives_magnitudes_past_200_digits(max_frac_digits):
-    config = NumGenConfig(ranges=ValueRange(max_value=Decimal(10**250), max_frac_digits=max_frac_digits))
+    config = NumGenConfig(max_value=Decimal(10**250), max_frac_digits=max_frac_digits)
     for example in generate_num(300, config, seed=2):
         expected = oracle_eval(example.expression, max_frac_digits)
         assert Fraction(render(example.answer)) == expected, example.expression
@@ -254,7 +250,7 @@ def test_num_to_example_uses_calculate_prefix():
 # ---------------------------------------------------------------------------
 
 def test_generate_num_leaves_the_callers_decimal_context_unchanged():
-    config = NumGenConfig(ranges=ValueRange(max_value=Decimal(10**40), max_frac_digits=4))
+    config = NumGenConfig(max_value=Decimal(10**40), max_frac_digits=4)
     with localcontext(Context()):
         examples = generate_num(5, config, seed=1)
         next(examples)
@@ -288,5 +284,5 @@ def test_exact_enters_exact_when_a_trap_is_missing(missing, text, signal):
 
 
 def test_value_range_grids_hold_every_scale():
-    ranges = ValueRange(min_value=Decimal("0.15"), max_value=Decimal("2.5"), max_frac_digits=3)
-    assert ranges.grids == ((1, 2), (2, 25), (15, 250), (150, 2500))
+    config = NumGenConfig(min_value=Decimal("0.15"), max_value=Decimal("2.5"), max_frac_digits=3)
+    assert config.grids == ((1, 2), (2, 25), (15, 250), (150, 2500))

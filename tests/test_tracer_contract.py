@@ -10,18 +10,31 @@ their arguments and results:
 - ``Tracer._on_draw`` (line 183): ``item.source_id`` of each draw, a
   ``corpus.SourceLine`` for a canonical source line;
 - ``Tracer._on_write_examples`` (line 158): the record count that
-  ``corpus.write_examples`` returns.
+  ``corpus.write_examples`` returns;
+- ``Tracer._wrap`` (line 83): a result that is a ``types.GeneratorType``
+  is timed per item, as ``numgen.generate_num``, ``txtgen.generate_txt``
+  and ``mixing.sample_stream`` return;
+- ``Tracer._on_score_pair`` (lines 168-176): ``args[0]`` and ``args[1]``
+  of ``scoring.score_pair``, the predicted string and a gold answer with
+  ``number``, ``date.populated()`` and ``spans``.
 
 A simplification that drops one of them fails here instead of leaving
 ``bench/run.py --trace 1`` to break.
 """
 
 import json
+from types import GeneratorType
 
-from numtext import corpus, mixing, scoring
+from numtext import corpus, mixing, numgen, scoring, shard, txtgen
 from numtext.cli import run
 
 from conftest import build_drop_file, drop_answer, drop_qa, read_examples, read_meta
+
+
+def test_the_three_streams_are_generators():
+    plan = mixing.compute_plan(mixing.check_stats([{"name": "a", "length": 2}]), 1.0)
+    streams = numgen.generate_num(2), txtgen.generate_txt(2), mixing.sample_stream(plan, {"a": ["x", "y"]}, 2)
+    assert all(isinstance(stream, GeneratorType) for stream in streams)
 
 
 def test_mix_gives_the_plan_ratios_each_draw_source_id_and_the_record_count(tmp_path, monkeypatch):
@@ -78,3 +91,27 @@ def test_score_report_lists_one_row_per_question(tmp_path, monkeypatch):
     [report] = reports
     assert type(report.per_question) is list and len(report.per_question) == 5
     assert json.loads((tmp_path / "report.json").read_text())["per_question"] == report.per_question
+
+
+def test_score_pair_gets_the_prediction_and_a_gold_answer_positionally(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    qas = [
+        drop_qa("How many?", "q1", drop_answer(number="3")),
+        drop_qa("When?", "q2", drop_answer(day="3", month="March", year="1768")),
+        drop_qa("Who?", "q3", drop_answer(spans=["Ann", "Bo"])),
+    ]
+    (tmp_path / "gold.json").write_text(json.dumps(build_drop_file({"p": ("Ann met Bo.", qas)})))
+    (tmp_path / "pred.jsonl").write_text("".join(f'{{"id": "q{i}", "prediction": "Ann; 3"}}\n' for i in (1, 2, 3)))
+    calls = []
+    real_score_pair = scoring.score_pair
+
+    def score_pair(*args, **kwargs):
+        calls.append(args)
+        return real_score_pair(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "score_pair", score_pair)
+    monkeypatch.setattr(shard, "usable_cpus", lambda: 1)  # every pair is scored in this process
+    assert run(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--out", "report.json"]) == 0
+    assert [(predicted, gold.number, gold.date.populated(), tuple(gold.spans)) for predicted, gold, *_ in calls] == [
+        ("Ann; 3", "3", False, ()), ("Ann; 3", "", True, ()), ("Ann; 3", "", False, ("Ann", "Bo"))
+    ]

@@ -360,7 +360,9 @@ def cmd_score(args) -> int:
         _gold_records(args.gold, unscored), _predictions(args.pred, unscored), span_delimiter=args.delimiter
     )
     config = {"gold": args.gold, "pred": args.pred, "delimiter": args.delimiter}
-    return _write_json(args.out, {"meta": _meta(config), **report._asdict()})
+    with atomic_output(args.out) as sink:
+        scoring.write_report(sink, _meta(config), report)
+    return 0
 
 
 def cmd_pipeline(args) -> int:

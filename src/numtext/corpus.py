@@ -624,6 +624,10 @@ def example_from_json(obj) -> Example:
 #: Encodes one record line; the same bytes as ``json.dumps(obj, ensure_ascii=False)``
 #: without building a new encoder for every record.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
+#: The quoted JSON string that encoder writes for a str.
+_quote = json.encoder.encode_basestring
+#: An :class:`Example` line after its input's context, as ``_encode_line`` writes it.
+_EXAMPLE_TAIL = ', "target": %s, "task": %s, "answer_type": %s, "source_id": %s}\n'
 
 
 def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
@@ -636,20 +640,38 @@ def write_examples(records: Iterable, sink, meta: dict | None = None) -> int:
     record; readers skip it. Returns the number of records written, not
     counting the meta record. A record holding a lone surrogate raises
     ValidationError naming its ``source_id``.
+
+    An Example's input is encoded in two parts, split at its first
+    :data:`CONTEXT_MARKER`, and the UTF-8 of the part after it is reused
+    while consecutive examples hold an equal one: the questions of a DROP
+    or SQuAD passage share it. JSON escapes a string one character at a
+    time, so each line is the bytes ``json.dumps(e.to_json(),
+    ensure_ascii=False)`` gives.
     """
     count = 0
     if meta is not None:
         sink.write(_encode_line({"meta": meta}).encode("utf-8") + b"\n")
+    context = tail = None  # the last context and the UTF-8 of its quoted end
     for record in records:
         if isinstance(record, bytes):
             sink.write(record)
         else:
             try:
-                line = _encode_line(record.to_json()).encode("utf-8")
+                if record.__class__ is Example:
+                    start, marker, rest = record.input.partition(CONTEXT_MARKER)
+                    if rest != context:
+                        tail, context = _quote(rest)[1:].encode("utf-8"), rest
+                    head = '{"input": ' + _quote(start)[:-1] + marker
+                    end = _EXAMPLE_TAIL % (
+                        _quote(record.target), _quote(record.task), _quote(record.answer_type), _quote(record.source_id)
+                    )
+                    line = head.encode("utf-8") + tail + end.encode("utf-8")
+                else:
+                    line = _encode_line(record.to_json()).encode("utf-8") + b"\n"
             except UnicodeEncodeError:  # JSON input can hold one ("\\ud800"), UTF-8 cannot
                 name = getattr(record, "source_id", "")
                 raise ValidationError(f"record {name!r} holds a lone surrogate, which UTF-8 cannot encode") from None
-            sink.write(line + b"\n")
+            sink.write(line)
         count += 1
     return count
 

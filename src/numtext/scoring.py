@@ -20,10 +20,12 @@ where two optimal alignments tie.
 
 from __future__ import annotations
 
+import json
 import re
 import string
 from array import array
 from contextlib import closing
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
@@ -262,3 +264,34 @@ def build_report(
         by_type.setdefault(row["answer_type"], []).append(row)
     per_type = {kind: totals(by_type[kind]) for kind in sorted(by_type)}
     return ScoreReport(totals(per_question), per_type, per_question)
+
+
+#: One ``per_question`` row as ``json.dumps(report, indent=2)`` writes it: an
+#: ASCII-escaped id and answer type, and the ``repr`` of each score.
+_ROW = '\n    {\n      "id": %s,\n      "answer_type": %s,\n      "em": %r,\n      "f1": %r\n    }'
+#: Rows encoded per write.
+_ROWS_PER_WRITE = 256
+
+
+def write_report(sink, meta: dict, report: ScoreReport) -> None:
+    """Write ``{"meta": meta, **report._asdict()}`` to the binary stream ``sink``
+    as the bytes of ``json.dumps(..., indent=2, allow_nan=False)`` and a newline.
+
+    Everything but the rows goes through that encoder, which CPython runs in
+    pure Python when it indents; each row is filled into one template, and
+    the rows are written _ROWS_PER_WRITE at a time. A score that is NaN or
+    infinite makes the overall mean one too, so the encoder raises as before.
+    """
+    head = json.dumps({"meta": meta, **report._asdict(), "per_question": []}, indent=2, allow_nan=False)
+    rows = report.per_question
+    if not rows:
+        sink.write(head.encode("utf-8") + b"\n")
+        return
+    sink.write(head[: -len("]\n}")].encode("utf-8"))  # ends in '"per_question": ['
+    for at in range(0, len(rows), _ROWS_PER_WRITE):
+        text = ",".join(
+            _ROW % (encode_basestring_ascii(row["id"]), encode_basestring_ascii(row["answer_type"]), row["em"], row["f1"])
+            for row in rows[at : at + _ROWS_PER_WRITE]
+        )
+        sink.write((text if at == 0 else "," + text).encode("ascii"))
+    sink.write(b"\n  ]\n}\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from numtext import corpus, mixing, numgen
+from numtext import corpus, mixing, numgen, scoring
 from numtext.cli import run
 from numtext.decimals import MAX_FRAC_DIGITS
 from numtext.errors import ValidationError
@@ -366,6 +366,26 @@ def test_score_with_no_question_left_to_score_writes_an_empty_report(tmp_path, c
         "per_type": {},
         "per_question": [],
     }
+
+
+@pytest.mark.parametrize(
+    "questions", [0, 1, scoring._ROWS_PER_WRITE, scoring._ROWS_PER_WRITE + 1], ids=["none", "one", "chunk", "chunk+1"]
+)
+def test_score_report_is_json_dumps_indent_2(tmp_path, questions):
+    gold, preds, out = tmp_path / "gold.json", tmp_path / "preds.jsonl", tmp_path / "report.json"
+    ids = [f'q"{i}\\é\ud800' if i % 2 else f"q{i}\U0001f600" for i in range(questions)]
+    answers = [drop_answer(number=i) if i % 3 else drop_answer(spans=["Ann", "Bo", "Cy"]) for i in range(questions)]
+    qas = [drop_qa("How many?", query_id, answer) for query_id, answer in zip(ids, answers)]
+    gold.write_text(json.dumps(build_drop_file({"p": ("Ann, Bo and Cy had 7 figs.", qas)})), encoding="utf-8")
+    guesses = [{"id": query_id, "prediction": "Ann; Cy" if i % 3 == 0 else "7"} for i, query_id in enumerate(ids)]
+    preds.write_text("".join(json.dumps(row) + "\n" for row in guesses[::2]), encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 0
+    report = scoring.build_report(
+        corpus.ingest_drop(gold).records, {row["id"]: row["prediction"] for row in guesses[::2]}
+    )
+    payload = {"meta": _read_json_file(out)["meta"], **report._asdict()}
+    assert len(report.per_question) == questions
+    assert out.read_bytes() == (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
 
 
 def test_score_rejects_a_prediction_id_given_twice(tmp_path, capsys):

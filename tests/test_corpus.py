@@ -778,6 +778,51 @@ def test_write_empty_list_is_empty_output():
     assert sink.getvalue() == b""
 
 
+#: Characters JSON escapes or writes in more than one UTF-8 byte: a quote, a
+#: backslash, every control byte, U+2028, NBSP and a character outside the BMP.
+_AWKWARD = '"\\' + "".join(map(chr, range(32))) + "\x7f \u2028\xa0\U0001f600"
+
+
+def _tagged(question: str, context: str, target: str, source_id: str) -> Example:
+    """An answer_me example, or a calculate one where ``context`` is empty."""
+    task = corpus.ANSWER_ME if context else corpus.CALCULATE
+    return Example(format_input(task, question, context), target, task, corpus.NUMBER, source_id)
+
+
+def _dumps_lines(examples) -> bytes:
+    return b"".join(json.dumps(e.to_json(), ensure_ascii=False).encode() + b"\n" for e in examples)
+
+
+def test_write_examples_gives_each_examples_json_dumps_line():
+    shared = f"Ann had {_AWKWARD} 2 figs."
+    examples = [
+        *(_tagged(f"q{i} {_AWKWARD}", shared, f"t{i}{_AWKWARD}", f'"s{i}{_AWKWARD}') for i in range(3)),
+        *(_tagged(f"1 + {i} {_AWKWARD}", "", str(i + 1), f"c{i}") for i in range(2)),
+        _tagged("Who? context: here", "Bo ran.", "Bo", "x1"),
+        _tagged("Who? context: there", "Bo ran.", "Bo", "x2"),
+        _tagged("Who?", f"{_AWKWARD} ran.", "Bo", "x3"),
+        _tagged("Who?", shared, "Ann", "x4"),
+        _tagged("Who?", shared, "Ann", "x5"),
+    ]
+    for order in (examples, examples[::-1], examples[3:] + examples[:3]):
+        sink = io.BytesIO()
+        assert write_examples(order, sink) == len(order)
+        assert sink.getvalue() == _dumps_lines(order)
+
+
+@pytest.mark.parametrize("at", ["shared context", "later question"])
+def test_write_examples_names_the_first_record_holding_a_lone_surrogate(at):
+    context, question = ("Ann \ud800 ran.", "Who?") if at == "shared context" else ("Ann ran.", "Who \udfff?")
+    examples = [_tagged("Why?", "Ann ran.", "t", "ok")]
+    examples += [_tagged(question if i else "Who?", context, "t", f"q{i}") for i in range(3)]
+    first, written = ("q0", examples[:1]) if at == "shared context" else ("q1", examples[:2])
+    sink = io.BytesIO()
+    with pytest.raises(ValidationError) as raised:
+        write_examples(examples, sink)
+    assert str(raised.value) == f"record {first!r} holds a lone surrogate, which UTF-8 cannot encode"
+    assert sink.getvalue() == _dumps_lines(written)
+
+
 def test_field_order_is_fixed():
     sink = io.BytesIO()
     write_examples(_some_examples(1), sink)

@@ -75,6 +75,8 @@ INPUTS = {
         {"question": "Who kicked?", "id": "s1", "answers": [{"text": "Ann", "answer_start": 0}]},
     ]}]}]},
     "stats.json": [{"name": "num", "length": 4}, {"name": "txt", "length": 3, "scale": 2.0, "cap": 10}],
+    "rc-stats.json": [{"name": "DROP", "length": 5}, {"name": "DROP-class", "length": 5},
+                      {"name": "SQuAD", "length": 4, "cap": 3}],
     "spec.json": {"name": "p", "stages": [
         {"name": "s", "datasets": ["num", "txt"], "validation": ["num"], "temperature": 2.0, "mode": "cover_all_epoch"},
     ]},
@@ -111,7 +113,8 @@ COMMANDS = [
     (["lr-table", "--config", "lr.cfg", "--out", "OUT"], ["lr.cfg"]),
     (["pipeline", "--spec", "spec.json", "--stats", "stats.json", "--batch-size", "2", "--out", "OUT"],
      ["spec.json", "stats.json"]),
-    (["pipeline", "--name", "rc-2", "--stats", "stats.json", "--batch-size", "3", "--out", "OUT"], ["stats.json"]),
+    (["pipeline", "--name", "rc-2", "--stats", "rc-stats.json", "--batch-size", "3", "--out", "OUT"],
+     ["rc-stats.json"]),
 ]
 
 #: Flags that set how much work a run does get only small replacement values.
@@ -217,7 +220,7 @@ def _nested(name, value, path):
 
 def _names_must_differ(name, path) -> bool:
     """Whether the list at ``path`` of input ``name`` holds names that must differ."""
-    if name == "stats.json":
+    if name in ("stats.json", "rc-stats.json"):
         return path == ()
     return name == "spec.json" and (path == ("stages",) or (len(path) == 3 and path[::2] == ("stages", "datasets")))
 

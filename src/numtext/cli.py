@@ -19,7 +19,6 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 from . import __version__, sha256
@@ -127,11 +126,9 @@ def atomic_output(path: str | None):
 
 
 def _write_json(path: str | None, payload: dict) -> int:
-    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload)
-    with atomic_output(path) as sink:  # a few thousand chunks per write: the document is never one string
-        for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
-            sink.write(batch.encode("utf-8"))
-        sink.write(b"\n")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with atomic_output(path) as sink:
+        sink.write(text.encode("utf-8") + b"\n")
     return 0
 
 
@@ -154,9 +151,16 @@ def _write_generated(args: argparse.Namespace, config: dict, generate, to_exampl
         items = generate(stop - start, start=start)
         return items if args.emit == "raw" else map(to_example, items)
 
-    with atomic_output(args.out) as sink:
-        shard.write_blocks(records, args.count, sink, meta=_meta(config, seed=args.seed))
+    _write_blocks(args.out, _meta(config, seed=args.seed), records, args.count)
     return 0
+
+
+def _write_blocks(path: str, meta: dict, records, count: int) -> None:
+    """Write the meta record to ``path``, then ``records(a, b)``, the records of
+    indices a..b-1, block by block on the usable CPUs (see shard)."""
+    with atomic_output(path) as sink:
+        corpus.write_examples((), sink, meta=meta)
+        shard.write_blocks(lambda a, b, out: corpus.write_examples(records(a, b), out), count, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +226,6 @@ def _ingest(path: str, read):
     return result
 
 
-def _write_tagged(path: str, records: list, to_example, meta: dict) -> None:
-    """Write ``to_example(record)`` for each record to ``path``, block by block
-    on the usable CPUs (see shard)."""
-    with atomic_output(path) as sink:
-        shard.write_blocks(lambda a, b: map(to_example, records[a:b]), len(records), sink, meta=meta)
-
-
 def cmd_ingest(args) -> int:
     if args.format == "drop":
         read, to_example = corpus.ingest_drop, corpus.make_drop_example
@@ -236,7 +233,7 @@ def cmd_ingest(args) -> int:
         read, to_example = corpus.ingest_squad, corpus.make_squad_example
     result = _ingest(args.input, read)
     meta = _meta({"format": args.format, "input": args.input}, records=len(result.records))
-    _write_tagged(args.out, result.records, to_example, meta)
+    _write_blocks(args.out, meta, lambda a, b: map(to_example, result.records[a:b]), len(result.records))
     print(f"wrote {len(result.records)} examples ({len(result.errors)} skipped)", file=sys.stderr)
     return 0
 
@@ -244,7 +241,8 @@ def cmd_ingest(args) -> int:
 def cmd_derive_class(args) -> int:
     result = _ingest(args.input, corpus.ingest_drop)
     meta = _meta({"input": args.input}, records=len(result.records))
-    _write_tagged(args.out, result.records, corpus.make_classification_example, meta)
+    _write_blocks(args.out, meta, lambda a, b: map(corpus.make_classification_example, result.records[a:b]),
+                  len(result.records))
     print(f"wrote {len(result.records)} classification examples", file=sys.stderr)
     return 0
 
@@ -404,15 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(sub):
         sub.add_argument("--config", help="JSON object of flag values; flags given on the command line win")
-        sub.add_argument("--dump-config", dest="dump_config")
+        sub.add_argument("--dump-config")
 
     sub = add("gen-num", cmd_gen_num, "generate synthetic arithmetic expressions")
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-value", dest="min_value")
-    sub.add_argument("--max-value", dest="max_value")
-    sub.add_argument("--max-frac-digits", dest="max_frac_digits", type=int)
+    sub.add_argument("--min-value")
+    sub.add_argument("--max-value")
+    sub.add_argument("--max-frac-digits", type=int)
     sub.add_argument("--families", help="comma list of family[=weight]")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -421,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--min-events", dest="min_events", type=int)
-    sub.add_argument("--max-events", dest="max_events", type=int)
-    sub.add_argument("--max-quantity", dest="max_quantity", type=int)
-    sub.add_argument("--frac-digits", dest="frac_digits", type=int)
+    sub.add_argument("--min-events", type=int)
+    sub.add_argument("--max-events", type=int)
+    sub.add_argument("--max-quantity", type=int)
+    sub.add_argument("--frac-digits", type=int)
     sub.add_argument("--vocab", help="JSON vocabulary file")
     sub.add_argument("--emit", choices=["examples", "raw"], default="examples")
     add_config_flags(sub)
@@ -448,18 +446,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("lr-table", cmd_lr_table, "emit the learning-rate schedule as CSV")
     sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    sub.add_argument("--warmup-start", dest="warmup_start", type=float)
-    sub.add_argument("--warmup-end", dest="warmup_end", type=float)
-    sub.add_argument("--decay-rate", dest="decay_rate", type=float)
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
+    sub.add_argument("--batches-per-epoch", type=int)
+    sub.add_argument("--warmup-start", type=float)
+    sub.add_argument("--warmup-end", type=float)
+    sub.add_argument("--decay-rate", type=float)
+    sub.add_argument("--warmup-fraction", type=float)
     sub.add_argument("--out")
     add_config_flags(sub)
 
     sub = add("audit", cmd_audit, "report encoder/decoder truncation fractions")
     sub.add_argument("--in", dest="input", required=True)
-    sub.add_argument("--encoder-max", dest="encoder_max", type=int)
-    sub.add_argument("--decoder-max", dest="decoder_max", type=int)
+    sub.add_argument("--encoder-max", type=int)
+    sub.add_argument("--decoder-max", type=int)
     sub.add_argument("--out")
 
     sub = add("score", cmd_score, "score predictions against DROP gold answers")
@@ -473,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name")
     sub.add_argument("--spec", help="JSON pipeline spec file")
     sub.add_argument("--stats")
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
+    sub.add_argument("--batch-size", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out")
 

@@ -24,8 +24,10 @@ from contextlib import nullcontext
 from json.decoder import scanstring
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
+from . import shard
 from .errors import ParseError, ValidationError
 
 
@@ -579,21 +581,21 @@ def audit_truncation(path, encoder_max: int = ENCODER_MAX, decoder_max: int = DE
     """
     if encoder_max < 1 or decoder_max < 1:
         raise ValidationError("length limits must be >= 1")
-    from . import shard  # here, not at the top: shard imports this module
 
-    def over(records) -> bytes:  # total, encoder_over and decoder_over
+    def over(lines, start: int, lineno: int, out) -> None:  # total, encoder_over and decoder_over
         total = encoder_over = decoder_over = 0
-        for _, _, _, example in records:
+        for _, _, _, example in iter_examples(lines, start, lineno):
             total += 1
             if len(example.input) > encoder_max and count_tokens(example.input) > encoder_max:
                 encoder_over += 1
             if len(example.target) > decoder_max and count_tokens(example.target) > decoder_max:
                 decoder_over += 1
-        return array("q", (total, encoder_over, decoder_over)).tobytes()
+        out.write(array("q", (total, encoder_over, decoder_over)).tobytes())
 
+    counts = array("q")
     with open(path, "rb") as handle:
-        spans = list(shard.over_spans(handle, over))
-    total, encoder_over, decoder_over = map(sum, zip([0, 0, 0], *(array("q", span) for span in spans)))
+        shard.over_spans(handle, over, SimpleNamespace(write=counts.frombytes))
+    total, encoder_over, decoder_over = sum(counts[0::3]), sum(counts[1::3]), sum(counts[2::3])
     return {
         "total": total,
         "encoder_over": encoder_over,
@@ -771,14 +773,14 @@ class SourceLine(bytes):
         return json.loads(self)["source_id"]
 
 
-def _index(records) -> bytes:
-    """The offsets that :class:`IndexedExamples` keeps of ``records``, as bytes."""
+def _index(lines, start: int, lineno: int, out) -> None:
+    """Write the offsets that :class:`IndexedExamples` keeps of a span's ``lines`` to ``out``."""
     offsets = array("q")
-    for offset, lineno, canonical, example in records:
+    for offset, line, canonical, example in iter_examples(lines, start, lineno):
         if not canonical and any(map(_SURROGATE.search, _fields(example))):
-            raise ValidationError(f"line {lineno}: holds a lone surrogate, which UTF-8 cannot encode")
+            raise ValidationError(f"line {line}: holds a lone surrogate, which UTF-8 cannot encode")
         offsets.append(offset if canonical else ~offset)
-    return offsets.tobytes()
+    out.write(offsets.tobytes())
 
 
 class IndexedExamples(Sequence):
@@ -798,12 +800,9 @@ class IndexedExamples(Sequence):
     """
 
     def __init__(self, handle):
-        from . import shard  # here, not at the top: shard imports this module
-
         self._fd = handle.fileno()
         self._offsets = array("q")
-        for block in shard.over_spans(handle, _index):
-            self._offsets.frombytes(block)
+        shard.over_spans(handle, _index, SimpleNamespace(write=self._offsets.frombytes))
         self._end = handle.seek(0, io.SEEK_END)
 
     def __len__(self) -> int:

@@ -24,13 +24,13 @@ import json
 import re
 import string
 from array import array
-from contextlib import closing
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
 from .errors import ConfigError, ValidationError
-from .shard import blocks
+from .shard import write_blocks
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b", re.UNICODE)
 _DELETE_PUNCTUATION = str.maketrans("", "", string.punctuation)
@@ -234,17 +234,15 @@ def build_report(
     if unknown:
         raise ValidationError(f"predictions for unknown question ids: {unknown}")
 
-    def score_block(a: int, b: int) -> bytes:
+    def score_block(a: int, b: int, out) -> None:
         pairs = array("d")  # em, f1 of each question: IEEE doubles hold both floats exactly
         for record in records[a:b]:
             predicted = predictions.get(record.query_id)
             pairs.extend((0.0, 0.0) if predicted is None else score_record(record, predicted, span_delimiter))
-        return pairs.tobytes()
+        out.write(pairs.tobytes())
 
     pairs = array("d")
-    with closing(blocks(score_block, len(records))) as built:
-        for a, b, block in built:
-            pairs.frombytes(score_block(a, b) if block is None else block)
+    write_blocks(score_block, len(records), SimpleNamespace(write=pairs.frombytes))
     ids = [record.query_id for record in records]
     kinds = [derive_answer_type(record.answers[0]) for record in records]
     del records, predictions

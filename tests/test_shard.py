@@ -11,11 +11,11 @@ really ran.
 """
 
 import functools
+import io
 import json
 import os
 import threading
 import time
-from contextlib import closing
 
 import pytest
 
@@ -257,27 +257,57 @@ def test_build_report_checks_its_input_before_any_fork(monkeypatch, predictions,
 
 
 def test_a_small_block_reaches_the_caller_before_the_worker_builds_its_next(tmp_path, forks):
-    # The worker owns blocks 1 and 3 and builds block 3 only once this process
+    # The worker owns blocks 1 and 3 and writes block 3 only once the sink
     # holds block 1, or after five seconds. A block of a few bytes that waited in
-    # the worker's buffer would reach this process only after that wait.
+    # the worker's buffer would reach the sink only after that wait.
     received = tmp_path / "received"
 
-    def build(a, b):
+    def write(a, b, out):
         if a // shard.BLOCK_SIZE == 3:
             deadline = time.monotonic() + 5
             while not received.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            return b"on time" if received.exists() else b"late"
-        return b"block %d" % (a // shard.BLOCK_SIZE)
+            out.write(b"on time" if received.exists() else b"late")
+        else:
+            out.write(b"block %d, " % (a // shard.BLOCK_SIZE))
 
-    got = []
-    with closing(shard.blocks(build, 4 * shard.BLOCK_SIZE)) as built:
-        for a, b, block in built:
-            if block is not None:
+    class Sink(io.BytesIO):
+        def write(self, block):
+            if block == b"block 1, ":  # the worker's block, as its pipe framed it
                 received.touch()
-            got.append(build(a, b) if block is None else block)
+            return super().write(block)
+
+    sink = Sink()
+    shard.write_blocks(write, 4 * shard.BLOCK_SIZE, sink)
     assert forks == [1]
-    assert got == [b"block 0", b"block 1", b"block 2", b"on time"]
+    assert sink.getvalue() == b"block 0, block 1, block 2, on time"
+
+
+@pytest.mark.parametrize("count", [0, 1, shard.BLOCK_SIZE, shard.BLOCK_SIZE + 1, 3 * shard.BLOCK_SIZE])
+def test_write_blocks_writes_every_index_once_in_order_on_one_or_two_cpus(monkeypatch, forks, count):
+    def write(a, b, out):
+        out.write(b"".join(b"%d\n" % index for index in range(a, b)))
+
+    written = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        sink = io.BytesIO()
+        shard.write_blocks(write, count, sink)
+        written.append(sink.getvalue())
+    assert written == [b"".join(b"%d\n" % index for index in range(count))] * 2
+    assert forks == ([1] if count > shard.BLOCK_SIZE else [])  # a count of 0 forks nothing
+
+
+@pytest.mark.parametrize("command", ["ingest-drop", "derive-class"])
+def test_an_ingest_that_skips_every_question_writes_only_its_meta_line(tmp_path, monkeypatch, capsys, forks, command):
+    monkeypatch.chdir(tmp_path)
+    qas = [drop_qa(f"How many in {index}?", _query_id(index), drop_answer()) for index in range(3)]
+    (tmp_path / "gold.json").write_text(json.dumps(build_drop_file({"p": ("Nothing was sold.", qas)})))
+    assert run(QA_COMMANDS[command] + ["--out", "o.jsonl"]) == 0
+    assert forks == []
+    lines = (tmp_path / "o.jsonl").read_bytes().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["meta"]["records"] == 0
+    assert capsys.readouterr().err.count("every gold answer is empty") == 3
 
 
 #: ``mix`` over a NUM and a TXT source, and ``audit`` of the NUM one.
@@ -334,14 +364,14 @@ def test_a_span_worker_that_fails_costs_time_not_the_run(span_inputs, monkeypatc
     # every later one itself, as one process would.
     _pin_cpus(monkeypatch, 1)
     assert run(SPAN_COMMANDS[command] + ["--out", "one"]) == 0
-    parent, real_iter_examples = os.getpid(), shard.iter_examples
+    parent, real_iter_examples = os.getpid(), corpus.iter_examples
 
     def fail_in_the_worker(*args):
         if os.getpid() != parent:
             fail()
         return real_iter_examples(*args)
 
-    monkeypatch.setattr(shard, "iter_examples", fail_in_the_worker)
+    monkeypatch.setattr(corpus, "iter_examples", fail_in_the_worker)
     _pin_cpus(monkeypatch, 2)
     capfd.readouterr()
     assert run(SPAN_COMMANDS[command] + ["--out", "two"]) == 0

@@ -7,7 +7,8 @@ tail, never the question), maps a gold answer to its spans (the one rule
 for targets and scoring), audits length cutoffs, and writes every JSONL
 record stream byte-stably through :func:`write_examples`.
 Every record line is one :class:`Example`, and :func:`iter_examples` is
-the one way to read them back.
+the one way to read them back; ``mix`` and ``audit`` vouch at once for the
+lines it would read as canonical (:func:`_span_check`).
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
+from itertools import accumulate, compress, count
 from json.decoder import scanstring
-from operator import attrgetter
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import shard
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ToolkitError, ValidationError
 
 
 #: Prefix tags naming the task of a text-to-text example.
@@ -71,6 +73,7 @@ class Example:
 
     ``task`` is in :data:`TASKS` and ``answer_type`` in :data:`ANSWER_TYPES`, ``input``
     starts with the task's prefix and holds a non-blank question, and ``target`` is non-empty.
+    :data:`_CANONICAL_RECORD` holds these rules too: a rule added here goes there as well.
     """
 
     __slots__ = EXAMPLE_FIELDS
@@ -571,7 +574,9 @@ def audit_truncation(path, encoder_max: int = ENCODER_MAX, decoder_max: int = DE
     """Count the examples of a JSONL file whose input or target would be cut off at the limits.
 
     The records are read and counted span by span on every usable CPU (see
-    :func:`numtext.shard.over_spans`). A limit below 1 raises ValidationError
+    :func:`numtext.shard.over_spans`); a span's canonical lines are vouched for
+    at once by the span check, and only its other lines are read one at a time
+    (see :func:`_span_check`). A limit below 1 raises ValidationError
     before the file is opened. Returns the JSON that ``audit`` writes:
     ``{"total", "encoder_over", "decoder_over", "encoder_fraction",
     "decoder_fraction"}``, where a fraction is its count over ``total``, and
@@ -582,15 +587,15 @@ def audit_truncation(path, encoder_max: int = ENCODER_MAX, decoder_max: int = DE
     if encoder_max < 1 or decoder_max < 1:
         raise ValidationError("length limits must be >= 1")
 
-    def over(lines, start: int, lineno: int, out) -> None:  # total, encoder_over and decoder_over
-        total = encoder_over = decoder_over = 0
-        for _, _, _, example in iter_examples(lines, start, lineno):
-            total += 1
-            if len(example.input) > encoder_max and count_tokens(example.input) > encoder_max:
-                encoder_over += 1
-            if len(example.target) > decoder_max and count_tokens(example.target) > decoder_max:
-                decoder_over += 1
-        out.write(array("q", (total, encoder_over, decoder_over)).tobytes())
+    def over(data: bytes, start: int, lineno, out) -> None:  # total, encoder_over and decoder_over
+        _, records, others = _read_span(data, start, lineno, _examples)
+        vouched = list(filter(None, records))
+        inputs, targets = list(map(itemgetter("input"), vouched)), list(map(itemgetter("target"), vouched))
+        for _, examples in others:
+            inputs += [example.input for example in examples]
+            targets += [example.target for example in examples]
+        counts = len(inputs), _count_over(inputs, encoder_max), _count_over(targets, decoder_max)
+        out.write(array("q", counts).tobytes())
 
     counts = array("q")
     with open(path, "rb") as handle:
@@ -603,6 +608,11 @@ def audit_truncation(path, encoder_max: int = ENCODER_MAX, decoder_max: int = DE
         "encoder_fraction": encoder_over / total if total else 0.0,
         "decoder_fraction": decoder_over / total if total else 0.0,
     }
+
+
+def _count_over(texts: list[str], limit: int) -> int:
+    """How many of ``texts`` have more tokens than ``limit``."""
+    return sum(count_tokens(text) > limit for text in texts if len(text) > limit)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +693,9 @@ _NO_RECORD = object()
 
 
 def _json_line(raw: bytes, start: int, lineno: int):
-    """The value of the JSONL line ``raw`` that starts at byte ``start``, or
-    _NO_RECORD; a line that is not UTF-8 or not valid JSON raises ParseError naming it."""
+    """The value of the JSONL line ``raw`` that starts at byte ``start`` on line
+    ``lineno``, or _NO_RECORD for a blank line and for a ``{"meta": ...}`` record
+    at byte 0; a line that is not UTF-8 or not valid JSON raises ParseError naming it."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -699,7 +710,7 @@ def _json_line(raw: bytes, start: int, lineno: int):
         raise ParseError("invalid JSON: an integer has too many digits", line=lineno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
-    return _NO_RECORD if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"} else obj
+    return _NO_RECORD if start == 0 and isinstance(obj, dict) and set(obj) == {"meta"} else obj
 
 
 def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
@@ -716,13 +727,24 @@ def iter_jsonl(source) -> Iterator[tuple[int, int, object]]:
         offset += len(raw)
 
 
-#: The line :func:`write_examples` writes for a record whose strings need no
-#: JSON escape, and its parts between quotes: fixed ones, keys and, at [3::4], the strings.
+#: The line :func:`write_examples` writes for a record whose strings need no JSON escape.
 _CANONICAL_LINE = '{"input": "%s", "target": "%s", "task": "%s", "answer_type": "%s", "source_id": "%s"}\n'
-_LINE_PARTS = _CANONICAL_LINE.split('"')
-_FIXED_PARTS, _KEY_PARTS = _LINE_PARTS[::2], _LINE_PARTS[1::4]
-#: Changes a backslash and every byte below 0x20 but "\n", none of which a canonical line holds.
+#: Changes to a quote a backslash and every byte below 0x20 but "\n", none of which a canonical line holds.
 _ESCAPES = bytes.maketrans(bytes(range(10)) + bytes(range(11, 32)) + b"\\", b'"' * 32)
+#: Matches a canonical line without its "\n" whose record keeps every rule of Example,
+#: if _ESCAPES does not change the line: the one test of a canonical record.
+_CANONICAL_RECORD = re.compile(
+    re.escape(_CANONICAL_LINE[:-1])
+    % (
+        # a question starts with a character that is not a space, or with spaces that start
+        # no context marker and then one
+        r'(?P<input>(?P<task>%s): (?:[^\s"]|(?:(?!%s)\s)+[^\s"])[^"]*)' % ("|".join(sorted(TASKS)), CONTEXT_MARKER),
+        '(?P<target>[^"]+)',
+        "(?P=task)",
+        "(?P<answer_type>%s)" % "|".join(sorted(ANSWER_TYPES)),
+        '(?P<source_id>[^"]*)',
+    )
+).fullmatch
 
 
 def iter_examples(source, offset: int = 0, lineno: int = 1) -> Iterator[tuple[int, int, bool, Example]]:
@@ -731,25 +753,23 @@ def iter_examples(source, offset: int = 0, lineno: int = 1) -> Iterator[tuple[in
     on line ``lineno``.
 
     A line is canonical if it is exactly what :func:`write_examples` writes
-    for its record: it has no backslash and no byte below 0x20 but its final
-    ``\\n``, it is UTF-8, and split at its quotes it gives the parts of
-    _CANONICAL_LINE. Its five strings go straight to :class:`Example`, which
-    holds every record rule. Any other line is read by the rules of
-    :func:`iter_jsonl` and :func:`example_from_json`, so either way a line
-    gives the same record or the same error. Besides the errors of
-    :func:`iter_jsonl`, a record that breaks the rules raises
-    :class:`ValidationError` naming its line.
+    for its record and that record keeps every rule of :class:`Example`:
+    :data:`_CANONICAL_RECORD` matches it, and its five strings go straight to
+    Example. Any other line is read by the rules of :func:`iter_jsonl` and
+    :func:`example_from_json`, so either way a line gives the same record or
+    the same error. Besides the errors of :func:`iter_jsonl`, a record that
+    breaks the rules raises :class:`ValidationError` naming its line.
     """
     for lineno, raw in enumerate(source, lineno):
         start = offset
         offset += len(raw)
         try:
-            parts = raw.decode("utf-8").split('"') if raw.translate(_ESCAPES) == raw else ()
+            record = raw.translate(_ESCAPES) == raw and raw.endswith(b"\n") and _CANONICAL_RECORD(raw[:-1].decode("utf-8"))
         except UnicodeDecodeError:
-            parts = ()
+            record = None
         try:
-            if len(parts) == len(_LINE_PARTS) and parts[::2] == _FIXED_PARTS and parts[1::4] == _KEY_PARTS:
-                canonical, example = True, Example(*parts[3::4])
+            if record:
+                canonical, example = True, Example(*record.group(*EXAMPLE_FIELDS))
             elif (value := _json_line(raw, start, lineno)) is _NO_RECORD:
                 continue
             else:
@@ -773,26 +793,101 @@ class SourceLine(bytes):
         return json.loads(self)["source_id"]
 
 
-def _index(lines, start: int, lineno: int, out) -> None:
-    """Write the offsets that :class:`IndexedExamples` keeps of a span's ``lines`` to ``out``."""
-    offsets = array("q")
+def _span_check(data: bytes, start: int) -> tuple[list[int], list]:
+    """Vouch at once for the canonical lines of ``data``, whole JSONL lines that
+    start at byte ``start`` of their file: the span is decoded once, and
+    :data:`_CANONICAL_RECORD` is matched to each of its lines, so no line is
+    decoded on its own and no Example is built. The span is matched as
+    _ESCAPES changes it, so a line fails at its first escape; if a quote that
+    _ESCAPES made sits where a matched line needs one, every line is left to
+    the line path.
+
+    A vouched line is one that :func:`iter_examples` reads as canonical, with
+    the same strings. Every other line is left to iter_examples: a meta, blank,
+    escaped or other non-canonical line, a line that breaks a rule of Example,
+    and a last line with no "\n". A span that is not UTF-8 raises UnicodeDecodeError.
+
+    Returns the offset of each line, then where the span ends (one byte on
+    when its last line has no "\n"); and for each line the match that vouches
+    for it, or None.
+    """
+    changed = data.translate(_ESCAPES)  # a quote ends a string: no line with an escape is matched
+    lines = changed.decode("utf-8").split("\n")
+    records = list(map(_CANONICAL_RECORD, lines))
+    records[-1] = None  # "" after a final "\n", else the file's last line, which has none
+    sizes = lines if data.isascii() else data.split(b"\n")  # the lines' lengths in bytes
+    starts = list(accumulate(map((1).__add__, map(len, sizes)), initial=start))
+    if not lines[-1]:
+        del records[-1], starts[-1]
+    if changed != data:  # every byte that _ESCAPES changed must be in a line left to the line path
+        cuts = [0]
+        for line in compress(count(), map(not_, records)):
+            cuts += starts[line] - start, starts[line + 1] - start
+        cuts.append(len(data))
+        if any(changed[a:b] != data[a:b] for a, b in zip(cuts[::2], cuts[1::2])):
+            records = [None] * len(records)
+    return starts, records
+
+
+def _read_span(data: bytes, start: int, lineno, read) -> tuple[list[int], list, list]:
+    """What :func:`_span_check` gives for a span, then ``(index, read(lines,
+    offset, lineno))`` of each line it left, read one line at a time, in order.
+    Only when one raises is the span's first line number ``lineno()`` counted,
+    and that line read again with its own number, which the error then names;
+    a span that is not UTF-8 is read whole that way, and the first bad line raises."""
+    try:
+        starts, records = _span_check(data, start)
+    except UnicodeDecodeError:  # the line path names the span's first line that is not UTF-8
+        read(io.BytesIO(data), start, lineno())
+        raise
+    others = []
+    for line in compress(count(), map(not_, records)):
+        lines = (data[starts[line] - start : starts[line + 1] - start],)
+        try:
+            others.append((line, read(lines, starts[line], 0)))
+        except ToolkitError:
+            read(lines, starts[line], lineno() + line)
+            raise
+    return starts, records, others
+
+
+def _examples(lines, start: int, lineno: int) -> list[Example]:
+    """The records of ``lines``, as :func:`iter_examples` reads them."""
+    return [example for *_, example in iter_examples(lines, start, lineno)]
+
+
+def _index_lines(lines, start: int, lineno: int) -> list[int]:
+    """The offsets that :class:`IndexedExamples` keeps of the records of ``lines``."""
+    offsets = []
     for offset, line, canonical, example in iter_examples(lines, start, lineno):
         if not canonical and any(map(_SURROGATE.search, _fields(example))):
             raise ValidationError(f"line {line}: holds a lone surrogate, which UTF-8 cannot encode")
         offsets.append(offset if canonical else ~offset)
-    out.write(offsets.tobytes())
+    return offsets
+
+
+def _index(data: bytes, start: int, lineno, out) -> None:
+    """Write the offsets that :class:`IndexedExamples` keeps of a span's records to ``out``."""
+    starts, _, others = _read_span(data, start, lineno, _index_lines)
+    offsets = starts[:-1]
+    for line, row in reversed(others):
+        offsets[line : line + 1] = row  # a blank or meta line holds no record
+    out.write(array("q", offsets).tobytes())
 
 
 class IndexedExamples(Sequence):
     """The records of an open, seekable binary JSONL file, re-read on each access.
 
     Building it checks every line once, as :func:`iter_examples` does, span
-    by span on every usable CPU (see :func:`numtext.shard.over_spans`), and keeps one
+    by span on every usable CPU (see :func:`numtext.shard.over_spans`): the
+    span check vouches for a span's canonical lines at once, and only its
+    other lines are read one at a time (see :func:`_span_check`). It keeps one
     8-byte integer per record: the line's offset if the line is canonical,
     else the offset's complement ``~offset``, which is negative. A draw
-    reads its line with one ``os.pread``, bounded by the next record's
-    offset or the file's size. A canonical record is returned as its line's
-    bytes (a :class:`SourceLine`); any other is decoded, checked again and
+    reads from its line's offset to the next record's, or to the file's end,
+    with one ``os.pread``; a negative index counts from the end. A canonical
+    record is returned as its line's bytes (a :class:`SourceLine`), cut at its
+    "\n" only if blank lines follow it; any other is decoded, checked again and
     returned as an :class:`Example`, so writing either gives the canonical
     line. A record holding a lone surrogate cannot be written as UTF-8 and
     raises ValidationError at indexing. The caller owns and closes
@@ -810,13 +905,15 @@ class IndexedExamples(Sequence):
 
     def __getitem__(self, index: int) -> SourceLine | Example:
         offsets = self._offsets
+        if index < 0:
+            index = range(len(offsets))[index]
         offset = offsets[index]
-        stop = offsets[index + 1] if 0 <= index < len(offsets) - 1 else self._end
+        stop = offsets[index + 1] if index + 1 < len(offsets) else self._end
         start, stop = max(offset, ~offset), max(stop, ~stop)  # a line's offset, whatever its sign
         line = os.pread(self._fd, stop - start, start)
+        if offset >= 0:  # a canonical line, cut only where blank lines follow it
+            return SourceLine(line if line.endswith(b"}\n") else line[: line.find(b"\n") + 1])
         line = line[: line.find(b"\n") + 1 or len(line)]
-        if offset >= 0:
-            return SourceLine(line)
         try:
             example = example_from_json(json.loads(line.decode("utf-8")))
         except ValueError:

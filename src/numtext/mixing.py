@@ -89,14 +89,25 @@ def compute_plan(stats: Sequence[dict], temperature: float) -> MixturePlan:
 
 def _epochs(items: Sequence, rng: random.Random, name: str) -> Iterator:
     """Walk one dataset in epoch-shuffled order: a full random permutation
-    is consumed before any item repeats. The permutation is an 8-byte-per-item
-    array, so a walk over offset-indexed records stays small."""
+    is consumed before any item repeats.
+
+    An epoch yields what ``rng.shuffle`` of ``range(len(items))`` would give,
+    read backwards, but takes each shuffle step when its item is drawn: the
+    step that fixes the permutation's last open place is the one that picks the
+    next item, with the same swap and ``rng._randbelow`` call in the same order,
+    so a walk that stops early has shuffled only what it drew. The permutation
+    is an 8-byte-per-item array, so a walk over offset-indexed records stays small.
+    """
     if not items:
         raise StreamError(f"dataset {name!r} is empty")
+    randbelow = rng._randbelow
     while True:
         order = array("q", range(len(items)))
-        rng.shuffle(order)
-        yield from map(items.__getitem__, reversed(order))
+        for place in reversed(range(1, len(order))):
+            pick = randbelow(place + 1)
+            item, order[pick] = order[pick], order[place]
+            yield items[item]
+        yield items[order[0]]
 
 
 def sample_stream(plan: MixturePlan, sources: Mapping[str, Sequence], total: int, seed: int = 0) -> Iterator:
@@ -114,11 +125,10 @@ def sample_stream(plan: MixturePlan, sources: Mapping[str, Sequence], total: int
         for row in plan.datasets
     ]
     cumulative = list(accumulate(row["p"] for row in plan.datasets))
+    cumulative[-1] = math.inf  # the last dataset takes what the p-sum's rounding leaves
 
     for _ in range(total):
-        pick = bisect_right(cumulative, select_rng.random())
-        pick = min(pick, len(walks) - 1)  # guard the p-sum rounding edge
-        yield next(walks[pick])
+        yield next(walks[bisect_right(cumulative, select_rng.random())])
 
 
 def check_sample(plan: MixturePlan, names: Container[str], total: int) -> None:

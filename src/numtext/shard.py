@@ -14,8 +14,9 @@ With one CPU or one block nothing forks; pinning the process to one CPU
 (for example with ``taskset -c 0``) gives the one-process run. ``gen-num``,
 ``gen-txt``, ``ingest`` and ``derive-class`` write their records this way,
 and ``score`` its per-question scores. :func:`over_spans` reads a JSONL
-file this way, one block per span of whole lines: ``mix`` indexes each
-source and ``audit`` counts its input.
+file this way, one block per span of SPAN_BYTES: ``mix`` indexes each
+source and ``audit`` counts its input. A worker finds the lines of its own
+spans, so the calling process reads nothing of the file before it forks.
 
 A worker flushes each block as it is written, so the sink never waits on a
 block that sits in the worker's buffer while the next one is written.
@@ -46,6 +47,12 @@ BLOCK_SIZE = 500
 
 #: Bytes per span of a JSONL file that :func:`over_spans` reads and writes as one block.
 SPAN_BYTES = 1 << 16
+
+#: Bytes of the first read at a span's cut, which a line longer than that doubles.
+_CUT_BYTES = 1 << 12
+
+#: Bytes per read when lines are counted for an error message.
+_COUNT_BYTES = 1 << 20
 
 #: A frame is a block's length, then the block.
 _HEADER = struct.Struct(">Q")
@@ -144,40 +151,55 @@ def _fork(write, spans: list[tuple[int, int]], inherited) -> tuple[int, io.Buffe
         os._exit(0)
 
 
-def _line_spans(read) -> list[tuple[int, int, int]]:
-    """``(start, stop, first line number)`` of each span of whole lines that
-    ``read`` gives from byte 0, about SPAN_BYTES each."""
-    spans, start, lineno, size = [], 0, 1, SPAN_BYTES
-    while chunk := read(size, start):
-        stop = chunk.rfind(b"\n") + 1 if len(chunk) == size else len(chunk)
-        if stop:
-            spans.append((start, start + stop, lineno))
-            lineno += chunk.count(b"\n", 0, stop)
-            start, size = start + stop, SPAN_BYTES
-        else:  # a line longer than the span
-            size *= 2
-    return spans
+def _cut(fd: int, offset: int, limit: int) -> int:
+    """The offset of the first line that starts at or after byte ``offset``, or
+    ``limit`` if none starts before it; the search reads up to ``limit``."""
+    at, size = offset - 1, _CUT_BYTES
+    while at < limit and (chunk := os.pread(fd, min(size, limit - at), at)):
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at, size = at + len(chunk), size * 2
+    return limit
 
 
-def over_spans(handle, write: Callable[[io.BufferedIOBase, int, int, io.BufferedIOBase], None], sink) -> None:
-    """Call ``write(lines, start, lineno, out)`` for each span of whole lines
-    of a binary JSONL stream, in order, as :func:`write_blocks` calls it for a
-    block: ``lines`` is a binary stream of the span's lines, ``start`` the
-    byte offset of its first line and ``lineno`` that line's number.
+def _lineno(fd: int, offset: int) -> int:
+    """The number of the line that starts at byte ``offset``."""
+    chunks = (os.pread(fd, min(_COUNT_BYTES, offset - at), at) for at in range(0, offset, _COUNT_BYTES))
+    return 1 + sum(chunk.count(b"\n") for chunk in chunks)
 
-    A worker reads its spans with ``os.pread``, and this process writes any
-    span a worker did not send, so the result, or the error, is the
-    one-process run's. A stream of one span forks nothing, and one that
-    cannot seek is written here as one span.
+
+def over_spans(handle, write: Callable[[bytes, int, Callable[[], int], io.BufferedIOBase], None], sink) -> None:
+    """Call ``write(lines, start, lineno, out)`` for each span of a binary JSONL
+    stream that holds a line, in order, as :func:`write_blocks` calls it for a
+    block: ``lines`` is the bytes of the span's whole lines, ``start`` the byte
+    offset of its first line, and ``lineno()`` counts the lines before it and
+    gives that line's number, for an error message that needs it.
+
+    Span k of a file holds the lines that start in [k, k + 1) * SPAN_BYTES, so
+    only span 0 starts at offset 0, and a line longer than a span leaves the
+    spans after its start empty. A worker finds its own spans' lines from the
+    file's size (``fstat``) and a short ``os.pread`` at each cut, and this
+    process reads nothing before it forks. This process writes any span a
+    worker did not send, so the result, or the error, is the one-process
+    run's. A file of one span forks nothing. A stream that cannot seek is
+    written here, a span at a time: SPAN_BYTES, then the rest of the line.
     """
     if not handle.seekable():
-        write(handle, 0, 1, sink)
+        start, lineno = 0, 1
+        while lines := handle.read(SPAN_BYTES):
+            lines += handle.readline()
+            write(lines, start, partial(int, lineno), sink)
+            start, lineno = start + len(lines), lineno + lines.count(b"\n")
         return
-    read = partial(os.pread, handle.fileno())  # moves no file offset that a forked worker shares
-    spans = _line_spans(read)
+    fd = handle.fileno()
+    size = os.fstat(fd).st_size
 
     def write_span(index: int, _, out) -> None:
-        start, stop, lineno = spans[index]
-        write(io.BytesIO(read(stop - start, start)), start, lineno, out)
+        low, high = index * SPAN_BYTES, min((index + 1) * SPAN_BYTES, size)
+        start = _cut(fd, low, high) if low else 0
+        if start < high:
+            stop = _cut(fd, high, size)
+            write(os.pread(fd, stop - start, start), start, partial(_lineno, fd, start), out)
 
-    write_blocks(write_span, len(spans), sink, size=1)
+    write_blocks(write_span, -(-size // SPAN_BYTES), sink, size=1)

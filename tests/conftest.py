@@ -3,12 +3,28 @@ from pathlib import Path
 
 import pytest
 
+from numtext import corpus
 from numtext.corpus import CONTEXT_MARKER, iter_examples
 
 
 def read_examples(stream):
     """Every example of a binary JSONL stream, validated by iter_examples."""
     return [example for *_, example in iter_examples(stream)]
+
+
+def index_and_audit(path) -> list:
+    """``IndexedExamples._offsets`` and ``audit_truncation`` of the JSONL file ``path``, or each one's error line."""
+    results = []
+    try:
+        with open(path, "rb") as handle:
+            results.append(list(corpus.IndexedExamples(handle)._offsets))
+    except ValueError as exc:
+        results.append(f"error: {exc}")
+    try:
+        results.append(corpus.audit_truncation(path))
+    except ValueError as exc:
+        results.append(f"error: {exc}")
+    return results
 
 
 def read_meta(path):

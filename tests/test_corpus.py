@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numtext import corpus
+from numtext import corpus, shard
 from numtext.corpus import (
     DateParts,
     DropRecord,
@@ -46,6 +46,7 @@ from conftest import (
     build_drop_file,
     drop_answer,
     drop_qa,
+    index_and_audit,
     parse_input,
     read_examples,
     read_meta,
@@ -949,7 +950,9 @@ def test_example_init_can_be_wrapped_as_the_benchmark_tracer_does(monkeypatch, i
     monkeypatch.setattr(Example, "__init__", traced)
     built = _built_examples()
     indexed = index_bytes(NONCANONICAL_SOURCE)
-    assert len(calls) == len(built) + len(indexed)
+    # The span check vouches for nc-0 and nc-5, the two canonical lines, and builds
+    # no Example for them; every other line is read one at a time.
+    assert [args[4] for args in calls[len(built) :]] == [f"nc-{i}" for i in range(len(indexed)) if i not in (0, 5)]
     assert corpus.example_from_json(built[0].to_json()) == built[0]
     assert indexed[3].source_id == "nc-3"
 
@@ -973,6 +976,29 @@ def test_every_draw_has_a_source_id_and_example_from_json_rejects_bad_rows(index
     for bad in bad_rows:
         with pytest.raises(ValueError):
             corpus.example_from_json(bad)
+
+
+def test_a_negative_draw_reads_one_line_and_equals_its_positive_twin(index_bytes, monkeypatch):
+    sink = io.BytesIO()
+    write_examples(_some_examples(1000), sink)
+    data = sink.getvalue() + NONCANONICAL_SOURCE.split(b"\n", 1)[1] + b"\n"
+    lines = data.splitlines(keepends=True)
+    indexed = index_bytes(data)
+    assert len(indexed) == len(lines) == 1009
+    real_pread, reads = os.pread, []
+
+    def counted_pread(fd, size, offset):
+        reads.append(size)
+        return real_pread(fd, size, offset)
+
+    monkeypatch.setattr(os, "pread", counted_pread)
+    for back in (1, 2, 9, 10, 500, 1009):
+        del reads[:]
+        assert indexed[-back] == indexed[len(indexed) - back]
+        assert reads == [len(lines[-back])] * 2
+    for index in (len(indexed), -len(indexed) - 1):
+        with pytest.raises(IndexError):
+            indexed[index]
 
 
 def test_a_changed_noncanonical_line_is_a_validation_error_when_drawn(tmp_path):
@@ -1068,6 +1094,8 @@ _AGREEMENT_LINES = {
     "surrogate-escape": _GOOD_LINE.replace(b"context: c", b"context: \\ud800"),
     "crlf": _GOOD_LINE[:-1] + b"\r\n",
     "no-final-newline": _GOOD_LINE[:-1],
+    "brace-for-newline": _GOOD_LINE[:-1] + b"}",
+    "space-for-newline": _GOOD_LINE[:-1] + b" ",
     "key-order": (json.dumps(dict(reversed(_GOOD_ROW.items()))) + "\n").encode(),
     "repeated-key": _GOOD_LINE[:-2] + b', "target": "u"}\n',
     "extra-spaces": _GOOD_LINE.replace(b'": "', b'" : "'),
@@ -1079,7 +1107,14 @@ _AGREEMENT_LINES = {
     "meta": b'{"meta": {"seed": 1}}\n',
     "blank": b" \t \n",
     "bad-task": _GOOD_LINE.replace(b'"task": "answer_me"', b'"task": "nope"'),
+    "bad-answer-type": _GOOD_LINE.replace(b'"answer_type": "span"', b'"answer_type": "nope"'),
+    "other-task-prefix": _GOOD_LINE.replace(b'"input": "answer_me:', b'"input": "calculate:'),
+    "empty-target": _GOOD_LINE.replace(b'"target": "t"', b'"target": ""'),
     "empty-question": _GOOD_LINE.replace(b"answer_me: q?", b"answer_me:  "),
+    "spaced-question": _GOOD_LINE.replace(b"answer_me: q?", b"answer_me:  q?"),
+    "no-question": _GOOD_LINE.replace(b"answer_me: q? context: c", b"answer_me: "),
+    "wide-spaced-question": _GOOD_LINE.replace(b"answer_me: q?", "answer_me: \u3000\xa0q?".encode()),
+    "wide-blank-question": _GOOD_LINE.replace(b"answer_me: q?", "answer_me: \u3000 \u2028".encode()),
     "quote-in-key": _GOOD_LINE.replace(b'"target"', b'"tar"get"'),
     "backslash-for-quote": _GOOD_LINE.replace(b'{"input"', b'{\\input"'),
     "control-for-quote": _GOOD_LINE.replace(b'"task"', b'\x1ftask"'),
@@ -1090,8 +1125,8 @@ def _read_both_ways(data, monkeypatch):
     """What iter_examples gives for ``data`` with its canonical-line pre-check and with every
     line sent down the json.loads path: rows, or the error line, each way."""
     results = []
-    for fixed_parts in (corpus._FIXED_PARTS, [None]):  # [None] matches no line
-        monkeypatch.setattr(corpus, "_FIXED_PARTS", fixed_parts)
+    for vouch in (corpus._CANONICAL_RECORD, lambda line: None):  # the second matches no line
+        monkeypatch.setattr(corpus, "_CANONICAL_RECORD", vouch)
         try:
             results.append(list(iter_examples(io.BytesIO(data))))
         except ValueError as exc:
@@ -1126,3 +1161,45 @@ def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, index_b
         assert name == "surrogate-escape" and "surrogate" in str(exc)
     else:
         assert [offset >= 0 for offset in indexed._offsets] == rule
+
+
+#: Where a test file puts its one _AGREEMENT_LINES entry among canonical lines cut
+#: into spans of 512 bytes: its first line, the first or a middle line of span 1,
+#: its last line; or, with spans that end right after it, the last line of span 0.
+_SPAN_PLACES = ("line-1", "span-start", "span-middle", "file-end", "span-end")
+
+
+def _span_file(line: bytes, place: str) -> tuple[bytes, int]:
+    """The test file and its span size."""
+    good = [(json.dumps({**_GOOD_ROW, "source_id": f"g{i:04d}"}) + "\n").encode() for i in range(16)]
+    span_start = -(-512 // len(good[0]))  # the first line of span 1
+    at = {"line-1": 0, "span-start": span_start, "span-middle": span_start + 2, "file-end": len(good)}.get(place, 4)
+    data = b"".join(good[:at]) + line + b"".join(good[at:])
+    return data, 4 * len(good[0]) + len(line) if place == "span-end" else 512
+
+
+@pytest.mark.parametrize("place", _SPAN_PLACES)
+@pytest.mark.parametrize("name", list(_AGREEMENT_LINES))
+def test_the_span_check_agrees_with_the_line_path(tmp_path, monkeypatch, name, place):
+    data, span_bytes = _span_file(_AGREEMENT_LINES[name], place)
+    monkeypatch.setattr(shard, "SPAN_BYTES", span_bytes)
+    path = tmp_path / "source.jsonl"
+    path.write_bytes(data)
+    # The span check leaves at most the one line that is not the canonical good line, and
+    # every line where an escape stands for a quote; a span that is not UTF-8 raises.
+    if name in ("backslash-for-quote", "control-for-quote"):
+        assert not any(corpus._span_check(data, 0)[1])
+    elif name != "invalid-utf8":
+        assert corpus._span_check(data, 0)[1].count(None) <= 1
+
+    def vouch_for_none(data, start):  # and find the lines as the line path does
+        lines = list(io.BytesIO(data))
+        return list(itertools.accumulate(map(len, lines), initial=start)), [None] * len(lines)
+
+    results = []
+    for check in (corpus._span_check, vouch_for_none):
+        monkeypatch.setattr(corpus, "_span_check", check)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            results.append(index_and_audit(path))
+    assert results[1:] == results[:1] * 3

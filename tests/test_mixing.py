@@ -1,6 +1,8 @@
 import copy
 import math
+import random
 from collections import Counter
+from itertools import islice
 
 import mpmath
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from numtext.errors import ConfigError, StreamError
-from numtext.mixing import check_stats, compute_plan, sample_stream
+from numtext.mixing import _epochs, check_stats, compute_plan, sample_stream
 
 PAPER_SIZES = [("NUM", 1_000_000), ("TXT", 2_000_000), ("DROP", 96_000)]
 
@@ -181,6 +183,19 @@ def test_epoch_shuffle_full_permutation_before_repeats():
     assert sorted(items[:10]) == sorted(set(items[:10]))  # first epoch: each once
     assert sorted(items[10:]) == sorted(items[:10])  # second epoch: same pool
     assert items[:10] != items[10:]  # reshuffled between epochs
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 500])
+@pytest.mark.parametrize("seed", range(5))
+def test_the_lazy_walk_gives_the_eager_shuffles_reversed_order(size, seed):
+    # The reference walk: shuffle each epoch's whole permutation first, then
+    # read it backwards.
+    rng, expected = random.Random(seed), []
+    for _ in range(3):
+        order = list(range(size))
+        rng.shuffle(order)
+        expected += reversed(order)
+    assert list(islice(_epochs(range(size), random.Random(seed), "x"), 3 * size)) == expected
 
 
 def test_empty_source_is_a_stream_error():

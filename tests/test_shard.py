@@ -10,7 +10,6 @@ host, and ``os.fork`` is counted, so each test knows whether a worker
 really ran.
 """
 
-import functools
 import io
 import json
 import os
@@ -26,7 +25,15 @@ from numtext.errors import ConfigError, ValidationError
 from numtext.numgen import NumGenConfig, generate_num
 from numtext.txtgen import TxtGenConfig, generate_txt
 
-from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, no_fork, read_examples
+from conftest import (
+    NONCANONICAL_SOURCE,
+    build_drop_file,
+    drop_answer,
+    drop_qa,
+    index_and_audit,
+    no_fork,
+    read_examples,
+)
 
 #: Three blocks, the last one short: worker 2 owns block 1, this process blocks 0 and 2.
 COUNT = 2 * shard.BLOCK_SIZE + 37
@@ -335,9 +342,15 @@ def span_inputs(tmp_path, monkeypatch, forks):
     return tmp_path
 
 
-def _spans(path):
+def _spans(path) -> list[list]:
+    """``[start, first line number, bytes]`` of each span of the file ``path`` that
+    holds a line: span k holds the lines that start in [k, k + 1) * shard.SPAN_BYTES."""
+    spans, start = {}, 0
     with open(path, "rb") as handle:
-        return shard._line_spans(functools.partial(os.pread, handle.fileno()))
+        for lineno, line in enumerate(handle, 1):
+            spans.setdefault(start // shard.SPAN_BYTES, [start, lineno, b""])[2] += line
+            start += len(line)
+    return [span for _, span in sorted(spans.items())]
 
 
 @pytest.mark.parametrize("command", list(SPAN_COMMANDS))
@@ -364,14 +377,14 @@ def test_a_span_worker_that_fails_costs_time_not_the_run(span_inputs, monkeypatc
     # every later one itself, as one process would.
     _pin_cpus(monkeypatch, 1)
     assert run(SPAN_COMMANDS[command] + ["--out", "one"]) == 0
-    parent, real_iter_examples = os.getpid(), corpus.iter_examples
+    parent, real_span_check = os.getpid(), corpus._span_check
 
     def fail_in_the_worker(*args):
         if os.getpid() != parent:
             fail()
-        return real_iter_examples(*args)
+        return real_span_check(*args)
 
-    monkeypatch.setattr(corpus, "iter_examples", fail_in_the_worker)
+    monkeypatch.setattr(corpus, "_span_check", fail_in_the_worker)
     _pin_cpus(monkeypatch, 2)
     capfd.readouterr()
     assert run(SPAN_COMMANDS[command] + ["--out", "two"]) == 0
@@ -387,9 +400,9 @@ def test_a_malformed_line_in_a_worker_span_is_the_one_process_error_line(span_in
     # one process fails on the first, and so must two.
     spans = _spans("num.jsonl")
     lines = (span_inputs / "num.jsonl").read_bytes().splitlines(keepends=True)
-    first = spans[1][2] + 3
+    first = spans[1][1] + 3
     lines[first - 1] = b'{"bogus": true}\n'
-    lines[spans[2][2] + 3 - 1] = b'{"input": "calculate: ", "target": "1", "task": "calculate"}\n'
+    lines[spans[2][1] + 3 - 1] = b'{"input": "calculate: ", "target": "1", "task": "calculate"}\n'
     (span_inputs / "num.jsonl").write_bytes(b"".join(lines))
     errors = []
     for cpus in (1, 2):
@@ -416,6 +429,86 @@ def test_an_input_of_one_span_forks_nothing(tmp_path, monkeypatch):
         assert run(command + ["--out", "o"]) == 0
     with open("num.jsonl", "rb") as handle:
         assert len(corpus.IndexedExamples(handle)) == 300
+
+
+def _over_spans(path) -> list[list]:
+    """``[start, lineno(), lines]`` of each ``write`` call that shard.over_spans makes for ``path``."""
+
+    def write(lines, start, lineno, out):
+        out.write(json.dumps([start, lineno(), lines.decode("latin-1")]).encode() + b"\n")
+
+    sink = io.BytesIO()
+    with open(path, "rb") as handle:
+        shard.over_spans(handle, write, sink)
+    rows = map(json.loads, sink.getvalue().splitlines())
+    return [[start, lineno, lines.encode("latin-1")] for start, lineno, lines in rows]
+
+
+#: Files cut into 64-byte spans.
+_CUT_FILES = {
+    "empty": b"",
+    "one-line": b'{"a": 1}\n',
+    "no-final-newline": b"a\n" * 40 + b"last",
+    "line-at-a-cut": b"a" * 63 + b"\n" + b"b" * 63 + b"\n" + b"c\n" * 70,
+    "longer-than-two-spans": b"a\n" + b"b" * 200 + b"\n" + b"c\n" * 40 + b"d" * 300,
+    "blank-lines": b"\n" * 100 + b"x\n" + b" \n" * 50,
+}
+
+
+@pytest.mark.parametrize("name", list(_CUT_FILES))
+def test_over_spans_cuts_lines_that_start_in_each_span_on_one_or_two_cpus(tmp_path, monkeypatch, forks, name):
+    monkeypatch.setattr(shard, "SPAN_BYTES", 64)
+    monkeypatch.setattr(shard, "_CUT_BYTES", 8)  # a cut that reads past a long line doubles its read
+    data = _CUT_FILES[name]
+    (tmp_path / "f.jsonl").write_bytes(data)
+    expected = _spans(tmp_path / "f.jsonl")
+    assert b"".join(lines for *_, lines in expected) == data
+    if name == "line-at-a-cut":
+        assert [start for start, *_ in expected[:3]] == [0, 64, 128]
+    if name == "longer-than-two-spans":
+        assert [start // 64 for start, *_ in expected] == [0, 3, 4]  # spans 1, 2 and 5 to 9 are empty
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        assert _over_spans(tmp_path / "f.jsonl") == expected
+    assert forks == ([1] if len(data) > 64 else [])
+
+
+def _numbered_lines(count: int) -> list[bytes]:
+    sink = io.BytesIO()
+    corpus.write_examples([corpus.Example(f"calculate: {i} + 1", str(i + 1), "calculate") for i in range(count)], sink)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("where", [1, 2])
+def test_a_meta_record_is_skipped_on_line_1_only_on_one_or_two_cpus(tmp_path, monkeypatch, forks, where):
+    monkeypatch.setattr(shard, "SPAN_BYTES", 256)
+    lines = _numbered_lines(40)
+    lines.insert(where - 1, b'{"meta": {"seed": 1, "note": "' + b"m" * 300 + b'"}}\n')  # line 2 starts in a later span
+    (tmp_path / "m.jsonl").write_bytes(b"".join(lines))
+    results = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        results.append(index_and_audit(tmp_path / "m.jsonl"))
+    assert results[0] == results[1]
+    assert forks == [1, 1]
+    if where == 1:
+        assert len(results[0][0]) == 40 and results[0][1]["total"] == 40
+    else:
+        assert results[0] == [f"error: line 2: expected exactly the fields {corpus.EXAMPLE_FIELDS}"] * 2
+
+
+def test_a_malformed_line_in_a_late_span_names_its_line_on_one_or_two_cpus(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(shard, "SPAN_BYTES", 256)
+    lines = _numbered_lines(300)
+    lines[286] = lines[286].replace(b'"target": "287"', b'"target": ""')
+    (tmp_path / "m.jsonl").write_bytes(b"".join(lines))
+    assert len(_spans(tmp_path / "m.jsonl")) > 50
+    results = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        results.append(index_and_audit(tmp_path / "m.jsonl"))
+    assert forks == [1, 1]
+    assert results == [["error: line 287: target must be non-empty"] * 2] * 2
 
 
 def test_audit_of_a_fifo_is_read_in_one_process_and_writes_the_files_bytes(span_inputs, monkeypatch, forks):

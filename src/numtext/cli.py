@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from array import array
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
@@ -44,8 +45,8 @@ def _lazy_layer(name: str):
 
 # Every layer is bound, seeding too, which cli does not call, so that
 # ``import numtext.cli`` makes every layer available.
-_LAYERS = ("corpus", "decimals", "mixing", "numgen", "pipelines", "schedule", "scoring", "seeding", "shard", "txtgen")
-corpus, decimals, mixing, numgen, pipelines, schedule, scoring, seeding, shard, txtgen = map(_lazy_layer, _LAYERS)
+_LAYERS = ("corpus", "decimals", "gold", "mixing", "numgen", "pipelines", "schedule", "scoring", "seeding", "shard", "txtgen")
+corpus, decimals, gold, mixing, numgen, pipelines, schedule, scoring, seeding, shard, txtgen = map(_lazy_layer, _LAYERS)
 
 #: Per command, the flags its effective config records, in --dump-config
 #: order. A --config file may set exactly these; other keys are ignored,
@@ -72,7 +73,7 @@ _LAYER_DEFAULTS = {
         for key in ("warmup_start", "warmup_end", "decay_rate", "warmup_fraction")
     },
     "audit": lambda: {"encoder_max": corpus.ENCODER_MAX, "decoder_max": corpus.DECODER_MAX},
-    "score": lambda: {"delimiter": corpus.SPAN_DELIMITER},
+    "score": lambda: {"delimiter": gold.SPAN_DELIMITER},
 }
 
 
@@ -219,7 +220,7 @@ def cmd_gen_txt(args) -> int:
 
 
 def _ingest(path: str, read):
-    """``read(path)``, a corpus ingest function, after one ``skipped ID: reason`` line per skipped question."""
+    """``read(path)``, a gold ingest function, after one ``skipped ID: reason`` line per skipped question."""
     result = read(path)
     for issue in result.errors:
         print(f"skipped {issue.question_id}: {issue.message}", file=sys.stderr)
@@ -228,9 +229,9 @@ def _ingest(path: str, read):
 
 def cmd_ingest(args) -> int:
     if args.format == "drop":
-        read, to_example = corpus.ingest_drop, corpus.make_drop_example
+        read, to_example = gold.ingest_drop, gold.make_drop_example
     else:
-        read, to_example = corpus.ingest_squad, corpus.make_squad_example
+        read, to_example = gold.ingest_squad, gold.make_squad_example
     result = _ingest(args.input, read)
     meta = _meta({"format": args.format, "input": args.input}, records=len(result.records))
     _write_blocks(args.out, meta, lambda a, b: map(to_example, result.records[a:b]), len(result.records))
@@ -239,9 +240,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_derive_class(args) -> int:
-    result = _ingest(args.input, corpus.ingest_drop)
+    result = _ingest(args.input, gold.ingest_drop)
     meta = _meta({"input": args.input}, records=len(result.records))
-    _write_blocks(args.out, meta, lambda a, b: map(corpus.make_classification_example, result.records[a:b]),
+    _write_blocks(args.out, meta, lambda a, b: map(gold.make_classification_example, result.records[a:b]),
                   len(result.records))
     print(f"wrote {len(result.records)} classification examples", file=sys.stderr)
     return 0
@@ -323,28 +324,28 @@ def cmd_audit(args) -> int:
 
 def _gold_only(records: list) -> list:
     """What ``score`` reads of each DROP record: its id and gold answers."""
-    return [corpus.DropRecord("", "", record.answers, record.query_id) for record in records]
+    return [gold.DropRecord("", "", record.answers, record.query_id) for record in records]
 
 
 def _gold_records(path: str, unscored: set) -> list:
     """The records of the gold file for ``score``; adds to ``unscored`` each id skipped for empty gold."""
-    result = _ingest(path, partial(corpus.ingest_drop, transform=_gold_only))
+    result = _ingest(path, partial(gold.ingest_drop, transform=_gold_only))
     unscored.update({issue.question_id for issue in result.errors} - {record.query_id for record in result.records})
     return result.records
 
 
 def _predictions(path: str, unscored: set) -> dict:
     """The predictions file as ``{id: prediction}``, without the ids in ``unscored``."""
-    predictions = {}
+    predictions, lines = {}, array("q")  # each prediction's line number, in the dict's order
     with open(path, "rb") as handle:
         for _, lineno, row in corpus.iter_jsonl(handle):
             if not (isinstance(row, dict) and isinstance(row.get("id"), str) and isinstance(row.get("prediction"), str)):
                 raise ValidationError(f"line {lineno}: prediction rows are objects with string 'id' and 'prediction'")
-            if row["id"] in predictions:  # find the first line again rather than keep every line number
-                handle.seek(0)
-                first = next(n for _, n, earlier in corpus.iter_jsonl(handle) if earlier["id"] == row["id"])
+            if row["id"] in predictions:
+                first = lines[list(predictions).index(row["id"])]
                 raise ValidationError(f"line {lineno}: prediction id {row['id']!r} is also on line {first}")
             predictions[row["id"]] = row["prediction"]
+            lines.append(lineno)
     for query_id in unscored:
         predictions.pop(query_id, None)  # a question skipped for empty gold is not scored
     return predictions

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
+from .gold import DropRecord, GoldAnswer, SPAN_DELIMITER, derive_answer_type, gold_answer_spans
 from .errors import ConfigError, ValidationError
 from .shard import write_blocks
 

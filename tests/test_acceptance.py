@@ -18,14 +18,8 @@ from pathlib import Path
 
 from numtext import corpus, txtgen
 from numtext.cli import run
-from numtext.corpus import (
-    Example,
-    GoldAnswer,
-    audit_truncation,
-    derive_answer_type,
-    ingest_drop,
-    write_examples,
-)
+from numtext.corpus import Example, audit_truncation, write_examples
+from numtext.gold import GoldAnswer, derive_answer_type, ingest_drop
 from numtext.decimals import render
 from numtext.mixing import check_stats, compute_plan, sample_stream
 from numtext.numgen import NumGenConfig, eval_expr, generate_num

@@ -14,6 +14,7 @@ from numtext import corpus, mixing, numgen, scoring
 from numtext.cli import run
 from numtext.decimals import MAX_FRAC_DIGITS
 from numtext.errors import ValidationError
+from numtext.gold import ingest_drop
 
 from conftest import NONCANONICAL_SOURCE, build_drop_file, drop_answer, drop_qa, read_examples, read_meta
 
@@ -381,7 +382,7 @@ def test_score_report_is_json_dumps_indent_2(tmp_path, questions):
     preds.write_text("".join(json.dumps(row) + "\n" for row in guesses[::2]), encoding="utf-8")
     assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 0
     report = scoring.build_report(
-        corpus.ingest_drop(gold).records, {row["id"]: row["prediction"] for row in guesses[::2]}
+        ingest_drop(gold).records, {row["id"]: row["prediction"] for row in guesses[::2]}
     )
     payload = {"meta": _read_json_file(out)["meta"], **report._asdict()}
     assert len(report.per_question) == questions
@@ -399,6 +400,26 @@ def test_score_rejects_a_prediction_id_given_twice(tmp_path, capsys):
         "error: line 3: prediction id 'q1' is also on line 1"
     ]
     assert not out.exists()
+
+
+def test_score_rejects_a_prediction_id_given_twice_through_a_pipe(tmp_path, capsys):
+    # A pipe cannot seek back, so the first line of a repeated id is found from what was read.
+    gold = _gold_with_a_skipped_question(tmp_path)
+    data = b"\n" + b"".join(
+        json.dumps({"id": query_id, "prediction": "5"}).encode() + b"\n" for query_id in ("q2", "q1", "q1")
+    )
+    regular, fifo = tmp_path / "preds.jsonl", tmp_path / "preds.fifo"
+    regular.write_bytes(data)
+    os.mkfifo(fifo)
+    threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True).start()
+    for preds in (regular, fifo):
+        out = tmp_path / f"{preds.name}.json"
+        assert run(["score", "--gold", str(gold), "--pred", str(preds), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: line 4: prediction id 'q1' is also on line 3"
+        ]
+        assert not out.exists()
 
 
 def test_score_names_a_prediction_line_that_is_not_an_object(tmp_path, capsys):

@@ -11,28 +11,30 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numtext import corpus, shard
+from numtext import corpus, gold, shard
 from numtext.corpus import (
-    DateParts,
-    DropRecord,
     Example,
-    GoldAnswer,
     IndexedExamples,
     SourceLine,
-    SquadRecord,
     audit_truncation,
     count_tokens,
-    derive_answer_type,
     digit_tokenize,
     format_input,
-    ingest_drop,
-    ingest_squad,
     iter_examples,
     iter_jsonl,
+    write_examples,
+)
+from numtext.gold import (
+    DateParts,
+    DropRecord,
+    GoldAnswer,
+    SquadRecord,
+    derive_answer_type,
+    ingest_drop,
+    ingest_squad,
     make_classification_example,
     make_drop_example,
     make_squad_example,
-    write_examples,
 )
 from numtext.cli import run
 from numtext.errors import ParseError, ValidationError
@@ -401,11 +403,11 @@ _READ_SIZES = (1, 2, 3, 7, 65536)
 
 
 def _members(data: bytes, size: int, trickle: bool) -> list:
-    """``corpus._members`` of ``data``, read ``size`` bytes at a time; with ``trickle``, each read
+    """``gold._members`` of ``data``, read ``size`` bytes at a time; with ``trickle``, each read
     also returns at most ``size`` bytes, however many the reader asks for."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_READ_BYTES", size)
-        return list(corpus._members(_Trickle(data, size) if trickle else io.BytesIO(data)))
+        patch.setattr(gold, "_READ_BYTES", size)
+        return list(gold._members(_Trickle(data, size) if trickle else io.BytesIO(data)))
 
 
 def _assert_members_agree(text: str, trickle: bool = False) -> None:
@@ -420,7 +422,7 @@ def _assert_members_agree(text: str, trickle: bool = False) -> None:
             members = dict(_members(text.encode("utf-8"), size, trickle))
             assert json.dumps(list(members.items())) == json.dumps(list(expected.items())), size
         else:
-            with pytest.raises(corpus._Malformed):
+            with pytest.raises(gold._Malformed):
                 _members(text.encode("utf-8"), size, trickle)
 
 
@@ -450,7 +452,7 @@ def test_members_agree_with_json_loads_when_every_byte_ends_a_read(text):
 @pytest.mark.parametrize("data", [b'{"a": "\xc3', b'{"a": "\xe2\x82"}', b'{"a": "\xff"}'])
 def test_members_of_bytes_that_are_not_utf8_are_malformed(data):
     for size in _READ_SIZES:
-        with pytest.raises(corpus._Malformed):
+        with pytest.raises(gold._Malformed):
             _members(data, size, trickle=True)
 
 
@@ -1052,7 +1054,7 @@ def test_record_from_json_returns_the_five_strings():
 def test_a_lone_surrogate_is_read_but_not_indexed(index_bytes):
     line = b'{"input": "answer_me: q\\ud800? context: c", "target": "t", "task": "answer_me", "answer_type": "span", "source_id": ""}\n'
     data = json.dumps(_GOOD_ROW).encode() + b"\n" + line
-    (_, _, _, example), = iter_examples(io.BytesIO(line))
+    (_, _, example), = iter_examples(io.BytesIO(line))
     assert example.input == "answer_me: q\ud800? context: c"
     with pytest.raises(ValidationError, match="line 2: .*surrogate"):
         index_bytes(data)
@@ -1121,46 +1123,42 @@ _AGREEMENT_LINES = {
 }
 
 
-def _read_both_ways(data, monkeypatch):
-    """What iter_examples gives for ``data`` with its canonical-line pre-check and with every
-    line sent down the json.loads path: rows, or the error line, each way."""
-    results = []
-    for vouch in (corpus._CANONICAL_RECORD, lambda line: None):  # the second matches no line
-        monkeypatch.setattr(corpus, "_CANONICAL_RECORD", vouch)
-        try:
-            results.append(list(iter_examples(io.BytesIO(data))))
-        except ValueError as exc:
-            results.append(f"error: {exc}")
-    monkeypatch.undo()
-    return results
+def _canonical_by_rule(data: bytes) -> list[bool]:
+    """For each record of ``data``, whether its line is canonical by the rule the index
+    keeps: no backslash, and the very line write_examples writes for its record."""
+    rule = []
+    for offset, _, example in iter_examples(io.BytesIO(data)):
+        line = data[offset:].partition(b"\n")
+        text = (line[0] + line[1]).decode("utf-8")
+        rule.append("\\" not in text and text == corpus._CANONICAL_LINE % corpus._fields(example))
+    return rule
 
 
 @pytest.mark.parametrize("before", [b"", _GOOD_LINE], ids=["line-1", "line-2"])
 @pytest.mark.parametrize("name", list(_AGREEMENT_LINES))
-def test_the_canonical_line_precheck_agrees_with_json_loads(monkeypatch, index_bytes, name, before):
+def test_the_canonical_line_precheck_agrees_with_json_loads(index_bytes, name, before):
     data = before + _AGREEMENT_LINES[name]
-    checked, decoded = _read_both_ways(data, monkeypatch)
-    if isinstance(decoded, str):
-        assert checked == decoded
+    try:
+        rows = list(iter_examples(io.BytesIO(data)))
+    except ValueError as exc:  # the index fails on the line as json.loads and Example do
+        with pytest.raises(ValueError) as info:
+            index_bytes(data)
+        assert str(info.value) == str(exc)
         return
-    assert [row[:2] + row[3:] for row in checked] == [row[:2] + row[3:] for row in decoded]
-    assert not any(canonical for _, _, canonical, _ in decoded)
-    # A line is canonical by the pre-check exactly when it is by the rule the
-    # index used before it: no backslash, and the very line write_examples writes.
-    rule = []
-    for offset, _, _, example in checked:
-        line = data[offset:].partition(b"\n")
-        text = (line[0] + line[1]).decode("utf-8")
-        rule.append("\\" not in text and text == corpus._CANONICAL_LINE % corpus._fields(example))
-    assert [canonical for _, _, canonical, _ in checked] == rule
+    rule = _canonical_by_rule(data)
     if name in ("canonical", "raw-del", "u2028", "nbsp"):
         assert rule[-1]
     try:
         indexed = index_bytes(data)
     except ValidationError as exc:
         assert name == "surrogate-escape" and "surrogate" in str(exc)
-    else:
-        assert [offset >= 0 for offset in indexed._offsets] == rule
+        return
+    # The index vouches for a line exactly when the rule calls it canonical, and
+    # every record it gives is the one json.loads reads.
+    assert [max(offset, ~offset) for offset in indexed._offsets] == [offset for offset, *_ in rows]
+    assert [offset >= 0 for offset in indexed._offsets] == rule
+    drawn = [draw if type(draw) is Example else corpus.example_from_json(json.loads(draw)) for draw in indexed]
+    assert drawn == [example for *_, example in rows]
 
 
 #: Where a test file puts its one _AGREEMENT_LINES entry among canonical lines cut
@@ -1202,4 +1200,10 @@ def test_the_span_check_agrees_with_the_line_path(tmp_path, monkeypatch, name, p
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             results.append(index_and_audit(path))
-    assert results[1:] == results[:1] * 3
+    # Either way the same lines hold records, with the same counts or the same error;
+    # an offset's sign tells only whether the span check vouched for its line.
+    unsigned = [[[max(o, ~o) for o in got] if type(got) is list else got for got in result] for result in results]
+    assert unsigned[1:] == unsigned[:1] * 3
+    assert results[1] == results[0]
+    if type(results[0][0]) is list:
+        assert [offset >= 0 for offset in results[0][0]] == _canonical_by_rule(data)

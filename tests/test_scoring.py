@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from numtext import scoring
-from numtext.corpus import DateParts, DropRecord, GoldAnswer, gold_answer_spans
+from numtext.gold import DateParts, DropRecord, GoldAnswer, gold_answer_spans
 from numtext.errors import ValidationError
 from numtext.scoring import (
     answer_bags,

@@ -20,7 +20,7 @@ import pytest
 
 from numtext import corpus, numgen, scoring, shard
 from numtext.cli import run
-from numtext.corpus import DropRecord, GoldAnswer
+from numtext.gold import DropRecord, GoldAnswer
 from numtext.errors import ConfigError, ValidationError
 from numtext.numgen import NumGenConfig, generate_num
 from numtext.txtgen import TxtGenConfig, generate_txt

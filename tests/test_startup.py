@@ -28,6 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = {
     "corpus": "example_from_json",
     "decimals": "render",
+    "gold": "ingest_drop",
     "mixing": "sample_stream",
     "numgen": "generate_num",
     "pipelines": "expand",
@@ -65,6 +66,8 @@ def inputs(tmp_path):
     qas = [drop_qa("How many lots?", "q1", drop_answer(number="3"))]
     (tmp_path / "gold.json").write_text(json.dumps(build_drop_file({"p": ("Three lots.", qas)})))
     (tmp_path / "pred.jsonl").write_text(json.dumps({"id": "q1", "prediction": "3"}) + "\n")
+    stats = [{"name": name, "length": 100} for name in ("DROP", "DROP-class", "TXT", "NUM", "SQuAD")]
+    (tmp_path / "pipeline-stats.json").write_text(json.dumps(stats))
     return tmp_path
 
 
@@ -76,11 +79,18 @@ def inputs(tmp_path):
         pytest.param(["lr-table", "--epochs", "2", "--batches-per-epoch", "3", "--out", "lr.csv"], {"schedule"},
                      id="lr-table"),
         pytest.param(["score", "--gold", "gold.json", "--pred", "pred.jsonl", "--out", "report.json"],
-                     {"corpus", "scoring", "shard"}, id="score"),
+                     {"corpus", "gold", "scoring", "shard"}, id="score"),
         pytest.param(["mix", "--stats", "stats.json", "-T", "2", "--sample", "8", "--sources",
                       "num=num.jsonl,txt=txt.jsonl", "--out", "mix.jsonl"],
-                     set(LAYERS) - {"numgen", "txtgen", "scoring"}, id="mix"),
+                     set(LAYERS) - {"gold", "numgen", "txtgen", "scoring"}, id="mix"),
         pytest.param(["audit", "--in", "num.jsonl", "--out", "audit.json"], {"corpus", "shard"}, id="audit"),
+        pytest.param(["gen-num", "--count", "20", "--seed", "3", "--out", "n.jsonl"],
+                     set(LAYERS) - {"gold", "mixing", "pipelines", "schedule", "scoring", "txtgen"}, id="gen-num"),
+        pytest.param(["gen-txt", "--count", "20", "--seed", "3", "--out", "t.jsonl"],
+                     set(LAYERS) - {"gold", "mixing", "pipelines", "schedule", "scoring", "numgen"}, id="gen-txt"),
+        pytest.param(["pipeline", "--name", "multitask", "--stats", "pipeline-stats.json", "--batch-size", "32",
+                      "--seed", "3", "--out", "pipeline.json"], set(LAYERS) - {"gold", "numgen", "txtgen", "scoring"},
+                     id="pipeline"),
     ],
 )
 def test_a_command_runs_only_its_layers(inputs, argv, may_run):
@@ -139,8 +149,6 @@ print(json.dumps([code, sorted(set(%r) & set(sys.modules) - before)]))
     ],
 )
 def test_a_command_starts_without_openssl_or_dataclasses(inputs, argv):
-    stats = [{"name": name, "length": 100} for name in ("DROP", "DROP-class", "TXT", "NUM", "SQuAD")]
-    (inputs / "pipeline-stats.json").write_text(json.dumps(stats))
     code, added = json.loads(_python(_RUN_AND_LIST_HEAVY_MODULES_ADDED % (HEAVY,), *argv, cwd=inputs))
     assert code == 0
     assert added == []
